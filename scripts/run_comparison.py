@@ -28,12 +28,11 @@ if __name__ == "__main__":
     ap.add_argument("--N", type=float, default=0.01)
     ap.add_argument("--steps", type=int, default=51)
     ap.add_argument("--outdir", default="results")
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    qn = ["--Q", str(args.Q), "--N", str(args.N), "--threads", str(args.threads)]
+    qn = ["--Q", str(args.Q), "--N", str(args.N)]
 
     run(["compare", *qn, "--steps", str(args.steps),
          "--out", str(outdir / "comparison.csv"), "--gnuplot"])

@@ -42,6 +42,7 @@ from .numerics import (
 from .skewnormal import (
     CoordParams,
     coord_ic_margin,
+    coord_min_power,
     coord_mmse_at_rho,
     entropy_reduction,
     mmse_coord,

@@ -20,7 +20,6 @@ import math
 import subprocess
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -125,13 +124,6 @@ def _quad_cfg(args) -> QuadratureConfig:
     return QuadratureConfig(abs_tol=tol, rel_tol=tol)
 
 
-def _pool_map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
-
-
 def _point_row(pt: CurvePoint, strategy: str) -> list[str]:
     return [
         _fmt(pt.P),
@@ -177,12 +169,10 @@ def cmd_curve(args, argv: list[str]) -> int:
             print("need 0 <= p-min < p-max", file=sys.stderr)
             return 2
         grid = np.linspace(args.p_min, p_max, args.steps)
-        pts = _pool_map(
-            lambda p: strategies._eval_point(args.strategy, float(p), params, cfg),
-            grid,
-            args.threads,
-        )
-        rows = [_point_row(pt, args.strategy) for pt in pts]
+        rows = []
+        for p in grid:
+            pt = strategies._eval_point(args.strategy, float(p), params, cfg)
+            rows.append(_point_row(pt, args.strategy))
 
     _write_csv(args.out, _CURVE_HEADER, rows)
     _manifest(args, argv, cfg, args.out)
@@ -221,7 +211,7 @@ def cmd_compare(args, argv: list[str]) -> int:
             row.append(_fmt(pt.S) if pt.feasible else "")
         return row
 
-    rows = _pool_map(eval_p, [float(p) for p in grid], args.threads)
+    rows = [eval_p(float(p)) for p in grid]
     _write_csv(args.out, ["P"] + _COMPARE_COLUMNS, rows)
     _manifest(args, argv, cfg, args.out)
     if args.gnuplot:
@@ -296,10 +286,7 @@ def cmd_psi(args, argv: list[str]) -> int:
         print("need alpha-min < alpha-max", file=sys.stderr)
         return 2
     grid = np.linspace(args.alpha_min, args.alpha_max, args.steps)
-    vals = _pool_map(
-        lambda a: skewnormal.entropy_reduction(float(a), cfg), grid, args.threads
-    )
-    rows = [[_fmt(a), _fmt(v)] for a, v in zip(grid, vals)]
+    rows = [[_fmt(a), _fmt(skewnormal.entropy_reduction(float(a), cfg))] for a in grid]
     _write_csv(args.out, ["alpha", "psi"], rows)
     _manifest(args, argv, cfg, args.out)
     if args.gnuplot:
@@ -311,7 +298,6 @@ def _add_common(p: argparse.ArgumentParser, out_required: bool = True) -> None:
     p.add_argument("--Q", type=float, default=0.1, help="state variance (default 0.1)")
     p.add_argument("--N", type=float, default=0.01, help="noise variance (default 0.01)")
     p.add_argument("--tol", type=float, default=None, help="quadrature tolerance override")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for grid points")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (recorded in manifest)")
     if out_required:
         p.add_argument("--out", required=True, help="output CSV path")

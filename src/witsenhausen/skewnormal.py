@@ -17,20 +17,19 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 from scipy.special import log_ndtr
 
-from .core import DegenerateInput, ProblemParams
+from .core import DegenerateInput, EmptyFeasibleSet, ProblemParams
 from .gaussian_info import ic_feasible
 from .numerics import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
-    _adaptive,
+    find_root,
     gauss_weighted_integral,
     integral_real_line,
     mills_ratio,
-    minimize_1d,
     norm_cdf,
-    norm_pdf,
 )
 
 __all__ = [
@@ -44,16 +43,13 @@ __all__ = [
     "mmse_via_conditional_density",
     "dropped_odd_term",
     "mmse_coord",
+    "coord_min_power",
     "cov_state_precoder",
     "cov_interim_output_precoder",
 ]
 
 _LN2 = math.log(2.0)
 _LOG2_2PIE = math.log2(2.0 * math.pi * math.e)
-
-# Correlation grid scanned before golden-section refinement. The feasible set
-# in rho is an interval here, but no structure theorem is assumed beyond that.
-RHO_GRID = 2001
 
 
 @dataclass(frozen=True)
@@ -110,26 +106,6 @@ def entropy_reduction(
     if math.isinf(alpha):
         return 1.0
     return gauss_weighted_integral(_psi_integrand(alpha), cfg)
-
-
-def _entropy_reduction_many(alphas: np.ndarray, cfg: QuadratureConfig) -> np.ndarray:
-    """Psi on a batch of finite skewness values, one shared adaptive quadrature."""
-    alphas = np.asarray(alphas, dtype=float)
-    if alphas.size == 0:
-        return np.zeros(0)
-
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        ax = x[:, None] * alphas[None, :]
-        l = log_ndtr(ax)
-        t = 2.0 * np.exp(l)
-        val = np.where(t > 0.0, t * (l + _LN2) / _LN2, 0.0)
-        return val * norm_pdf(x)[:, None]
-
-    R = cfg.truncation_radius
-    out = np.asarray(_adaptive(f, -R, R, cfg), dtype=float)
-    out[alphas == 0.0] = 0.0
-    return out
 
 
 def _skew_scales(cp: CoordParams) -> tuple[float, float, float]:
@@ -248,25 +224,6 @@ def coord_mmse_at_rho(
     return sig2 * (1.0 - (1.0 / math.pi) * math.sqrt(n / (2.0 * t + n)) * g)
 
 
-def _coord_mmse_many(Ts: np.ndarray, N: float, cfg: QuadratureConfig) -> np.ndarray:
-    """coord_mmse_at_rho on a batch of interim variances, one shared quadrature."""
-    Ts = np.asarray(Ts, dtype=float)
-    if Ts.size == 0:
-        return np.zeros(0)
-    sig2 = Ts * N / (Ts + N)
-    kap2 = Ts / (2.0 * Ts + N)
-    kap = np.sqrt(kap2)
-
-    def f(w):
-        w = np.asarray(w, dtype=float)
-        arg = w[:, None] * kap[None, :]
-        return mills_ratio(arg) * np.exp(-0.5 * (w * w)[:, None] * (1.0 - kap2)[None, :])
-
-    R = cfg.truncation_radius
-    g = np.asarray(_adaptive(f, -R, R, cfg), dtype=float)
-    return sig2 * (1.0 - (1.0 / math.pi) * np.sqrt(N / (2.0 * Ts + N)) * g)
-
-
 def mmse_via_conditional_density(
     cp: CoordParams, cfg: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> float:
@@ -309,66 +266,84 @@ def dropped_odd_term(
     return gauss_weighted_integral(f, cfg)
 
 
+def _margin_in_rho(P: float, params: ProblemParams, cfg: QuadratureConfig):
+    """The information-constraint margin at power P as a function of rho.
+
+    The margin is >= -1 wherever it is finite (d2 >= d1, so Psi(d2) >= Psi(d1));
+    its one -inf, where the interim state vanishes (P = Q, rho = -1), is
+    clamped to -1 so that it can end a root-finder's bracket.
+    """
+
+    def margin(rho: float) -> float:
+        cp = CoordParams(P, rho, params.Q, params.N)
+        return max(coord_ic_margin(cp, cfg), -1.0)
+
+    return margin
+
+
+def _peak_margin(margin) -> tuple[float, float]:
+    """(rho, margin) at the largest margin over rho in [-1, 1], by bounded Brent search."""
+    res = minimize_scalar(lambda rho: -margin(rho), bounds=(-1.0, 1.0), method="bounded")
+    return float(res.x), -float(res.fun)
+
+
 def mmse_coord(
     P: float, params: ProblemParams, cfg: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> tuple[float, float]:
     """Minimal hybrid-scheme estimation cost at power P, and its correlation.
 
-    Minimizes coord_mmse_at_rho over rho in [-1, 1] subject to a nonnegative
-    information-constraint margin (infeasible points count as +inf). The
-    RHO_GRID grid values are precomputed in batch; refinement probes fall back
-    to the scalar path. Raises EmptyFeasibleSet when no correlation lets the
-    channel carry the one-bit sign.
+    coord_mmse_at_rho depends on rho only through T = P + Q + 2 rho sqrt(PQ),
+    which increases with rho, and it increases with T; the correlations with
+    a nonnegative information-constraint margin form one interval. The
+    optimum is therefore the left edge of that interval. A bounded
+    maximization of the margin over rho decides feasibility and gives a
+    feasible rho_peak; a bracketing root-find of the margin on [-1, rho_peak]
+    then gives the edge rho*, stepped right if rounding left it infeasible.
+    Returns (coord_mmse_at_rho at rho*, rho*). Raises EmptyFeasibleSet when
+    no correlation lets the channel carry the one-bit sign; at P = 0 this is
+    immediate, since with no residual power the margin is -1 for every rho.
     """
     Q, N = params.Q, params.N
     if not 0.0 <= P <= Q:
         raise ValueError(f"P={P} outside [0, Q]")
+    if P == 0.0:
+        raise EmptyFeasibleSet("coord infeasible at P=0: the IC margin is -1 for every rho")
 
-    xs = np.linspace(-1.0, 1.0, RHO_GRID)
-    margins = _margin_grid(P, params, xs, cfg)
-    margin_cache = {float(x): float(m) for x, m in zip(xs, margins)}
-    feasible = np.array([ic_feasible(float(m)) for m in margins], dtype=bool)
-    mmse_cache: dict[float, float] = {}
-    if feasible.any():
-        rhos = xs[feasible]
-        ts = P + Q + 2.0 * rhos * math.sqrt(P * Q)
-        vals = _coord_mmse_many(np.maximum(ts, 0.0), N, cfg)
-        mmse_cache = {float(r): float(v) for r, v in zip(rhos, vals)}
-
-    def objective(rho: float) -> float:
-        m = margin_cache.get(rho)
-        if m is None:
-            m = coord_ic_margin(CoordParams(P, rho, Q, N), cfg)
-        if not ic_feasible(m):
-            return math.inf
-        v = mmse_cache.get(rho)
-        if v is None:
-            v = coord_mmse_at_rho(CoordParams(P, rho, Q, N), cfg)
-        return v
-
-    rho_star, val = minimize_1d(objective, -1.0, 1.0, grid=RHO_GRID, tol=1e-9)
-    return val, rho_star
+    margin = _margin_in_rho(P, params, cfg)
+    rho_peak, peak = _peak_margin(margin)
+    if not ic_feasible(peak):
+        raise EmptyFeasibleSet(
+            f"coord infeasible at P={P}: peak IC margin {peak:.6g} bits at rho={rho_peak:.6g}"
+        )
+    rho = find_root(margin, -1.0, rho_peak) if peak > 0.0 else rho_peak
+    step = 1e-12
+    while not ic_feasible(margin(rho)):
+        rho = min(rho + step, rho_peak)
+        step *= 2.0
+    return coord_mmse_at_rho(CoordParams(P, rho, Q, N), cfg), rho
 
 
-def _margin_grid(
-    P: float, params: ProblemParams, xs: np.ndarray, cfg: QuadratureConfig
-) -> np.ndarray:
-    """Information-constraint margins on a correlation grid, batched Psi calls."""
-    Q, N = params.Q, params.N
-    sq, sp = math.sqrt(Q), math.sqrt(P)
-    s = sq + xs * sp
-    p_res = P * (1.0 - xs * xs)
-    t = np.maximum(P + Q + 2.0 * xs * sq * sp, 0.0)
-    ok = s * s > 0.0
-    d1 = np.sqrt(t / N)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d2 = np.sqrt((t * s * s * N + p_res * (t + N) ** 2) / (s * s * N * N))
-    cap = 0.5 * np.log2(1.0 + p_res / N)
+def coord_min_power(
+    params: ProblemParams, cfg: QuadratureConfig = DEFAULT_QUADRATURE
+) -> float:
+    """Smallest power at which the hybrid scheme is feasible.
 
-    psi = np.zeros((2, xs.size))
-    psi[0, ok] = _entropy_reduction_many(d1[ok], cfg)
-    psi[1, ok] = _entropy_reduction_many(d2[ok], cfg)
-    return np.where(ok, cap - psi[0] + psi[1] - 1.0, -math.inf)
+    The root in P of the peak information-constraint margin over rho, the
+    quantity mmse_coord tests for feasibility; at P = 0 the margin is -1.
+    Raises EmptyFeasibleSet when the scheme is infeasible even at P = Q.
+    """
+
+    def peak(P: float) -> float:
+        if P == 0.0:
+            return -1.0
+        return _peak_margin(_margin_in_rho(P, params, cfg))[1]
+
+    top = peak(params.Q)
+    if not ic_feasible(top):
+        raise EmptyFeasibleSet(
+            f"coord infeasible at every power: peak IC margin {top:.6g} bits at P=Q"
+        )
+    return find_root(peak, 0.0, params.Q) if top > 0.0 else params.Q
 
 
 def cov_state_precoder(cp: CoordParams) -> np.ndarray:

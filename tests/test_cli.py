@@ -215,10 +215,3 @@ def test_gnuplot_companion(tmp_path):
     assert rc == 0
     assert (tmp_path / "lin.csv.gnuplot").exists()
 
-
-def test_threads_match_sequential(tmp_path):
-    base = ["compare", "--p-min", "0.0", "--p-max", "0.01", "--steps", "5"]
-    seq, par = tmp_path / "seq.csv", tmp_path / "par.csv"
-    assert run(base + ["--out", str(seq)]) == 0
-    assert run(base + ["--out", str(par), "--threads", "4"]) == 0
-    assert seq.read_bytes() == par.read_bytes()

@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 from scipy.special import log_ndtr
 
-from witsenhausen.core import DegenerateInput, EmptyFeasibleSet
-from witsenhausen.numerics import QuadratureConfig, norm_cdf, norm_pdf
+from witsenhausen import skewnormal
+from witsenhausen.core import DegenerateInput, EmptyFeasibleSet, validate_params
+from witsenhausen.gaussian_info import ic_feasible
+from witsenhausen.numerics import minimize_1d, norm_cdf, norm_pdf
 from witsenhausen.skewnormal import (
     CoordParams,
     coord_ic_margin,
+    coord_min_power,
     coord_mmse_at_rho,
     cov_interim_output_precoder,
     cov_state_precoder,
@@ -20,8 +25,8 @@ from witsenhausen.skewnormal import (
     sign_conditioned_entropies,
     skew_cond_mean,
     skew_cond_variance,
-    _entropy_reduction_many,
 )
+from witsenhausen.strategies import two_point_min_power
 
 LN2 = math.log(2.0)
 LOG2_2PIE = math.log2(2.0 * math.pi * math.e)
@@ -73,13 +78,6 @@ def test_psi_grid_shape_properties():
     assert np.allclose(vals, vals[::-1], atol=1e-10)
     half = vals[100:]  # alpha >= 0
     assert np.all(np.diff(half) >= -1e-12)
-
-
-def test_psi_batch_matches_scalar():
-    alphas = np.array([0.0, 0.5, 2.0, 5.0, 40.0])
-    batch = _entropy_reduction_many(alphas, QuadratureConfig())
-    for a, b in zip(alphas, batch):
-        assert entropy_reduction(float(a)) == pytest.approx(float(b), abs=1e-10)
 
 
 # ------------------------------------------------------------- CoordParams
@@ -341,3 +339,129 @@ def test_mmse_coord_frozen_study_value(params):
     value, rho_star = mmse_coord(0.03, params)
     assert value == pytest.approx(0.006523567118685, abs=1e-8)
     assert rho_star == pytest.approx(-0.55787, abs=1e-4)
+
+
+def test_mmse_coord_zero_power_raises_without_quadrature(params, monkeypatch):
+    calls = []
+    real = skewnormal.entropy_reduction
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(skewnormal, "entropy_reduction", counted)
+    with pytest.raises(EmptyFeasibleSet):
+        mmse_coord(0.0, params)
+    assert calls == []
+
+
+def test_mmse_coord_full_power_at_the_vanishing_state_edge():
+    # at P = Q the margin is -inf at rho = -1, where the interim state vanishes
+    skewed = validate_params(1.0, 1e-4)
+    value, rho_star = mmse_coord(1.0, skewed)
+    assert math.isfinite(value) and value >= 0.0
+    assert rho_star > -1.0
+
+
+@pytest.mark.parametrize("P", [0.03, 0.05, 0.07, 0.09])
+def test_mmse_coord_returns_the_feasibility_edge(params, P):
+    _, rho_star = mmse_coord(P, params)
+    margin = coord_ic_margin(CoordParams(P, rho_star, params.Q, params.N))
+    assert ic_feasible(margin)
+    left = coord_ic_margin(CoordParams(P, rho_star - 1e-6, params.Q, params.N))
+    assert not ic_feasible(left)
+
+
+# ------------------------------------------------------ coord minimum power
+
+
+@pytest.mark.parametrize(
+    "Q, N, expected", [(0.1, 0.01, 0.0227508), (1.0, 1e-4, 2.9714e-4)]
+)
+def test_coord_min_power_below_two_point_minimum(Q, N, expected):
+    p = validate_params(Q, N)
+    pmin = coord_min_power(p)
+    assert pmin == pytest.approx(expected, rel=1e-5)
+    # the hybrid scheme operates below the two-point family's smallest power
+    assert 0.0 < pmin < two_point_min_power(p)
+    with pytest.raises(EmptyFeasibleSet):
+        mmse_coord(0.999 * pmin, p)
+    value, _ = mmse_coord(1.001 * pmin, p)
+    assert math.isfinite(value) and value > 0.0
+
+
+def test_coord_min_power_none_when_noise_dominates():
+    with pytest.raises(EmptyFeasibleSet):
+        coord_min_power(validate_params(0.1, 0.1))
+
+
+# ------------------------------------------------- grid-scan coord oracle
+
+
+def grid_oracle(P: float, params, grid: int = 201):
+    """The grid-scan coord optimizer: minimize_1d over rho, +inf where infeasible.
+
+    Returns ((S, rho*) or None when infeasible, feasibility on the grid). The
+    golden-section tolerance is 1e-12: near rho = -1 at high SNR, T is small
+    enough that a 1e-9 error in rho would move S by more than 1e-7 relative.
+    """
+    feasible = []
+
+    def objective(rho: float) -> float:
+        cp = CoordParams(P, rho, params.Q, params.N)
+        ok = ic_feasible(coord_ic_margin(cp))
+        feasible.append(ok)
+        return coord_mmse_at_rho(cp) if ok else math.inf
+
+    try:
+        rho, value = minimize_1d(objective, -1.0, 1.0, grid=grid, tol=1e-12)
+    except EmptyFeasibleSet:
+        return None, np.array(feasible[:grid])
+    return (value, rho), np.array(feasible[:grid])
+
+
+def assert_one_interval(mask: np.ndarray) -> None:
+    idx = np.flatnonzero(mask)
+    assert idx.size == 0 or idx[-1] - idx[0] + 1 == idx.size
+
+
+def assert_matches_oracle(P: float, params) -> None:
+    oracle, feasible = grid_oracle(P, params)
+    # the edge root-find relies on the feasible correlations forming one interval
+    assert_one_interval(feasible)
+    if oracle is None:
+        with pytest.raises(EmptyFeasibleSet):
+            mmse_coord(P, params)
+        return
+    value, _ = mmse_coord(P, params)
+    assert value == pytest.approx(oracle[0], rel=1e-7)
+
+
+@pytest.mark.parametrize("P", [0.01, 0.03, 0.06, 0.1])
+def test_mmse_coord_matches_grid_oracle_at_study_point(params, P):
+    assert_matches_oracle(P, params)
+
+
+@given(
+    log_q=st.floats(-1.3, 0.3),
+    log_ratio=st.floats(-3.0, -0.5),
+    below=st.booleans(),
+    u=st.floats(0.0, 1.0),
+)
+@settings(max_examples=5, deadline=None)
+def test_mmse_coord_matches_grid_oracle_on_drawn_params(log_q, log_ratio, below, u):
+    Q = 10.0**log_q
+    p = validate_params(Q, Q * 10.0**log_ratio)
+    pmin = coord_min_power(p)
+    # keep clear of the minimum power, where the feasible interval is narrower
+    # than the oracle's grid spacing
+    lo, hi = (0.1 * pmin, 0.8 * pmin) if below else (1.25 * pmin, 0.98 * Q)
+    assert_matches_oracle(lo + u * (hi - lo), p)
+
+
+@pytest.mark.parametrize("Q, N, P", [(0.1, 0.01, 0.03), (0.1, 0.01, 0.09), (1.0, 1e-4, 0.3)])
+def test_coord_mmse_increases_with_interim_variance(Q, N, P):
+    # T = P + Q + 2 rho sqrt(PQ) increases with rho
+    rhos = np.linspace(-0.999, 1.0, 41)
+    vals = [coord_mmse_at_rho(CoordParams(P, float(r), Q, N)) for r in rhos]
+    assert np.all(np.diff(vals) > 0.0)
