@@ -40,7 +40,7 @@ class WitsenhausenError(Exception):
 
 
 class NonPositiveVariance(WitsenhausenError):
-    """A variance parameter that must be strictly positive is not."""
+    """A variance parameter that must be strictly positive and finite is not."""
 
 
 class NonConvergence(WitsenhausenError):
@@ -96,16 +96,16 @@ class ProblemParams:
     N: float
 
     def __post_init__(self) -> None:
-        if not (self.Q > 0.0) or not (self.N > 0.0):
+        if not (0.0 < self.Q < math.inf) or not (0.0 < self.N < math.inf):
             raise NonPositiveVariance(
-                f"both variances must be positive, got Q={self.Q}, N={self.N}"
+                f"both variances must be positive and finite, got Q={self.Q}, N={self.N}"
             )
 
 
 def validate_params(Q: float, N: float) -> ProblemParams:
     """Validate (Q, N) and return the problem parameters.
 
-    Raises NonPositiveVariance unless min(Q, N) > 0.
+    Raises NonPositiveVariance unless both are positive and finite.
     """
     return ProblemParams(float(Q), float(N))
 

@@ -22,6 +22,7 @@ from .core import (
     InfeasibleRho,
     NegativeEffectiveVariance,
     ProblemParams,
+    RegimeNotApplicable,
     ZeroScale,
 )
 
@@ -33,6 +34,7 @@ __all__ = [
     "gaussian_policy_mmse",
     "optimal_rho2",
     "optimal_rho_triple",
+    "timeshare_interval",
     "scaled_component_entropy",
     "state_dep_ic",
     "dirty_paper_capacity_bits",
@@ -150,9 +152,14 @@ def optimal_rho2(rho1: float, rho3: float, P: float, N: float) -> float:
     return rho1 * rho3 - math.sqrt(max(radicand, 0.0))
 
 
-def _timeshare_bounds(params: ProblemParams) -> tuple[float, float]:
-    """Endpoints of the power interval where time sharing beats pure contraction."""
+def timeshare_interval(params: ProblemParams) -> tuple[float, float]:
+    """Power interval where time sharing between two linear gains is optimal.
+
+    (Q - 2N -+ sqrt(Q(Q-4N))) / 2; only defined for Q > 4N.
+    """
     Q, N = params.Q, params.N
+    if Q <= 4.0 * N:
+        raise RegimeNotApplicable(f"requires Q > 4N, got Q={Q}, N={N}")
     s = math.sqrt(Q * (Q - 4.0 * N))
     return 0.5 * (Q - 2.0 * N - s), 0.5 * (Q - 2.0 * N + s)
 
@@ -168,7 +175,7 @@ def optimal_rho_triple(P: float, params: ProblemParams) -> CorrelationTriple:
     if not 0.0 <= P <= Q:
         raise ValueError(f"P={P} outside [0, Q]")
     if Q > 4.0 * N:
-        p_lo, p_hi = _timeshare_bounds(params)
+        p_lo, p_hi = timeshare_interval(params)
         if p_lo <= P <= p_hi:
             rho1 = math.sqrt(max((P * Q - (P + N) ** 2) / (Q * (P + N)), 0.0))
             rho2 = -(P + N) / math.sqrt(P * Q)

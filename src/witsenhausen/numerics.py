@@ -1,8 +1,9 @@
 """Reusable numerical kernels.
 
 Gaussian-weighted and whole-line quadrature (adaptive Gauss-Kronrod on a
-truncated domain), a numerically stable Gaussian tail ratio, a bracketing
-root-finder and a grid + golden-section 1-D minimizer.
+truncated domain, one vectorized integrand call per refinement round), a
+numerically stable Gaussian tail ratio, a bracketing root-finder and a
+grid + golden-section 1-D minimizer.
 
 All functions are pure.
 """
@@ -134,59 +135,80 @@ _WG = np.array(
 )
 
 
-def _eval_panel(f, a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod panel; returns (kronrod, |kronrod - gauss|)."""
+def _eval_panels(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Kronrod on every panel [a_i, b_i] with one integrand call.
+
+    Returns per panel (kronrod, |kronrod - gauss|).
+    """
     h = 0.5 * (b - a)
-    x = a + h * (_XK + 1.0)
-    y = np.asarray(f(x), dtype=float)
+    x = a[:, None] + h[:, None] * (_XK + 1.0)
+    y = np.asarray(f(x.ravel()), dtype=float)
     if y.ndim == 0:
         # constant integrand returning a scalar for an array argument
-        y = np.full(x.shape, float(y))
-    elif y.shape != x.shape:
+        y = np.full(x.size, float(y))
+    elif y.shape != (x.size,):
         raise ValueError("integrand must return one value per node")
-    ik = h * float(_WK @ y)
-    ig = h * float(_WG @ y)
-    return ik, abs(ik - ig)
+    y = y.reshape(x.shape)
+    ik = h * (y @ _WK)
+    return ik, np.abs(ik - h * (y @ _WG))
 
 
 def _vectorized(f):
-    """Wrap f so it accepts a node array even if written point-wise."""
+    """Wrap f so it accepts a node array even if written point-wise.
+
+    A scalar-only integrand such as math.cos raises TypeError on an array;
+    only then is f called node by node. Any other error propagates.
+    """
 
     def call(x):
         try:
             return f(x)
-        except (TypeError, ValueError):
+        except TypeError:
             return np.array([f(xi) for xi in x], dtype=float)
 
     return call
 
 
-def _adaptive(f, lo: float, hi: float, cfg: QuadratureConfig, initial_panels: int = 8):
-    """Adaptive Gauss-Kronrod subdivision of [lo, hi] for a scalar integrand."""
+def _adaptive(f, lo: float, hi: float, cfg: QuadratureConfig) -> float:
+    """Adaptive Gauss-Kronrod subdivision of [lo, hi] for a scalar integrand.
+
+    Starts from 8 equal panels. Each round bisects every panel whose error
+    estimate is at least the mean and evaluates all the new halves in one
+    integrand call. At most cfg.max_subdivisions panels are bisected in
+    total, the worst first.
+    """
     fv = _vectorized(f)
-    edges = np.linspace(lo, hi, initial_panels + 1)
-    panels = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        ik, err = _eval_panel(fv, a, b)
-        panels.append((a, b, ik, err))
+    edges = np.linspace(lo, hi, 9)
+    a, b = edges[:-1], edges[1:]
+    ik, err = _eval_panels(fv, a, b)
     splits = 0
     while True:
-        total = sum(p[2] for p in panels)
-        err = sum(p[3] for p in panels)
+        total = float(ik.sum())
+        err_sum = float(err.sum())
         bound = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-        if err <= bound:
+        if err_sum <= bound:
             return total
-        if splits >= cfg.max_subdivisions:
+        budget = cfg.max_subdivisions - splits
+        # a NaN error estimate would select no panel to bisect
+        if budget <= 0 or not math.isfinite(err_sum):
             raise NonConvergence(
-                f"quadrature error {err:.3e} above tolerance {bound:.3e} "
+                f"quadrature error {err_sum:.3e} above tolerance {bound:.3e} "
                 f"after {splits} subdivisions"
             )
-        worst = max(range(len(panels)), key=lambda i: panels[i][3])
-        a, b, _, _ = panels[worst]
-        mid = 0.5 * (a + b)
-        panels[worst] = (a, mid, *_eval_panel(fv, a, mid))
-        panels.append((mid, b, *_eval_panel(fv, mid, b)))
-        splits += 1
+        split = err >= err_sum / err.size
+        if np.count_nonzero(split) > budget:
+            split = np.zeros_like(split)
+            split[np.argsort(err)[-budget:]] = True
+        keep = ~split
+        sa, sb = a[split], b[split]
+        mid = 0.5 * (sa + sb)
+        new_a, new_b = np.concatenate([sa, mid]), np.concatenate([mid, sb])
+        new_ik, new_err = _eval_panels(fv, new_a, new_b)
+        a = np.concatenate([a[keep], new_a])
+        b = np.concatenate([b[keep], new_b])
+        ik = np.concatenate([ik[keep], new_ik])
+        err = np.concatenate([err[keep], new_err])
+        splits += len(sa)
 
 
 def gauss_weighted_integral(
@@ -198,12 +220,11 @@ def gauss_weighted_integral(
     weight then confines everything to [-R, R] with R = cfg.truncation_radius.
     """
     R = cfg.truncation_radius
-    fv = _vectorized(f)
 
     def weighted(x):
-        return np.asarray(fv(x), dtype=float) * norm_pdf(x)
+        return np.asarray(f(x), dtype=float) * norm_pdf(x)
 
-    return float(_adaptive(weighted, -R, R, cfg))
+    return _adaptive(weighted, -R, R, cfg)
 
 
 def integral_real_line(
@@ -216,7 +237,7 @@ def integral_real_line(
     variables accordingly.
     """
     R = cfg.truncation_radius
-    return float(_adaptive(f, -R, R, cfg))
+    return _adaptive(f, -R, R, cfg)
 
 
 def mills_ratio(x):

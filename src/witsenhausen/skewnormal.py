@@ -29,7 +29,6 @@ from .numerics import (
     gauss_weighted_integral,
     integral_real_line,
     mills_ratio,
-    norm_cdf,
 )
 
 __all__ = [
@@ -40,8 +39,6 @@ __all__ = [
     "skew_cond_variance",
     "skew_cond_mean",
     "coord_mmse_at_rho",
-    "mmse_via_conditional_density",
-    "dropped_odd_term",
     "mmse_coord",
     "coord_min_power",
     "cov_state_precoder",
@@ -49,7 +46,6 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-_LOG2_2PIE = math.log2(2.0 * math.pi * math.e)
 
 
 @dataclass(frozen=True)
@@ -222,48 +218,6 @@ def coord_mmse_at_rho(
 
     g = integral_real_line(f, cfg)
     return sig2 * (1.0 - (1.0 / math.pi) * math.sqrt(n / (2.0 * t + n)) * g)
-
-
-def mmse_via_conditional_density(
-    cp: CoordParams, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> float:
-    """Estimation cost as the conditional variance averaged over the output density.
-
-    Independent route used to cross-check coord_mmse_at_rho: integrates
-    skew_cond_variance against the skew-normal output density
-    2 Phi(sqrt(T/N) s) phi(s) after standardizing the output by sqrt(T+N).
-    """
-    t, n = cp.T, cp.N
-    if t == 0.0:
-        return 0.0
-    sy = math.sqrt(t + n)
-    d1 = math.sqrt(t / n)
-
-    def f(s):
-        s = np.asarray(s, dtype=float)
-        return skew_cond_variance(sy * s, t, n) * 2.0 * norm_cdf(d1 * s)
-
-    return gauss_weighted_integral(f, cfg)
-
-
-def dropped_odd_term(
-    cp: CoordParams, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> float:
-    """The u m(u) cross term of the conditional variance, averaged over the output.
-
-    Analytically zero (the integrand reduces to an odd function); evaluated
-    literally as a check that dropping it from the closed form is sound.
-    """
-    t, n = cp.T, cp.N
-    if t == 0.0:
-        return 0.0
-    d1 = math.sqrt(t / n)
-
-    def f(s):
-        u = d1 * np.asarray(s, dtype=float)
-        return u * mills_ratio(u) * 2.0 * norm_cdf(u)
-
-    return gauss_weighted_integral(f, cfg)
 
 
 def _margin_in_rho(P: float, params: ProblemParams, cfg: QuadratureConfig):

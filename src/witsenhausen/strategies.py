@@ -23,11 +23,10 @@ from .core import (
     CurvePoint,
     EmptyFeasibleSet,
     ProblemParams,
-    RegimeNotApplicable,
     TradeoffCurve,
     UnknownStrategy,
 )
-from .gaussian_info import optimal_rho_triple
+from .gaussian_info import optimal_rho_triple, timeshare_interval
 from .numerics import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
@@ -106,18 +105,6 @@ def linear_policy_for_power(P: float, params: ProblemParams) -> LinearPolicy:
     if P <= Q:
         return LinearPolicy(-math.sqrt(P / Q), 0.0)
     return LinearPolicy(-1.0, math.sqrt(P - Q))
-
-
-def timeshare_interval(params: ProblemParams) -> tuple[float, float]:
-    """Power interval where time sharing between two linear gains is optimal.
-
-    (Q - 2N -+ sqrt(Q(Q-4N))) / 2; only defined for Q > 4N.
-    """
-    Q, N = params.Q, params.N
-    if Q <= 4.0 * N:
-        raise RegimeNotApplicable(f"requires Q > 4N, got Q={Q}, N={N}")
-    s = math.sqrt(Q * (Q - 4.0 * N))
-    return 0.5 * (Q - 2.0 * N - s), 0.5 * (Q - 2.0 * N + s)
 
 
 def mmse_gaussian(P: float, params: ProblemParams) -> float:

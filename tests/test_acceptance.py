@@ -36,10 +36,8 @@ from witsenhausen.skewnormal import (
     CoordParams,
     coord_ic_margin,
     coord_mmse_at_rho,
-    dropped_odd_term,
     entropy_reduction,
     mmse_coord,
-    mmse_via_conditional_density,
 )
 from witsenhausen.strategies import (
     TwoPointPolicy,
@@ -55,6 +53,8 @@ from witsenhausen.strategies import (
     two_point_gain_for_power,
     two_point_min_power,
 )
+
+from skew_oracles import dropped_odd_term, mmse_via_conditional_density
 
 Q, N = 0.1, 0.01
 PARAMS = validate_params(Q, N)

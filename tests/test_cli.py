@@ -208,6 +208,21 @@ def test_bad_flags_exit_2(tmp_path):
                 "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--Q", "inf"],
+        ["compare", "--N", "inf"],
+        ["curve", "--strategy", "linear", "--N", "inf"],
+    ],
+)
+def test_infinite_variance_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert run(argv + ["--steps", "3", "--out", str(out)]) == 2
+    assert "positive and finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gnuplot_companion(tmp_path):
     out = tmp_path / "lin.csv"
     rc = run(["curve", "--strategy", "linear", "--steps", "5", "--out", str(out),

@@ -27,7 +27,10 @@ def test_validate_params_unit():
     assert p.Q == 1.0 and p.N == 1.0
 
 
-@pytest.mark.parametrize("Q,N", [(0.0, 0.01), (0.1, 0.0), (-1.0, 1.0), (1.0, -0.1)])
+@pytest.mark.parametrize(
+    "Q,N",
+    [(0.0, 0.01), (0.1, 0.0), (-1.0, 1.0), (1.0, -0.1), (math.inf, 0.01), (0.1, math.inf)],
+)
 def test_validate_params_rejects_nonpositive(Q, N):
     with pytest.raises(NonPositiveVariance):
         validate_params(Q, N)

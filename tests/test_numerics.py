@@ -6,6 +6,7 @@ from numpy.polynomial.hermite_e import hermeval
 from scipy.integrate import trapezoid
 from scipy.special import log_ndtr
 
+from witsenhausen import skewnormal
 from witsenhausen.core import EmptyFeasibleSet, NoBracket, NonConvergence
 from witsenhausen.numerics import (
     QuadratureConfig,
@@ -88,6 +89,38 @@ def test_gauss_weight_accepts_scalar_only_integrand():
     assert v == pytest.approx(math.exp(-0.5), abs=1e-10)
 
 
+def test_vectorized_integrand_value_error_propagates():
+    calls = []
+
+    def broken(x):
+        calls.append(x.size)
+        raise ValueError("bug in a vectorized integrand")
+
+    with pytest.raises(ValueError, match="bug in a vectorized integrand"):
+        gauss_weighted_integral(broken)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 3.0, 6.3, 30.0, 300.0])
+def test_psi_matches_trapezoid_oracle_in_few_integrand_calls(alpha, monkeypatch):
+    calls = []
+    psi_integrand = skewnormal._psi_integrand
+
+    def counted(a):
+        f = psi_integrand(a)
+
+        def g(x):
+            calls.append(x.size)
+            return f(x)
+
+        return g
+
+    monkeypatch.setattr(skewnormal, "_psi_integrand", counted)
+    assert skewnormal.entropy_reduction(alpha) == pytest.approx(psi_trapezoid(alpha), abs=1e-12)
+    # every panel of a refinement round is evaluated in one integrand call
+    assert len(calls) <= 12
+
+
 # ------------------------------------------------------ integral_real_line
 
 
@@ -109,9 +142,25 @@ def test_real_line_sech_weighted_gaussian():
 
 def test_nonconvergence_is_reported():
     cfg = QuadratureConfig(max_subdivisions=2)
-    rough = lambda x: np.abs(np.sin(50.0 * x)) * norm_pdf(x)
-    with pytest.raises(NonConvergence):
+    nodes = []
+
+    def rough(x):
+        nodes.append(x.size)
+        return np.abs(np.sin(50.0 * x)) * norm_pdf(x)
+
+    with pytest.raises(
+        NonConvergence,
+        match=r"quadrature error \d\.\d{3}e[-+]\d+ above tolerance 1\.000e-10 "
+        r"after 2 subdivisions",
+    ):
         integral_real_line(rough, cfg)
+    # 8 initial panels, then the 2 allowed bisections: 4 halves of 15 nodes
+    assert sum(nodes) == 15 * (8 + 2 * 2)
+
+
+def test_nan_integrand_is_reported():
+    with pytest.raises(NonConvergence, match="quadrature error nan"):
+        integral_real_line(lambda x: np.full_like(x, np.nan))
 
 
 def test_quadrature_config_validation():

@@ -18,15 +18,15 @@ from witsenhausen.skewnormal import (
     coord_mmse_at_rho,
     cov_interim_output_precoder,
     cov_state_precoder,
-    dropped_odd_term,
     entropy_reduction,
     mmse_coord,
-    mmse_via_conditional_density,
     sign_conditioned_entropies,
     skew_cond_mean,
     skew_cond_variance,
 )
 from witsenhausen.strategies import two_point_min_power
+
+from skew_oracles import dropped_odd_term, mmse_via_conditional_density
 
 LN2 = math.log(2.0)
 LOG2_2PIE = math.log2(2.0 * math.pi * math.e)
