@@ -35,8 +35,6 @@ from .numerics import QuadratureConfig
 
 __all__ = ["main", "RunManifest"]
 
-_OPT_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class RunManifest:
@@ -96,7 +94,9 @@ def _manifest(args, argv: list[str], cfg: QuadratureConfig, out: str) -> None:
         tolerances={
             "quadrature_abs_tol": cfg.abs_tol,
             "quadrature_rel_tol": cfg.rel_tol,
-            "optimizer_tol": _OPT_TOL,
+            "coord_peak_rho_xtol": skewnormal.PEAK_RHO_TOL,
+            "coord_edge_rho_xtol": skewnormal.EDGE_RHO_TOL,
+            "lin_dpc_rho_xtol": strategies.LIN_DPC_RHO_TOL,
         },
         seed=getattr(args, "seed", 0),
         git_describe=_git_describe(),
@@ -124,6 +124,29 @@ def _quad_cfg(args) -> QuadratureConfig:
     return QuadratureConfig(abs_tol=tol, rel_tol=tol)
 
 
+def _grid(
+    lo: float, hi: float, steps: int, name: str, nonnegative: bool = True
+) -> np.ndarray:
+    """`steps` evenly spaced values from lo to hi; a bad grid is a usage error.
+
+    Checks --steps and the bounds --<name>-min/--<name>-max: both finite,
+    lo < hi and, when `nonnegative`, lo >= 0.
+    """
+    if steps < 2:
+        raise ValueError("--steps must be >= 2")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"--{name}-min and --{name}-max must be finite")
+    if not (0.0 if nonnegative else -math.inf) <= lo < hi:
+        floor = "0 <= " if nonnegative else ""
+        raise ValueError(f"need {floor}{name}-min < {name}-max")
+    return np.linspace(lo, hi, steps)
+
+
+def _power_grid(args, params) -> np.ndarray:
+    p_max = args.p_max if args.p_max is not None else params.Q
+    return _grid(args.p_min, p_max, args.steps, "p")
+
+
 def _point_row(pt: CurvePoint, strategy: str) -> list[str]:
     return [
         _fmt(pt.P),
@@ -145,18 +168,12 @@ def cmd_curve(args, argv: list[str]) -> int:
     if sweep_a and args.strategy != "two-point":
         print("--a-min/--a-max only apply to the two-point strategy", file=sys.stderr)
         return 2
-    if args.steps < 2:
-        print("--steps must be >= 2", file=sys.stderr)
-        return 2
 
     if sweep_a:
         a_min = args.a_min if args.a_min is not None else 0.0
         a_max = args.a_max if args.a_max is not None else 3.0 * math.sqrt(params.Q)
-        if not 0.0 <= a_min < a_max:
-            print("need 0 <= a-min < a-max", file=sys.stderr)
-            return 2
         rows = []
-        for a in np.linspace(a_min, a_max, args.steps):
+        for a in _grid(a_min, a_max, args.steps, "a"):
             cost = strategies.two_point_costs(
                 strategies.TwoPointPolicy(float(a)), params, cfg
             )
@@ -164,15 +181,8 @@ def cmd_curve(args, argv: list[str]) -> int:
                 [_fmt(cost.P), _fmt(cost.S), "two-point", _fmt(a), "", "true"]
             )
     else:
-        p_max = args.p_max if args.p_max is not None else params.Q
-        if not 0.0 <= args.p_min < p_max:
-            print("need 0 <= p-min < p-max", file=sys.stderr)
-            return 2
-        grid = np.linspace(args.p_min, p_max, args.steps)
-        rows = []
-        for p in grid:
-            pt = strategies._eval_point(args.strategy, float(p), params, cfg)
-            rows.append(_point_row(pt, args.strategy))
+        c = strategies.curve(args.strategy, params, _power_grid(args, params), cfg)
+        rows = [_point_row(pt, args.strategy) for pt in c.points]
 
     _write_csv(args.out, _CURVE_HEADER, rows)
     _manifest(args, argv, cfg, args.out)
@@ -181,37 +191,18 @@ def cmd_curve(args, argv: list[str]) -> int:
     return 0
 
 
-_COMPARE_COLUMNS = ["linear", "gaussian", "two_point", "dpc", "lin_dpc", "coord"]
-_COMPARE_STRATEGY = {
-    "linear": "linear",
-    "gaussian": "gaussian",
-    "two_point": "two-point",
-    "dpc": "dpc",
-    "lin_dpc": "lin-dpc",
-    "coord": "coord",
-}
+_COMPARE_COLUMNS = [s.replace("-", "_") for s in strategies.STRATEGIES]
 
 
 def cmd_compare(args, argv: list[str]) -> int:
     params = validate_params(args.Q, args.N)
     cfg = _quad_cfg(args)
-    p_max = args.p_max if args.p_max is not None else params.Q
-    if not 0.0 <= args.p_min < p_max:
-        print("need 0 <= p-min < p-max", file=sys.stderr)
-        return 2
-    if args.steps < 2:
-        print("--steps must be >= 2", file=sys.stderr)
-        return 2
-    grid = np.linspace(args.p_min, p_max, args.steps)
-
-    def eval_p(p: float) -> list[str]:
-        row = [_fmt(p)]
-        for col in _COMPARE_COLUMNS:
-            pt = strategies._eval_point(_COMPARE_STRATEGY[col], float(p), params, cfg)
-            row.append(_fmt(pt.S) if pt.feasible else "")
-        return row
-
-    rows = [eval_p(float(p)) for p in grid]
+    grid = _power_grid(args, params)
+    curves = [strategies.curve(s, params, grid, cfg) for s in strategies.STRATEGIES]
+    rows = [
+        [_fmt(pts[0].P)] + [_fmt(pt.S) if pt.feasible else "" for pt in pts]
+        for pts in zip(*(c.points for c in curves))
+    ]
     _write_csv(args.out, ["P"] + _COMPARE_COLUMNS, rows)
     _manifest(args, argv, cfg, args.out)
     if args.gnuplot:
@@ -279,13 +270,7 @@ def cmd_simulate(args, argv: list[str]) -> int:
 
 def cmd_psi(args, argv: list[str]) -> int:
     cfg = _quad_cfg(args)
-    if args.steps < 2:
-        print("--steps must be >= 2", file=sys.stderr)
-        return 2
-    if not args.alpha_min < args.alpha_max:
-        print("need alpha-min < alpha-max", file=sys.stderr)
-        return 2
-    grid = np.linspace(args.alpha_min, args.alpha_max, args.steps)
+    grid = _grid(args.alpha_min, args.alpha_max, args.steps, "alpha", nonnegative=False)
     rows = [[_fmt(a), _fmt(skewnormal.entropy_reduction(float(a), cfg))] for a in grid]
     _write_csv(args.out, ["alpha", "psi"], rows)
     _manifest(args, argv, cfg, args.out)

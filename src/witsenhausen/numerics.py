@@ -3,7 +3,7 @@
 Gaussian-weighted and whole-line quadrature (adaptive Gauss-Kronrod on a
 truncated domain, one vectorized integrand call per refinement round), a
 numerically stable Gaussian tail ratio, a bracketing root-finder and a
-grid + golden-section 1-D minimizer.
+bounded 1-D minimizer (SciPy's Brent search, the package's only optimizer).
 
 All functions are pure.
 """
@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 from scipy.special import log_ndtr
 
-from .core import EmptyFeasibleSet, NoBracket, NonConvergence
+from .core import NoBracket, NonConvergence
 
 __all__ = [
     "QuadratureConfig",
@@ -33,7 +33,6 @@ __all__ = [
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def norm_pdf(x):
@@ -271,50 +270,17 @@ def find_root(
 
 
 def minimize_1d(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    grid: int = 201,
-    tol: float = 1e-9,
+    f: Callable[[float], float], lo: float, hi: float, tol: float
 ) -> tuple[float, float]:
-    """Minimize f on [lo, hi]: coarse grid scan, then golden-section refinement.
+    """(x, f(x)) at a minimum of f on [lo, hi], by SciPy's bounded Brent search.
 
-    The objective may return +inf as an infeasibility sentinel; the feasible
-    set is assumed to be an interval (this holds for every constrained problem
-    in this package), so scanning plus local refinement is sound. Raises
-    EmptyFeasibleSet when every grid sample is infeasible. The result is never
-    worse than the best grid sample.
+    `tol` is the absolute x-tolerance (SciPy's default is 1e-5); the search
+    also stops at a relative x-tolerance of about 1.5e-8. f must be finite
+    on [lo, hi] and is assumed unimodal there: the search finds one local
+    minimum and never samples the endpoints, so a caller whose minimum may sit
+    at an endpoint compares against f(lo) and f(hi) itself.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if grid < 3:
-        raise ValueError("grid must be >= 3")
-    xs = np.linspace(lo, hi, grid)
-    vals = np.array([f(float(x)) for x in xs], dtype=float)
-    finite = np.isfinite(vals)
-    if not finite.any():
-        raise EmptyFeasibleSet("objective is +inf at every grid point")
-    i = int(np.nanargmin(np.where(finite, vals, np.inf)))
-    best_x, best_v = float(xs[i]), float(vals[i])
-
-    a = float(xs[max(i - 1, 0)])
-    b = float(xs[min(i + 1, grid - 1)])
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    for x, v in ((c, fc), (d, fd)):
-        if v < best_v:
-            best_x, best_v = float(x), float(v)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-        for x, v in ((c, fc), (d, fd)):
-            if v < best_v:
-                best_x, best_v = float(x), float(v)
-    return best_x, best_v
+    res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": tol})
+    return float(res.x), float(res.fun)

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import log_ndtr
 
 from .core import DegenerateInput, EmptyFeasibleSet, ProblemParams
@@ -29,6 +28,7 @@ from .numerics import (
     gauss_weighted_integral,
     integral_real_line,
     mills_ratio,
+    minimize_1d,
 )
 
 __all__ = [
@@ -46,6 +46,12 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+
+# x-tolerances in rho of the coord optimizer: the bounded search for the peak
+# IC margin only has to land inside the feasible interval, while the edge
+# root-find sets rho* and with it S.
+PEAK_RHO_TOL = 1e-5
+EDGE_RHO_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -237,8 +243,8 @@ def _margin_in_rho(P: float, params: ProblemParams, cfg: QuadratureConfig):
 
 def _peak_margin(margin) -> tuple[float, float]:
     """(rho, margin) at the largest margin over rho in [-1, 1], by bounded Brent search."""
-    res = minimize_scalar(lambda rho: -margin(rho), bounds=(-1.0, 1.0), method="bounded")
-    return float(res.x), -float(res.fun)
+    rho, neg = minimize_1d(lambda rho: -margin(rho), -1.0, 1.0, PEAK_RHO_TOL)
+    return rho, -neg
 
 
 def mmse_coord(
@@ -269,7 +275,7 @@ def mmse_coord(
         raise EmptyFeasibleSet(
             f"coord infeasible at P={P}: peak IC margin {peak:.6g} bits at rho={rho_peak:.6g}"
         )
-    rho = find_root(margin, -1.0, rho_peak) if peak > 0.0 else rho_peak
+    rho = find_root(margin, -1.0, rho_peak, EDGE_RHO_TOL) if peak > 0.0 else rho_peak
     step = 1e-12
     while not ic_feasible(margin(rho)):
         rho = min(rho + step, rho_peak)
@@ -283,7 +289,8 @@ def coord_min_power(
     """Smallest power at which the hybrid scheme is feasible.
 
     The root in P of the peak information-constraint margin over rho, the
-    quantity mmse_coord tests for feasibility; at P = 0 the margin is -1.
+    quantity mmse_coord tests for feasibility; at P = 0 the margin is -1. The
+    root-find stops at 1e-12 Q, so the result scales with the variances.
     Raises EmptyFeasibleSet when the scheme is infeasible even at P = Q.
     """
 
@@ -297,7 +304,9 @@ def coord_min_power(
         raise EmptyFeasibleSet(
             f"coord infeasible at every power: peak IC margin {top:.6g} bits at P=Q"
         )
-    return find_root(peak, 0.0, params.Q) if top > 0.0 else params.Q
+    if top <= 0.0:
+        return params.Q
+    return find_root(peak, 0.0, params.Q, 1e-12 * params.Q)
 
 
 def cov_state_precoder(cp: CoordParams) -> np.ndarray:

@@ -58,6 +58,11 @@ __all__ = [
 
 STRATEGIES = ("linear", "gaussian", "two-point", "dpc", "lin-dpc", "coord")
 
+# x-tolerance in rho of the lin-dpc optimizer's searches and root-find. The
+# residual's peak is searched as tightly as the cost's minimum, so that its
+# sign, which decides whether the cost is exactly 0, is right near tangency.
+LIN_DPC_RHO_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class LinearPolicy:
@@ -81,15 +86,17 @@ class TwoPointPolicy:
 def mmse_linear(P: float, params: ProblemParams) -> float:
     """Estimation cost of the best affine policy at power P.
 
-    (sqrt(Q)-sqrt(P))^2 N / ((sqrt(Q)-sqrt(P))^2 + N) for P <= Q; beyond Q the
-    state is cancelled outright and the cost is 0.
+    g N / (g + N) with g = (sqrt(Q)-sqrt(P))^2 for P <= Q; beyond Q the state is
+    cancelled outright and the cost is 0. g is evaluated as
+    ((Q-P) / (sqrt(Q)+sqrt(P)))^2, whose difference Q-P is exact near P = Q,
+    where sqrt(Q)-sqrt(P) would be all rounding.
     """
     if P < 0.0:
         raise ValueError(f"P must be nonnegative, got {P}")
     Q, N = params.Q, params.N
     if P > Q:
         return 0.0
-    g = (math.sqrt(Q) - math.sqrt(P)) ** 2
+    g = ((Q - P) / (math.sqrt(Q) + math.sqrt(P))) ** 2
     return g * N / (g + N)
 
 
@@ -171,31 +178,24 @@ def two_point_decoder(y: float, a: float, N: float) -> float:
 def two_point_gain_for_power(P: float, params: ProblemParams) -> float | None:
     """Magnitude a >= sqrt(2Q/pi) with P(a) = P, or None when P is unreachable.
 
-    Inverts the power curve on its increasing branch by root-finding.
+    The increasing branch of the power parabola Q + a(a - 2 sqrt(2Q/pi)), whose
+    vertex is the minimum power Q(1 - 2/pi): a = sqrt(2Q/pi) + sqrt(P - Pmin).
     """
     pmin = two_point_min_power(params)
     if P < pmin:
         return None
-    m = math.sqrt(2.0 * params.Q / math.pi)
-
-    def excess(a: float) -> float:
-        return params.Q + a * (a - 2.0 * m) - P
-
-    if excess(m) >= 0.0:
-        # P sits at the vertex of the power parabola up to rounding
-        return m
-    hi = m + math.sqrt(P - pmin) + 1.0
-    return find_root(excess, m, hi, tol=1e-14)
+    return math.sqrt(2.0 * params.Q / math.pi) + math.sqrt(P - pmin)
 
 
 def dpc_critical_power(params: ProblemParams) -> float:
     """Power above which dirty-paper coding drives the estimation cost to zero.
 
-    The unique positive root of P^2 (P + Q + N) = Q N^2.
+    The unique positive root of P^2 (P + Q + N) = Q N^2. It lies below N (the
+    left side exceeds the right there by 2 N^3), and the bracket and the
+    tolerance scale with N, so the root scales with the variances.
     """
     Q, N = params.Q, params.N
-    hi = max(Q, N, 1.0)
-    return find_root(lambda p: p * p * (p + Q + N) - Q * N * N, 0.0, hi, tol=1e-15)
+    return find_root(lambda p: p * p * (p + Q + N) - Q * N * N, 0.0, N, tol=1e-15 * N)
 
 
 def dpc_alpha(P: float, params: ProblemParams) -> float:
@@ -222,17 +222,34 @@ def mmse_dpc(P: float, params: ProblemParams) -> float:
     return num / den
 
 
-def _lin_dpc_objective(P: float, params: ProblemParams):
-    """Residual dirty-paper cost after a linear power split parameterized by rho."""
+def _lin_dpc_terms(P: float, params: ProblemParams, rho: float):
+    """(residual power P(1-rho^2), interim variance t, dirty-paper residual r) at rho.
+
+    r = P(1-rho^2) sqrt(t+N) - N (sqrt(Q) + rho sqrt(P)) is the unsquared
+    numerator of the dirty-paper cost against the residual state
+    (sqrt(Q) + rho sqrt(P))^2; the cost is 0 wherever r >= 0. For P <= Q,
+    sqrt(Q) + rho sqrt(P) is formed as (Q-P)/(sqrt(Q)+sqrt(P)) + (1+rho) sqrt(P)
+    and t as its square plus P(1-rho)(1+rho): sums of nonnegative terms, so
+    nothing cancels near rho = -1 and P = Q, where the cost is smallest.
+    """
     Q, N = params.Q, params.N
     sq, sp = math.sqrt(Q), math.sqrt(P)
+    s = (Q - P) / (sq + sp) + (1.0 + rho) * sp
+    p_res = P * (1.0 - rho) * (1.0 + rho)
+    t = s * s + p_res
+    return p_res, t, p_res * math.sqrt(t + N) - N * s
+
+
+def _lin_dpc_objective(P: float, params: ProblemParams):
+    """The dirty-paper cost N r^2 / ((P(1-rho^2) + N)^2 (t + N)) as a function of rho.
+
+    It is the lin-dpc cost only where r <= 0; where r > 0 that cost is 0.
+    """
+    N = params.N
 
     def f(rho: float) -> float:
-        p_res = P * (1.0 - rho * rho)
-        t = P + Q + 2.0 * rho * sq * sp
-        num = N * (p_res * math.sqrt(t + N) - N * (sq + rho * sp)) ** 2
-        den = (p_res + N) ** 2 * (t + N)
-        return num / den
+        p_res, t, r = _lin_dpc_terms(P, params, rho)
+        return N * r * r / ((p_res + N) ** 2 * (t + N))
 
     return f
 
@@ -240,16 +257,36 @@ def _lin_dpc_objective(P: float, params: ProblemParams):
 def mmse_lin_dpc(P: float, params: ProblemParams) -> tuple[float, float]:
     """Estimation cost of the combined linear + dirty-paper scheme and its split.
 
-    Minimizes over rho in [-1, 1] the dirty-paper cost with power P(1-rho^2)
-    against the residual state (sqrt(Q) + rho sqrt(P))^2. rho = -1 recovers the
-    pure linear scheme, so this never does worse than it.
+    The linear part spends P rho^2 against the state, leaving the residual
+    state (sqrt(Q) + rho sqrt(P))^2 to dirty-paper coding with power
+    P(1-rho^2); rho = -1 recovers the pure linear scheme, so this never does
+    worse than it. For P >= Q the linear part cancels the state: the cost is
+    exactly 0 at rho = -sqrt(Q/P). Below Q the residual r is negative at
+    rho = +-1. A bounded search maximizes r; if its peak is >= 0 the cost is
+    exactly 0 and rho is the left root of r on [-1, rho_peak]. Otherwise r < 0
+    throughout, and the cost is minimized directly, keeping the better of
+    that minimum and the endpoints (the search never samples them).
+    Returns (cost, rho).
     """
     if P < 0.0:
         raise ValueError(f"P must be nonnegative, got {P}")
+    Q = params.Q
     if P == 0.0:
         return mmse_linear(0.0, params), -1.0
-    rho_star, val = minimize_1d(_lin_dpc_objective(P, params), -1.0, 1.0, grid=401)
-    return val, rho_star
+    if P >= Q:
+        return 0.0, -math.sqrt(Q / P)
+
+    def residual(rho: float) -> float:
+        return _lin_dpc_terms(P, params, rho)[2]
+
+    rho_peak, neg_peak = minimize_1d(
+        lambda rho: -residual(rho), -1.0, 1.0, LIN_DPC_RHO_TOL
+    )
+    if neg_peak <= 0.0:
+        return 0.0, find_root(residual, -1.0, rho_peak, LIN_DPC_RHO_TOL)
+    f = _lin_dpc_objective(P, params)
+    rho, val = minimize_1d(f, -1.0, 1.0, LIN_DPC_RHO_TOL)
+    return min((val, rho), (f(-1.0), -1.0), (f(1.0), 1.0))
 
 
 def curve(
@@ -260,7 +297,7 @@ def curve(
 ) -> TradeoffCurve:
     """Evaluate one strategy family on a power grid.
 
-    The grid must be sorted strictly increasing and nonnegative. Power levels
+    The grid must be finite, nonnegative and strictly increasing. Power levels
     a family cannot realize (coord below its information constraint, two-point
     below its minimum power, gaussian/coord above Q) yield infeasible points
     with the reason recorded, not a failure.
@@ -268,6 +305,8 @@ def curve(
     if strategy not in STRATEGIES:
         raise UnknownStrategy(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     grid = [float(p) for p in P_grid]
+    if not all(math.isfinite(p) for p in grid):
+        raise ValueError("power grid must be finite")
     if any(p < 0.0 for p in grid):
         raise ValueError("power grid must be nonnegative")
     if any(b <= a for a, b in zip(grid, grid[1:])):

@@ -31,7 +31,7 @@ from witsenhausen.montecarlo import (
     simulate_linear,
     simulate_two_point,
 )
-from witsenhausen.numerics import mills_ratio, minimize_1d, norm_pdf
+from witsenhausen.numerics import mills_ratio, norm_pdf
 from witsenhausen.skewnormal import (
     CoordParams,
     coord_ic_margin,
@@ -54,6 +54,7 @@ from witsenhausen.strategies import (
     two_point_min_power,
 )
 
+from grid_search import minimize_1d
 from skew_oracles import dropped_odd_term, mmse_via_conditional_density
 
 Q, N = 0.1, 0.01

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from witsenhausen import numerics, skewnormal, strategies
 from witsenhausen.cli import main
 
 
@@ -86,6 +87,28 @@ def test_manifest_written_and_complete(tmp_path):
         assert key in manifest
     assert manifest["command"] == "curve"
     assert manifest["seed"] == 42
+
+
+def test_manifest_records_the_optimizer_tolerances(tmp_path, monkeypatch):
+    used = set()
+
+    def recording(f, lo, hi, tol):
+        used.add(tol)
+        return numerics.minimize_1d(f, lo, hi, tol)
+
+    monkeypatch.setattr(skewnormal, "minimize_1d", recording)
+    monkeypatch.setattr(strategies, "minimize_1d", recording)
+    out = tmp_path / "cmp.csv"
+    assert run(["compare", "--steps", "3", "--out", str(out)]) == 0
+    tol = json.loads((tmp_path / "cmp.csv.manifest").read_text())["tolerances"]
+    assert tol == {
+        "quadrature_abs_tol": 1e-10,
+        "quadrature_rel_tol": 1e-10,
+        "coord_peak_rho_xtol": skewnormal.PEAK_RHO_TOL,
+        "coord_edge_rho_xtol": skewnormal.EDGE_RHO_TOL,
+        "lin_dpc_rho_xtol": strategies.LIN_DPC_RHO_TOL,
+    }
+    assert used == {tol["coord_peak_rho_xtol"], tol["lin_dpc_rho_xtol"]}
 
 
 def test_rerun_from_manifest_is_byte_identical(tmp_path):
@@ -220,6 +243,27 @@ def test_infinite_variance_is_a_usage_error(tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
     assert run(argv + ["--steps", "3", "--out", str(out)]) == 2
     assert "positive and finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+BAD_GRIDS = [
+    ["curve", "--strategy", "linear", "--p-max", "inf"],
+    ["curve", "--strategy", "dpc", "--p-min", "nan"],
+    ["curve", "--strategy", "two-point", "--a-max", "inf"],
+    ["compare", "--p-max", "inf"],
+    ["psi", "--alpha-max", "inf"],
+    ["psi", "--alpha-min=-inf"],
+    ["curve", "--strategy", "linear", "--steps", "1"],
+    ["psi", "--steps", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_GRIDS, ids=[" ".join(a) for a in BAD_GRIDS])
+def test_bad_grid_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    steps = [] if "--steps" in argv else ["--steps", "3"]
+    assert run(argv + steps + ["--out", str(out)]) == 2
+    assert "invalid arguments" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -18,6 +18,8 @@ from witsenhausen.numerics import (
     norm_pdf,
 )
 
+from grid_search import minimize_1d as grid_minimize
+
 LN2 = math.log(2.0)
 
 
@@ -250,26 +252,59 @@ def test_find_root_agrees_with_bisection_on_misc_functions():
 
 
 def test_minimize_parabola():
-    x, v = minimize_1d(lambda x: (x - 0.3) ** 2, -1.0, 1.0, grid=31, tol=1e-9)
+    x, v = minimize_1d(lambda x: (x - 0.3) ** 2, -1.0, 1.0, tol=1e-9)
     assert x == pytest.approx(0.3, abs=1e-8)
     assert v <= 1e-15
 
 
 def test_minimize_nonsmooth_unimodal():
-    x, _ = minimize_1d(abs, -1.0, 1.0, grid=31, tol=1e-9)
+    x, _ = minimize_1d(abs, -1.0, 1.0, tol=1e-9)
     assert x == pytest.approx(0.0, abs=1e-8)
+
+
+def test_minimize_tolerance_sets_the_precision():
+    # below tol, SciPy's relative x-tolerance of about 1.5e-8 |x| takes over
+    counts = []
+    for tol, err in ((1e-5, 1e-4), (1e-12, 1.5e-8 * 0.7 * 2)):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.cosh(x - 0.7)
+
+        x, v = minimize_1d(f, -1.0, 1.0, tol=tol)
+        assert abs(x - 0.7) <= err
+        assert v == f(x)
+        counts.append(len(calls))
+    assert counts[0] < counts[1]
+
+
+def test_minimize_never_samples_the_endpoints():
+    # a minimum at an endpoint is only approached: callers compare f(lo), f(hi)
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x
+
+    x, _ = minimize_1d(f, 0.0, 1.0, tol=1e-5)
+    assert 0.0 < x <= 1e-4
+    assert all(0.0 < c < 1.0 for c in calls)
+
+
+# ------------------------------------------ grid-search oracle (tests/grid_search.py)
 
 
 def test_minimize_empty_feasible_set():
     with pytest.raises(EmptyFeasibleSet):
-        minimize_1d(lambda x: math.inf, 0.0, 1.0, grid=11, tol=1e-9)
+        grid_minimize(lambda x: math.inf, 0.0, 1.0, grid=11, tol=1e-9)
 
 
 def test_minimize_partial_feasibility():
     def f(x):
         return (x - 0.4) ** 2 if 0.2 <= x <= 0.6 else math.inf
 
-    x, v = minimize_1d(f, -1.0, 1.0, grid=41, tol=1e-9)
+    x, v = grid_minimize(f, -1.0, 1.0, grid=41, tol=1e-9)
     assert x == pytest.approx(0.4, abs=1e-8)
     assert v <= 1e-14
 
@@ -285,12 +320,14 @@ def test_minimize_never_worse_than_grid():
         grid = 51
         xs = np.linspace(-2.0, 2.0, grid)
         best_grid = min(f(float(x)) for x in xs)
-        _, v = minimize_1d(f, -2.0, 2.0, grid=grid, tol=1e-9)
+        _, v = grid_minimize(f, -2.0, 2.0, grid=grid, tol=1e-9)
         assert v <= best_grid + 1e-15
 
 
 def test_minimize_validates_arguments():
     with pytest.raises(ValueError):
-        minimize_1d(lambda x: x, 1.0, 0.0)
+        minimize_1d(lambda x: x, 1.0, 0.0, tol=1e-5)
     with pytest.raises(ValueError):
-        minimize_1d(lambda x: x, 0.0, 1.0, grid=2)
+        grid_minimize(lambda x: x, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        grid_minimize(lambda x: x, 0.0, 1.0, grid=2)

@@ -10,7 +10,7 @@ from scipy.special import log_ndtr
 from witsenhausen import skewnormal
 from witsenhausen.core import DegenerateInput, EmptyFeasibleSet, validate_params
 from witsenhausen.gaussian_info import ic_feasible
-from witsenhausen.numerics import minimize_1d, norm_cdf, norm_pdf
+from witsenhausen.numerics import norm_cdf, norm_pdf
 from witsenhausen.skewnormal import (
     CoordParams,
     coord_ic_margin,
@@ -26,6 +26,7 @@ from witsenhausen.skewnormal import (
 )
 from witsenhausen.strategies import two_point_min_power
 
+from grid_search import minimize_1d
 from skew_oracles import dropped_odd_term, mmse_via_conditional_density
 
 LN2 = math.log(2.0)
@@ -388,6 +389,13 @@ def test_coord_min_power_below_two_point_minimum(Q, N, expected):
         mmse_coord(0.999 * pmin, p)
     value, _ = mmse_coord(1.001 * pmin, p)
     assert math.isfinite(value) and value > 0.0
+
+
+def test_coord_min_power_scales_with_the_variances():
+    base = coord_min_power(validate_params(0.1, 0.01))
+    for c in (1e-9, 1e9):
+        scaled = coord_min_power(validate_params(0.1 * c, 0.01 * c))
+        assert scaled / c == pytest.approx(base, rel=1e-10)
 
 
 def test_coord_min_power_none_when_noise_dominates():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from witsenhausen.core import (
     EmptyFeasibleSet,
@@ -13,6 +15,7 @@ from scipy.integrate import trapezoid
 
 from witsenhausen.numerics import norm_pdf
 from witsenhausen.strategies import (
+    STRATEGIES,
     LinearPolicy,
     TwoPointPolicy,
     curve,
@@ -29,6 +32,9 @@ from witsenhausen.strategies import (
     two_point_gain_for_power,
     two_point_min_power,
 )
+from witsenhausen.strategies import _lin_dpc_objective
+
+from grid_search import minimize_1d as grid_minimize
 
 
 # ------------------------------------------------------------------ linear
@@ -241,19 +247,110 @@ def test_lin_dpc_zero_power(params):
 
 def test_lin_dpc_endpoint_is_linear(params):
     # rho = -1 shifts all power into the linear part
-    from witsenhausen.strategies import _lin_dpc_objective
-
     for P in (0.01, 0.04, 0.09):
         f = _lin_dpc_objective(P, params)
         assert f(-1.0) == pytest.approx(mmse_linear(P, params), rel=1e-12)
 
 
 def test_lin_dpc_dominates_components(params):
-    for P in np.linspace(0.0, params.Q, 41):
-        v, _ = mmse_lin_dpc(float(P), params)
-        assert v <= mmse_dpc(float(P), params) + 1e-12
-        assert v <= mmse_linear(float(P), params) + 1e-12
-        assert v >= 0.0
+    for p, powers in (
+        (params, np.linspace(0.0, params.Q, 41)),
+        # up to 3Q: above Q the linear part cancels the state, so the cost is 0
+        (validate_params(1.0, 1e-4), np.linspace(0.0, 3.0, 301)),
+    ):
+        for P in powers:
+            v, _ = mmse_lin_dpc(float(P), p)
+            assert v <= mmse_dpc(float(P), p) + 1e-12
+            assert v <= mmse_linear(float(P), p) + 1e-12
+            assert v >= 0.0
+
+
+def lin_dpc_residual_oracle(P, params):
+    """The unsquared dirty-paper residual r(rho), written out independently."""
+    Q, N = params.Q, params.N
+
+    def r(rho):
+        t = P + Q + 2.0 * rho * math.sqrt(P * Q)
+        return P * (1.0 - rho * rho) * math.sqrt(t + N) - N * (
+            math.sqrt(Q) + rho * math.sqrt(P)
+        )
+
+    return r
+
+
+@given(
+    log_q=st.floats(-2.0, 1.0),
+    log_ratio=st.floats(-4.0, 1.0),
+    u=st.floats(0.0, 3.0, exclude_min=True),
+)
+@settings(max_examples=300, deadline=None)
+def test_lin_dpc_matches_grid_oracle(log_q, log_ratio, u):
+    Q = 10.0**log_q
+    params = validate_params(Q, Q * 10.0**log_ratio)
+    P = u * Q
+    S, rho = mmse_lin_dpc(P, params)
+    if P >= Q:
+        # the linear part cancels the state
+        assert S == 0.0 and rho == -math.sqrt(Q / P)
+        return
+    r = lin_dpc_residual_oracle(P, params)
+    _, neg_peak = grid_minimize(lambda x: -r(x), -1.0, 1.0, grid=401, tol=1e-12)
+    if neg_peak <= 0.0:
+        # exact zero at the left root of r: r(rho) = 0 up to rounding, and
+        # r < 0 before it
+        assert S == 0.0
+        N = params.N
+        scale = P * math.sqrt(P + Q + N) + N * (math.sqrt(Q) + math.sqrt(P))
+        assert abs(r(rho)) <= 1e-11 * scale
+        assert all(r(float(x)) < 0.0 for x in np.linspace(-1.0, rho, 101)[:-1])
+        return
+    _, oracle = grid_minimize(
+        _lin_dpc_objective(P, params), -1.0, 1.0, grid=401, tol=1e-12
+    )
+    assert S == pytest.approx(oracle, rel=1e-10)
+    assert S <= oracle * (1.0 + 1e-10)
+
+
+def assert_cost_scales(strategy, log_q, log_ratio, u, k):
+    """S(cP; cQ, cN) = c S(P; Q, N): the cost has the units of the variances.
+
+    c = 2^k, k in [-30, 30], spans about [1e-9, 1e9] and scales P, Q and N
+    exactly, so both problems are the same up to the program's own rounding
+    (near P = Q the cost depends on the last bits of Q - P).
+    """
+    Q, c = 10.0**log_q, 2.0**k
+    N = Q * 10.0**log_ratio
+    pt = curve(strategy, validate_params(Q, N), [u * Q]).points[0]
+    scaled = curve(strategy, validate_params(c * Q, c * N), [c * (u * Q)]).points[0]
+    assert scaled.feasible == pt.feasible
+    if pt.feasible:
+        # abs: below the normal range, floats carry no relative precision
+        assert scaled.S / c == pytest.approx(pt.S, rel=1e-10, abs=1e-300)
+
+
+SCALE_DRAWS = dict(
+    log_q=st.floats(-2.0, 1.0),
+    log_ratio=st.floats(-4.0, 1.0),
+    k=st.integers(-30, 30),
+)
+
+
+@pytest.mark.parametrize("strategy", [s for s in STRATEGIES if s != "coord"])
+@given(u=st.floats(0.0, 3.0), **SCALE_DRAWS)
+# P one rounding step below Q, where sqrt(Q) - sqrt(P) would be all rounding
+@example(u=1.0 - 2.0**-53, log_q=0.0, log_ratio=0.0, k=1)
+@example(u=1.0 - 2.0**-53, log_q=0.0, log_ratio=1.0, k=1)
+# a small scale, where a tolerance absolute in power units would show
+@example(u=0.9, log_q=-2.0, log_ratio=-1.0, k=-29)
+@settings(max_examples=60, deadline=None)
+def test_cost_scales_with_the_variances(strategy, log_q, log_ratio, u, k):
+    assert_cost_scales(strategy, log_q, log_ratio, u, k)
+
+
+@given(u=st.floats(0.0, 1.0), **SCALE_DRAWS)
+@settings(max_examples=20, deadline=None)
+def test_coord_cost_scales_with_the_variances(log_q, log_ratio, u, k):
+    assert_cost_scales("coord", log_q, log_ratio, u, k)
 
 
 # ------------------------------------------------------------------- curve
