@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -42,10 +43,9 @@ class RunManifest:
 
     command: str
     argv: list[str]
-    Q: float
-    N: float
+    Q: float | None
+    N: float | None
     tolerances: dict
-    seed: int
     git_describe: str
     timestamp: str
     output: str
@@ -57,9 +57,11 @@ class RunManifest:
 
 
 def _git_describe() -> str:
+    """`git describe` of the checkout that holds this package, not of the CWD."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
             capture_output=True,
             text=True,
             timeout=5,
@@ -89,8 +91,8 @@ def _manifest(args, argv: list[str], cfg: QuadratureConfig, out: str) -> None:
     RunManifest(
         command=args.command,
         argv=argv,
-        Q=args.Q,
-        N=args.N,
+        Q=getattr(args, "Q", None),
+        N=getattr(args, "N", None),
         tolerances={
             "quadrature_abs_tol": cfg.abs_tol,
             "quadrature_rel_tol": cfg.rel_tol,
@@ -98,7 +100,6 @@ def _manifest(args, argv: list[str], cfg: QuadratureConfig, out: str) -> None:
             "coord_edge_rho_xtol": skewnormal.EDGE_RHO_TOL,
             "lin_dpc_rho_xtol": strategies.LIN_DPC_RHO_TOL,
         },
-        seed=getattr(args, "seed", 0),
         git_describe=_git_describe(),
         timestamp=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         output=out,
@@ -279,16 +280,39 @@ def cmd_psi(args, argv: list[str]) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, out_required: bool = True) -> None:
-    p.add_argument("--Q", type=float, default=0.1, help="state variance (default 0.1)")
-    p.add_argument("--N", type=float, default=0.01, help="noise variance (default 0.01)")
+def _add_common(
+    p: argparse.ArgumentParser, variances: bool = True, output: bool = True
+) -> None:
+    if variances:
+        p.add_argument("--Q", type=float, default=0.1, help="state variance (default 0.1)")
+        p.add_argument("--N", type=float, default=0.01, help="noise variance (default 0.01)")
     p.add_argument("--tol", type=float, default=None, help="quadrature tolerance override")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (recorded in manifest)")
-    if out_required:
+    if output:
         p.add_argument("--out", required=True, help="output CSV path")
         p.add_argument(
             "--gnuplot", action="store_true", help="also write a companion gnuplot script"
         )
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join `--name -1e-3` into `--name=-1e-3` for every value that starts with '-'.
+
+    argparse reads only plain decimals such as -0.5 as negative numbers; it
+    takes -1e-3, -inf and -nan for options and fails with "expected one
+    argument".
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and tok.startswith("-"):
+            try:
+                float(tok)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + tok
+                continue
+        out.append(tok)
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,14 +346,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=None, help="two-point magnitude")
     p.add_argument("--rho", type=float, default=None, help="coord correlation")
     p.add_argument("--n", type=int, default=1_000_000, help="sample count")
-    _add_common(p, out_required=False)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    _add_common(p, output=False)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("psi", help="tabulate the entropy reduction function")
     p.add_argument("--alpha-min", type=float, default=-10.0, dest="alpha_min")
     p.add_argument("--alpha-max", type=float, default=10.0, dest="alpha_max")
     p.add_argument("--steps", type=int, default=401)
-    _add_common(p)
+    _add_common(p, variances=False)
     p.set_defaults(func=cmd_psi)
 
     return parser
@@ -338,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(argv))
     try:
         return args.func(args, argv)
     except (NonPositiveVariance, ValueError) as exc:

@@ -32,6 +32,8 @@ __all__ = [
     "TradeoffCurve",
     "EmpiricalCost",
     "validate_params",
+    "require_finite",
+    "power_split",
 ]
 
 
@@ -108,6 +110,27 @@ def validate_params(Q: float, N: float) -> ProblemParams:
     Raises NonPositiveVariance unless both are positive and finite.
     """
     return ProblemParams(float(Q), float(N))
+
+
+def require_finite(**values: float) -> None:
+    """Raise ValueError naming each of the keyword values that is not a finite number."""
+    bad = [f"{name}={value}" for name, value in values.items() if not math.isfinite(value)]
+    if bad:
+        raise ValueError("must be finite: " + ", ".join(bad))
+
+
+def power_split(P: float, Q: float, rho: float) -> tuple[float, float, float]:
+    """(s, p_res, t) of the input rho sqrt(P/Q) X0 + W, W independent of X0.
+
+    p_res = P(1-rho^2) is the power of W, s = sqrt(Q) + rho sqrt(P) the scale
+    of X0 in the interim state and t = s^2 + p_res = P + Q + 2 rho sqrt(PQ) its
+    variance. s is formed as (Q-P)/(sqrt(Q)+sqrt(P)) + (1+rho) sqrt(P): for
+    P <= Q a sum of nonnegative terms, so nothing cancels as rho -> -1, P -> Q.
+    """
+    sp = math.sqrt(P)
+    s = (Q - P) / (math.sqrt(Q) + sp) + (1.0 + rho) * sp
+    p_res = P * (1.0 - rho) * (1.0 + rho)
+    return s, p_res, s * s + p_res
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmpiricalCost, ProblemParams
+from .core import EmpiricalCost, ProblemParams, power_split, require_finite
 from .skewnormal import CoordParams, skew_cond_mean
-from .strategies import LinearPolicy, TwoPointPolicy
+from .strategies import LinearPolicy, TwoPointPolicy, two_point_decoder
 
 __all__ = [
     "SimConfig",
@@ -36,6 +36,9 @@ class SimConfig:
     batch_size: int = 1_000_000
 
     def __post_init__(self) -> None:
+        require_finite(
+            n_samples=self.n_samples, seed=self.seed, batch_size=self.batch_size
+        )
         if self.n_samples < 1000:
             raise ValueError(
                 f"n_samples={self.n_samples} too small: standard errors are "
@@ -147,7 +150,7 @@ def simulate_two_point(
         u1 = a * sign - x0
         x1 = a * sign
         y = x1 + z
-        u2 = a * np.tanh(a * y / N)
+        u2 = two_point_decoder(y, a, N)
         return u1 * u1, (x1 - u2) ** 2
 
     return _run(cfg, draw)
@@ -163,12 +166,11 @@ def simulate_hybrid_conditional(
     is defined under exactly this conditioning) and decodes with the
     skew-normal conditional mean.
     """
-    if cp.T <= 0.0:
-        raise ValueError("interim-state variance must be positive")
     Q, N = params.Q, params.N
-    P, rho, T = cp.P, cp.rho, cp.T
-    p_res = P * (1.0 - rho * rho)
-    lin_gain = rho * math.sqrt(P / Q)
+    _, p_res, T = power_split(cp.P, Q, cp.rho)
+    if T <= 0.0:
+        raise ValueError("interim-state variance must be positive")
+    lin_gain = cp.rho * math.sqrt(cp.P / Q)
 
     def draw(rng, n):
         x0 = rng.standard_normal(n) * math.sqrt(Q)

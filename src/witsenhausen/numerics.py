@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import log_ndtr
 
-from .core import NoBracket, NonConvergence
+from .core import NoBracket, NonConvergence, require_finite
 
 __all__ = [
     "QuadratureConfig",
@@ -63,6 +63,12 @@ class QuadratureConfig:
     truncation_radius: float = 12.0
 
     def __post_init__(self) -> None:
+        require_finite(
+            abs_tol=self.abs_tol,
+            rel_tol=self.rel_tol,
+            max_subdivisions=self.max_subdivisions,
+            truncation_radius=self.truncation_radius,
+        )
         if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
             raise ValueError("tolerances must be positive")
         if self.truncation_radius < 8.0:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import log_ndtr
 
-from .core import DegenerateInput, EmptyFeasibleSet, ProblemParams
+from .core import DegenerateInput, EmptyFeasibleSet, ProblemParams, power_split, require_finite
 from .gaussian_info import ic_feasible
 from .numerics import (
     DEFAULT_QUADRATURE,
@@ -58,9 +58,8 @@ EDGE_RHO_TOL = 1e-12
 class CoordParams:
     """Hybrid-scheme operating point: power P, input correlation rho, and (Q, N).
 
-    T = P + Q + 2 rho sqrt(PQ) is the interim-state variance; it equals
-    (sqrt(Q) + rho sqrt(P))^2 + P(1 - rho^2) and is clamped at 0 against
-    rounding. Requires P <= Q.
+    T = P + Q + 2 rho sqrt(PQ) is the interim-state variance, the t of
+    `power_split`. Requires finite values, 0 <= P <= Q and Q, N > 0.
     """
 
     P: float
@@ -70,14 +69,14 @@ class CoordParams:
     T: float = field(init=False)
 
     def __post_init__(self) -> None:
+        require_finite(P=self.P, rho=self.rho, Q=self.Q, N=self.N)
         if self.Q <= 0.0 or self.N <= 0.0:
             raise ValueError("Q and N must be positive")
         if not 0.0 <= self.P <= self.Q:
             raise ValueError(f"P={self.P} outside [0, Q={self.Q}]")
         if not -1.0 <= self.rho <= 1.0:
             raise ValueError(f"rho={self.rho} outside [-1, 1]")
-        t = self.P + self.Q + 2.0 * self.rho * math.sqrt(self.P * self.Q)
-        object.__setattr__(self, "T", max(t, 0.0))
+        object.__setattr__(self, "T", power_split(self.P, self.Q, self.rho)[2])
 
 
 def _psi_integrand(alpha: float):
@@ -112,11 +111,10 @@ def entropy_reduction(
 
 def _skew_scales(cp: CoordParams) -> tuple[float, float, float]:
     """(s, residual power, skewness of the joint output/precoder pair)."""
-    s = math.sqrt(cp.Q) + cp.rho * math.sqrt(cp.P)
-    p_res = cp.P * (1.0 - cp.rho * cp.rho)
+    s, p_res, t = power_split(cp.P, cp.Q, cp.rho)
     if s * s <= 0.0:
         return s, p_res, math.inf
-    t, n = cp.T, cp.N
+    n = cp.N
     d2 = math.sqrt((t * s * s * n + p_res * (t + n) ** 2) / (s * s * n * n))
     return s, p_res, d2
 
@@ -137,7 +135,7 @@ def sign_conditioned_entropies(
         )
     t, n = cp.T, cp.N
     h_state_prec = 0.5 * math.log2(
-        (2.0 * math.pi * math.e) ** 2 * cp.P * cp.Q * (1.0 - cp.rho * cp.rho)
+        (2.0 * math.pi * math.e) ** 2 * cp.Q * p_res
     ) - 1.0
     h_out = 0.5 * math.log2(2.0 * math.pi * math.e * (t + n)) - entropy_reduction(
         math.sqrt(t / n), cfg

@@ -25,6 +25,8 @@ from .core import (
     ProblemParams,
     TradeoffCurve,
     UnknownStrategy,
+    power_split,
+    require_finite,
 )
 from .gaussian_info import optimal_rho_triple, timeshare_interval
 from .numerics import (
@@ -71,6 +73,9 @@ class LinearPolicy:
     a: float
     b: float
 
+    def __post_init__(self) -> None:
+        require_finite(a=self.a, b=self.b)
+
 
 @dataclass(frozen=True)
 class TwoPointPolicy:
@@ -79,6 +84,7 @@ class TwoPointPolicy:
     a: float
 
     def __post_init__(self) -> None:
+        require_finite(a=self.a)
         if self.a < 0.0:
             raise ValueError(f"point magnitude must be nonnegative, got {self.a}")
 
@@ -87,17 +93,12 @@ def mmse_linear(P: float, params: ProblemParams) -> float:
     """Estimation cost of the best affine policy at power P.
 
     g N / (g + N) with g = (sqrt(Q)-sqrt(P))^2 for P <= Q; beyond Q the state is
-    cancelled outright and the cost is 0. g is evaluated as
-    ((Q-P) / (sqrt(Q)+sqrt(P)))^2, whose difference Q-P is exact near P = Q,
-    where sqrt(Q)-sqrt(P) would be all rounding.
+    cancelled outright and the cost is 0. It is the dirty-paper cost at
+    rho = -1, where no power is left to code with.
     """
-    if P < 0.0:
-        raise ValueError(f"P must be nonnegative, got {P}")
-    Q, N = params.Q, params.N
-    if P > Q:
-        return 0.0
-    g = ((Q - P) / (math.sqrt(Q) + math.sqrt(P))) ** 2
-    return g * N / (g + N)
+    if not 0.0 <= P < math.inf:
+        raise ValueError(f"P must be nonnegative and finite, got {P}")
+    return _dirty_paper_cost(P, params, -1.0)[0]
 
 
 def linear_policy_for_power(P: float, params: ProblemParams) -> LinearPolicy:
@@ -106,8 +107,8 @@ def linear_policy_for_power(P: float, params: ProblemParams) -> LinearPolicy:
     Pure contraction -sqrt(P/Q) x for P <= Q; above Q the gain saturates at -1
     and the leftover power goes into an offset, which does not affect the cost.
     """
-    if P < 0.0:
-        raise ValueError(f"P must be nonnegative, got {P}")
+    if not 0.0 <= P < math.inf:
+        raise ValueError(f"P must be nonnegative and finite, got {P}")
     Q = params.Q
     if P <= Q:
         return LinearPolicy(-math.sqrt(P / Q), 0.0)
@@ -120,8 +121,8 @@ def mmse_gaussian(P: float, params: ProblemParams) -> float:
     N (Q - N - P) / Q on the time-sharing interval when Q > 4N; elsewhere the
     best affine policy is optimal.
     """
-    if P < 0.0:
-        raise ValueError(f"P must be nonnegative, got {P}")
+    if not 0.0 <= P < math.inf:
+        raise ValueError(f"P must be nonnegative and finite, got {P}")
     Q, N = params.Q, params.N
     if Q > 4.0 * N:
         p1, p2 = timeshare_interval(params)
@@ -168,11 +169,14 @@ def two_point_costs(
     return CostPoint(power, float(mmse))
 
 
-def two_point_decoder(y: float, a: float, N: float) -> float:
-    """Conditional-mean decoder of the two-point scheme: a tanh(a y / N)."""
+def two_point_decoder(y, a: float, N: float):
+    """Conditional-mean decoder of the two-point scheme: a tanh(a y / N).
+
+    Accepts a scalar or an array of outputs y.
+    """
     if N <= 0.0:
         raise ValueError("N must be positive")
-    return a * math.tanh(a * y / N)
+    return a * np.tanh(a * y / N)
 
 
 def two_point_gain_for_power(P: float, params: ProblemParams) -> float | None:
@@ -206,61 +210,41 @@ def dpc_alpha(P: float, params: ProblemParams) -> float:
     return min(1.0, P * (math.sqrt(Q) + math.sqrt(P + Q + N)) / (math.sqrt(Q) * (P + N)))
 
 
+def _dirty_paper_cost(P: float, params: ProblemParams, rho: float) -> tuple[float, float]:
+    """Dirty-paper cost of the split of P at correlation rho, and its residual.
+
+    With (s, p_res, t) = power_split(P, Q, rho), dirty-paper coding with power
+    p_res against the residual state s X0 / sqrt(Q) leaves the estimation cost
+    N r^2 / ((p_res + N)^2 (t + N)), where r = p_res sqrt(t+N) - N s is the
+    unsquared numerator; the cost is exactly 0 where r >= 0. Returns (cost, r).
+    """
+    N = params.N
+    s, p_res, t = power_split(P, params.Q, rho)
+    r = p_res * math.sqrt(t + N) - N * s
+    if r >= 0.0:
+        return 0.0, r
+    return N * r * r / ((p_res + N) ** 2 * (t + N)), r
+
+
 def mmse_dpc(P: float, params: ProblemParams) -> float:
     """Estimation cost of the dirty-paper scheme at power P.
 
-    N (N sqrt(Q) - P sqrt(P+Q+N))^2 / ((P+N)^2 (P+Q+N)) up to the critical
-    power, 0 beyond it.
+    N (N sqrt(Q) - P sqrt(P+Q+N))^2 / ((P+N)^2 (P+Q+N)), the dirty-paper cost
+    at rho = 0; exactly 0 from the critical power on, where the residual's
+    sign turns.
     """
-    if P < 0.0:
-        raise ValueError(f"P must be nonnegative, got {P}")
-    Q, N = params.Q, params.N
-    if P > dpc_critical_power(params):
-        return 0.0
-    num = N * (N * math.sqrt(Q) - P * math.sqrt(P + Q + N)) ** 2
-    den = (P + N) ** 2 * (P + Q + N)
-    return num / den
-
-
-def _lin_dpc_terms(P: float, params: ProblemParams, rho: float):
-    """(residual power P(1-rho^2), interim variance t, dirty-paper residual r) at rho.
-
-    r = P(1-rho^2) sqrt(t+N) - N (sqrt(Q) + rho sqrt(P)) is the unsquared
-    numerator of the dirty-paper cost against the residual state
-    (sqrt(Q) + rho sqrt(P))^2; the cost is 0 wherever r >= 0. For P <= Q,
-    sqrt(Q) + rho sqrt(P) is formed as (Q-P)/(sqrt(Q)+sqrt(P)) + (1+rho) sqrt(P)
-    and t as its square plus P(1-rho)(1+rho): sums of nonnegative terms, so
-    nothing cancels near rho = -1 and P = Q, where the cost is smallest.
-    """
-    Q, N = params.Q, params.N
-    sq, sp = math.sqrt(Q), math.sqrt(P)
-    s = (Q - P) / (sq + sp) + (1.0 + rho) * sp
-    p_res = P * (1.0 - rho) * (1.0 + rho)
-    t = s * s + p_res
-    return p_res, t, p_res * math.sqrt(t + N) - N * s
-
-
-def _lin_dpc_objective(P: float, params: ProblemParams):
-    """The dirty-paper cost N r^2 / ((P(1-rho^2) + N)^2 (t + N)) as a function of rho.
-
-    It is the lin-dpc cost only where r <= 0; where r > 0 that cost is 0.
-    """
-    N = params.N
-
-    def f(rho: float) -> float:
-        p_res, t, r = _lin_dpc_terms(P, params, rho)
-        return N * r * r / ((p_res + N) ** 2 * (t + N))
-
-    return f
+    if not 0.0 <= P < math.inf:
+        raise ValueError(f"P must be nonnegative and finite, got {P}")
+    return _dirty_paper_cost(P, params, 0.0)[0]
 
 
 def mmse_lin_dpc(P: float, params: ProblemParams) -> tuple[float, float]:
     """Estimation cost of the combined linear + dirty-paper scheme and its split.
 
-    The linear part spends P rho^2 against the state, leaving the residual
-    state (sqrt(Q) + rho sqrt(P))^2 to dirty-paper coding with power
-    P(1-rho^2); rho = -1 recovers the pure linear scheme, so this never does
-    worse than it. For P >= Q the linear part cancels the state: the cost is
+    The input is split by `power_split`: a linear part spends P rho^2 against
+    the state, and the rest is coded against the residual state at the
+    dirty-paper cost; rho = -1 recovers the pure linear scheme, so this never
+    does worse than it. For P >= Q the linear part cancels the state: the cost is
     exactly 0 at rho = -sqrt(Q/P). Below Q the residual r is negative at
     rho = +-1. A bounded search maximizes r; if its peak is >= 0 the cost is
     exactly 0 and rho is the left root of r on [-1, rho_peak]. Otherwise r < 0
@@ -268,25 +252,27 @@ def mmse_lin_dpc(P: float, params: ProblemParams) -> tuple[float, float]:
     that minimum and the endpoints (the search never samples them).
     Returns (cost, rho).
     """
-    if P < 0.0:
-        raise ValueError(f"P must be nonnegative, got {P}")
+    if not 0.0 <= P < math.inf:
+        raise ValueError(f"P must be nonnegative and finite, got {P}")
     Q = params.Q
     if P == 0.0:
         return mmse_linear(0.0, params), -1.0
     if P >= Q:
         return 0.0, -math.sqrt(Q / P)
 
+    def cost(rho: float) -> float:
+        return _dirty_paper_cost(P, params, rho)[0]
+
     def residual(rho: float) -> float:
-        return _lin_dpc_terms(P, params, rho)[2]
+        return _dirty_paper_cost(P, params, rho)[1]
 
     rho_peak, neg_peak = minimize_1d(
         lambda rho: -residual(rho), -1.0, 1.0, LIN_DPC_RHO_TOL
     )
     if neg_peak <= 0.0:
         return 0.0, find_root(residual, -1.0, rho_peak, LIN_DPC_RHO_TOL)
-    f = _lin_dpc_objective(P, params)
-    rho, val = minimize_1d(f, -1.0, 1.0, LIN_DPC_RHO_TOL)
-    return min((val, rho), (f(-1.0), -1.0), (f(1.0), 1.0))
+    rho, val = minimize_1d(cost, -1.0, 1.0, LIN_DPC_RHO_TOL)
+    return min((val, rho), (cost(-1.0), -1.0), (cost(1.0), 1.0))
 
 
 def curve(

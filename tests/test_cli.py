@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+import os
+import shutil
+import subprocess
 
 import numpy as np
 import pytest
 
+import witsenhausen
 from witsenhausen import numerics, skewnormal, strategies
 from witsenhausen.cli import main
 
@@ -76,17 +80,38 @@ def test_curve_coord_reports_infeasible_rows(tmp_path):
 
 def test_manifest_written_and_complete(tmp_path):
     out = tmp_path / "lin.csv"
-    rc = run(
-        ["curve", "--strategy", "linear", "--steps", "11", "--out", str(out),
-         "--seed", "42"]
-    )
+    rc = run(["curve", "--strategy", "linear", "--steps", "11", "--out", str(out)])
     assert rc == 0
     manifest = json.loads((tmp_path / "lin.csv.manifest").read_text())
-    for key in ("command", "argv", "Q", "N", "tolerances", "seed", "git_describe",
+    for key in ("command", "argv", "Q", "N", "tolerances", "git_describe",
                 "timestamp", "output"):
         assert key in manifest
     assert manifest["command"] == "curve"
-    assert manifest["seed"] == 42
+    # no command that writes a manifest draws random numbers
+    assert "seed" not in manifest
+
+
+def _git(*args, cwd):
+    return subprocess.run(
+        ["git", *args], cwd=cwd, capture_output=True, text=True, timeout=30
+    )
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_manifest_records_the_package_git_state(tmp_path, monkeypatch):
+    # run from an unrelated repository with a commit of its own
+    other = tmp_path / "other"
+    other.mkdir()
+    _git("init", "-q", cwd=other)
+    _git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q",
+         "--allow-empty", "-m", "x", cwd=other)
+    monkeypatch.chdir(other)
+    assert run(["curve", "--strategy", "linear", "--steps", "3", "--out", "lin.csv"]) == 0
+    recorded = json.loads((other / "lin.csv.manifest").read_text())["git_describe"]
+    package = _git("describe", "--always", "--dirty",
+                   cwd=os.path.dirname(witsenhausen.__file__))
+    assert recorded == (package.stdout.strip() if package.returncode == 0 else "unknown")
+    assert recorded != _git("describe", "--always", cwd=other).stdout.strip()
 
 
 def test_manifest_records_the_optimizer_tolerances(tmp_path, monkeypatch):
@@ -221,6 +246,54 @@ def test_psi_table(tmp_path):
         assert v == pytest.approx(table[-a], abs=1e-10)
 
 
+def test_psi_takes_a_negative_exponent_after_a_space(tmp_path):
+    out = tmp_path / "psi.csv"
+    rc = run(["psi", "--alpha-min", "-1e-3", "--alpha-max", "1", "--steps", "3",
+              "--out", str(out)])
+    assert rc == 0
+    _, rows = read_csv(out)
+    assert [float(r[0]) for r in rows] == list(np.linspace(-1e-3, 1.0, 3))
+
+
+UNREAD_OPTIONS = [
+    ["curve", "--strategy", "linear", "--seed", "1"],
+    ["compare", "--seed", "1"],
+    ["psi", "--seed", "1"],
+    ["psi", "--Q", "1"],
+    ["psi", "--N", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", UNREAD_OPTIONS, ids=[" ".join(a) for a in UNREAD_OPTIONS])
+def test_options_a_command_does_not_read_are_rejected(tmp_path, argv):
+    assert run(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+NON_FINITE = [
+    ["simulate", "--strategy", "linear", "--P", "nan"],
+    ["simulate", "--strategy", "linear", "--P", "inf"],
+    ["simulate", "--strategy", "two-point", "--a", "nan"],
+    ["simulate", "--strategy", "two-point", "--a", "inf"],
+    ["simulate", "--strategy", "coord", "--P", "0.03", "--rho", "nan"],
+    ["simulate", "--strategy", "linear", "--P", "0.04", "--tol", "nan"],
+    ["psi", "--tol", "nan"],
+    ["psi", "--tol", "inf"],
+    ["curve", "--strategy", "two-point", "--tol", "nan"],
+]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE, ids=[" ".join(a) for a in NON_FINITE])
+def test_non_finite_input_is_a_usage_error(tmp_path, capsys, argv):
+    if argv[0] == "simulate":
+        argv = argv + ["--n", "10000"]
+    else:
+        argv = argv + ["--steps", "3", "--out", str(tmp_path / "out.csv")]
+    assert run(argv) == 2
+    assert "invalid arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_flags_exit_2(tmp_path):
     assert run(["curve", "--strategy", "nope", "--out", "x.csv"]) == 2
     assert run(["curve", "--strategy", "linear", "--Q", "-1",
@@ -253,6 +326,8 @@ BAD_GRIDS = [
     ["compare", "--p-max", "inf"],
     ["psi", "--alpha-max", "inf"],
     ["psi", "--alpha-min=-inf"],
+    ["psi", "--alpha-min", "-inf"],
+    ["curve", "--strategy", "linear", "--p-min", "-1e-3"],
     ["curve", "--strategy", "linear", "--steps", "1"],
     ["psi", "--steps", "1"],
 ]

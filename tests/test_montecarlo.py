@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from witsenhausen.core import validate_params
 from witsenhausen.montecarlo import (
@@ -36,6 +38,10 @@ def test_sim_config_rejects_tiny_samples():
         SimConfig(n_samples=10)
     with pytest.raises(ValueError):
         SimConfig(n_samples=10_000, batch_size=0)
+    for bad in (dict(n_samples=math.nan), dict(n_samples=math.inf),
+                dict(n_samples=10_000, batch_size=math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(**bad)
 
 
 def test_running_moments_match_numpy():
@@ -165,6 +171,39 @@ class TestHybrid:
                 params,
                 SimConfig(10_000, seed=1),
             )
+
+
+@given(
+    k=st.integers(-15, 15),
+    log_q=st.floats(-2.0, 1.0),
+    log_ratio=st.floats(-4.0, 1.0),
+    u=st.floats(0.05, 1.0),
+    rho=st.floats(-0.95, 0.95),
+)
+@settings(max_examples=30, deadline=None)
+def test_estimates_scale_with_the_variances(k, log_q, log_ratio, u, rho):
+    # c = 4^k scales the variances and the power exactly and 2^k = sqrt(c) the
+    # magnitudes, so with the same seed every draw, and every estimate, is the
+    # same up to the factor c
+    c, root_c = 4.0**k, 2.0**k
+    Q = 10.0**log_q
+    N, P = Q * 10.0**log_ratio, u * Q
+    cfg = SimConfig(4000, seed=k % 7, batch_size=1500)
+
+    def runs(c, root_c):
+        params = validate_params(c * Q, c * N)
+        lin = linear_policy_for_power(2.0 * P, validate_params(Q, N))
+        return (
+            simulate_linear(LinearPolicy(lin.a, root_c * lin.b), params, cfg),
+            simulate_two_point(TwoPointPolicy(root_c * math.sqrt(P)), params, cfg),
+            simulate_hybrid_conditional(
+                CoordParams(c * P, rho, c * Q, c * N), params, cfg
+            ),
+        )
+
+    for base, scaled in zip(runs(1.0, 1.0), runs(c, root_c)):
+        for field in ("power_mean", "power_stderr", "mmse_mean", "mmse_stderr"):
+            assert getattr(scaled, field) == c * getattr(base, field), field
 
 
 def test_interim_output_precoder_covariance_matches_moments(params):

@@ -172,6 +172,10 @@ def test_quadrature_config_validation():
         QuadratureConfig(truncation_radius=4.0)
     with pytest.raises(ValueError):
         QuadratureConfig(max_subdivisions=0)
+    for bad in (dict(abs_tol=math.nan), dict(rel_tol=math.inf),
+                dict(truncation_radius=math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureConfig(**bad)
 
 
 # ------------------------------------------------------------- mills_ratio

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -90,6 +91,14 @@ def test_coord_params_interim_variance():
     assert cp.T == pytest.approx(
         (math.sqrt(0.1) - 0.5 * math.sqrt(0.04)) ** 2 + 0.04 * 0.75, rel=1e-12
     )
+    # P one rounding step below Q at rho = -1: T = (sqrt(Q) - sqrt(P))^2 is
+    # tiny but not 0, which P + Q + 2 rho sqrt(PQ) rounds to
+    Q = 0.1
+    P = Q * (1.0 - 2.0**-53)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        exact = float((Decimal(Q).sqrt() - Decimal(P).sqrt()) ** 2)
+    assert CoordParams(P, -1.0, Q, 0.01).T == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def test_coord_params_validation():
@@ -99,6 +108,10 @@ def test_coord_params_validation():
         CoordParams(0.04, -1.5, 0.1, 0.01)
     with pytest.raises(ValueError):
         CoordParams(0.04, 0.0, 0.1, 0.0)
+    for bad in ((0.04, 0.0, math.inf, 0.01), (0.04, 0.0, 0.1, math.inf),
+                (math.nan, 0.0, 0.1, 0.01), (0.04, math.nan, 0.1, 0.01)):
+        with pytest.raises(ValueError, match="finite"):
+            CoordParams(*bad)
 
 
 # ------------------------------------------------- sign-conditioned entropies

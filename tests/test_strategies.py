@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from witsenhausen.strategies import (
     two_point_gain_for_power,
     two_point_min_power,
 )
-from witsenhausen.strategies import _lin_dpc_objective
+from witsenhausen.strategies import _dirty_paper_cost
 
 from grid_search import minimize_1d as grid_minimize
 
@@ -180,6 +181,10 @@ def test_two_point_survives_extreme_gain_over_noise():
 
 def test_two_point_decoder_properties():
     assert two_point_decoder(0.0, 0.3, 0.01) == 0.0
+    ys = np.linspace(-0.5, 0.5, 11)
+    assert two_point_decoder(ys, 0.3, 0.01) == pytest.approx(
+        [0.3 * math.tanh(0.3 * y / 0.01) for y in ys], rel=1e-15
+    )
     assert two_point_decoder(1e9, 0.3, 0.01) == pytest.approx(0.3, rel=1e-12)
     for y in (-0.5, -0.01, 0.2):
         assert two_point_decoder(-y, 0.3, 0.01) == -two_point_decoder(y, 0.3, 0.01)
@@ -219,12 +224,20 @@ def test_dpc_zero_power_is_plain_mmse(params):
     assert mmse_dpc(0.0, params) == mmse_linear(0.0, params)
 
 
-def test_dpc_continuous_at_critical_power(params):
+@given(log_q=st.floats(-2.0, 1.0), log_ratio=st.floats(-4.0, 1.0))
+@example(log_q=-1.0, log_ratio=-1.0)  # the study point (0.1, 0.01)
+@settings(max_examples=200, deadline=None)
+def test_dpc_continuous_at_critical_power(log_q, log_ratio):
+    # p* is the root of the cubic; the cost's exact zero comes from the sign of
+    # its residual, so the two must agree at the critical power
+    Q = 10.0**log_q
+    params = validate_params(Q, Q * 10.0**log_ratio)
     p_star = dpc_critical_power(params)
-    assert mmse_dpc(p_star, params) <= 1e-10
-    assert mmse_dpc(p_star + 1e-12, params) == 0.0
-    for P in np.linspace(p_star, 0.3, 9):
-        assert mmse_dpc(float(P) + 1e-9, params) == 0.0
+    assert mmse_dpc(p_star, params) <= 1e-8 * params.N
+    assert mmse_dpc(p_star * (1.0 - 1e-9), params) > 0.0
+    assert mmse_dpc(p_star * (1.0 + 1e-12), params) == 0.0
+    for P in np.linspace(p_star, 3.0 * Q, 9):
+        assert mmse_dpc(float(P) * (1.0 + 1e-12), params) == 0.0
 
 
 def test_dpc_alpha_satisfies_power_constraint_with_equality(params):
@@ -247,9 +260,11 @@ def test_lin_dpc_zero_power(params):
 
 def test_lin_dpc_endpoint_is_linear(params):
     # rho = -1 shifts all power into the linear part
+    Q, N = params.Q, params.N
     for P in (0.01, 0.04, 0.09):
-        f = _lin_dpc_objective(P, params)
-        assert f(-1.0) == pytest.approx(mmse_linear(P, params), rel=1e-12)
+        g = (math.sqrt(Q) - math.sqrt(P)) ** 2
+        cost, _ = _dirty_paper_cost(P, params, -1.0)
+        assert cost == pytest.approx(g * N / (g + N), rel=1e-12)
 
 
 def test_lin_dpc_dominates_components(params):
@@ -266,14 +281,22 @@ def test_lin_dpc_dominates_components(params):
 
 
 def lin_dpc_residual_oracle(P, params):
-    """The unsquared dirty-paper residual r(rho), written out independently."""
-    Q, N = params.Q, params.N
+    """The unsquared dirty-paper residual r(rho), written out independently.
+
+    Evaluated in 50-digit decimal arithmetic: in floats, sqrt(Q) + rho sqrt(P)
+    and P + Q + 2 rho sqrt(PQ) cancel to exactly 0 at rho = -1 and
+    P = Q - 1 ulp, where the exact residual is a tiny negative number.
+    """
+    Q, N, P_ = (Decimal(x) for x in (params.Q, params.N, P))
 
     def r(rho):
-        t = P + Q + 2.0 * rho * math.sqrt(P * Q)
-        return P * (1.0 - rho * rho) * math.sqrt(t + N) - N * (
-            math.sqrt(Q) + rho * math.sqrt(P)
-        )
+        with localcontext() as ctx:
+            ctx.prec = 50
+            rho = Decimal(rho)
+            t = P_ + Q + 2 * rho * (P_ * Q).sqrt()
+            return float(
+                P_ * (1 - rho * rho) * (t + N).sqrt() - N * (Q.sqrt() + rho * P_.sqrt())
+            )
 
     return r
 
@@ -283,6 +306,9 @@ def lin_dpc_residual_oracle(P, params):
     log_ratio=st.floats(-4.0, 1.0),
     u=st.floats(0.0, 3.0, exclude_min=True),
 )
+# P one rounding step below Q, where the float residual cancels to 0 at rho = -1
+@example(log_q=0.5, log_ratio=1.0, u=1.0 - 2.0**-53)
+@example(log_q=-1.0, log_ratio=0.0, u=1.0 - 2.0**-53)
 @settings(max_examples=300, deadline=None)
 def test_lin_dpc_matches_grid_oracle(log_q, log_ratio, u):
     Q = 10.0**log_q
@@ -305,7 +331,7 @@ def test_lin_dpc_matches_grid_oracle(log_q, log_ratio, u):
         assert all(r(float(x)) < 0.0 for x in np.linspace(-1.0, rho, 101)[:-1])
         return
     _, oracle = grid_minimize(
-        _lin_dpc_objective(P, params), -1.0, 1.0, grid=401, tol=1e-12
+        lambda x: _dirty_paper_cost(P, params, x)[0], -1.0, 1.0, grid=401, tol=1e-12
     )
     assert S == pytest.approx(oracle, rel=1e-10)
     assert S <= oracle * (1.0 + 1e-10)
@@ -351,6 +377,16 @@ def test_cost_scales_with_the_variances(strategy, log_q, log_ratio, u, k):
 @settings(max_examples=20, deadline=None)
 def test_coord_cost_scales_with_the_variances(log_q, log_ratio, u, k):
     assert_cost_scales("coord", log_q, log_ratio, u, k)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [mmse_linear, linear_policy_for_power, mmse_gaussian, mmse_dpc, mmse_lin_dpc],
+)
+@pytest.mark.parametrize("P", [-1e-3, math.inf, math.nan])
+def test_power_must_be_nonnegative_and_finite(params, family, P):
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        family(P, params)
 
 
 # ------------------------------------------------------------------- curve
