@@ -6,10 +6,19 @@ empirically. Everything is seeded and batched: batch b uses the Philox
 counter-based stream jumped b times from the configured seed, and batch
 moments are merged in batch order, so results are bit-identical for a given
 config regardless of how batches are scheduled.
+
+Batches run on a thread pool with one worker per CPU in the process's
+affinity set; the random draws and the large-array arithmetic release the
+GIL. Each worker reduces its batch to (n, mean, m2) of the power and of the
+squared error, and only those numbers reach the merge. A batch holds about
+three arrays of its size: the draws are scaled in place, the arithmetic
+runs over CHUNK-long slices whose temporaries stay in cache, and the power
+and squared error are written back over the drawn arrays and reduced there.
 """
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +34,10 @@ __all__ = [
     "simulate_two_point",
     "simulate_hybrid_conditional",
 ]
+
+# Samples per slice of the elementwise arithmetic: the slice's temporaries
+# stay in cache, and a batch holds little more than its drawn arrays.
+CHUNK = 2**14
 
 
 @dataclass(frozen=True)
@@ -60,12 +73,8 @@ class RunningMoments:
         self.mean = 0.0
         self.m2 = 0.0
 
-    def add_batch(self, x: np.ndarray) -> None:
-        bn = x.size
-        if bn == 0:
-            return
-        bmean = float(np.mean(x))
-        bm2 = float(np.sum((x - bmean) ** 2))
+    def merge(self, bn: int, bmean: float, bm2: float) -> None:
+        """Fold in the (n, mean, m2) of one batch, as `_moments` returns them."""
         delta = bmean - self.mean
         n = self.n + bn
         self.m2 += bm2 + delta * delta * self.n * bn / n
@@ -77,6 +86,14 @@ class RunningMoments:
         if self.n < 2:
             return math.inf
         return math.sqrt(self.m2 / (self.n - 1) / self.n)
+
+
+def _moments(x: np.ndarray) -> tuple[int, float, float]:
+    """(n, mean, m2) of one batch, m2 the sum of squared deviations; overwrites x."""
+    mean = float(np.mean(x))
+    x -= mean
+    np.square(x, out=x)
+    return x.size, mean, float(np.sum(x))
 
 
 def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
@@ -91,15 +108,58 @@ def _batch_sizes(cfg: SimConfig):
     return sizes
 
 
-def _run(cfg: SimConfig, draw) -> EmpiricalCost:
-    """Drive batches through `draw(rng, n) -> (power_samples, sq_err_samples)`."""
+def _worker_count(n_batches: int, batch_size: int) -> int:
+    """Threads to run the batches on: one per CPU this process may use.
+
+    Never more than there are batches, and one when a batch is shorter than
+    a CHUNK: so little arithmetic cannot win back a thread's start-up.
+    """
+    if batch_size < CHUNK:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cpus = os.cpu_count() or 1
+    return min(n_batches, cpus)
+
+
+def _run(cfg: SimConfig, scales: tuple[float, ...], step) -> EmpiricalCost:
+    """Drive the batches of one simulation through `step`.
+
+    Batch b draws one normal array per entry of `scales`, in that order, from
+    `_batch_rng(seed, b)` and scales it in place. `step` maps CHUNK-long
+    slices of the drawn arrays to the control u1 and the estimation error of
+    each sample; their squares overwrite the first two arrays, which are then
+    reduced in place to (n, mean, m2). Batches run on a thread pool and are
+    merged in batch order, so the result does not depend on the worker count.
+    """
+    sizes = _batch_sizes(cfg)
+
+    def batch(b: int):
+        rng = _batch_rng(cfg.seed, b)
+        draws = [rng.standard_normal(sizes[b]) for _ in scales]
+        for x, scale in zip(draws, scales):
+            x *= scale
+        for lo in range(0, sizes[b], CHUNK):
+            u1, err = step(*(x[lo : lo + CHUNK] for x in draws))
+            np.square(u1, out=draws[0][lo : lo + CHUNK])
+            np.square(err, out=draws[1][lo : lo + CHUNK])
+        return _moments(draws[0]), _moments(draws[1])
+
+    workers = _worker_count(len(sizes), cfg.batch_size)
+    if workers == 1:
+        stats = [batch(b) for b in range(len(sizes))]
+    else:
+        # imported here, so that starting the CLI does not load it
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            stats = list(pool.map(batch, range(len(sizes))))
     power = RunningMoments()
     mmse = RunningMoments()
-    for b, n in enumerate(_batch_sizes(cfg)):
-        rng = _batch_rng(cfg.seed, b)
-        p, s = draw(rng, n)
-        power.add_batch(p)
-        mmse.add_batch(s)
+    for p, s in stats:
+        power.merge(*p)
+        mmse.merge(*s)
     return EmpiricalCost(
         power_mean=power.mean,
         power_stderr=power.stderr,
@@ -124,16 +184,13 @@ def simulate_linear(
     gain = g / (g + N)
     offset = b * N / (g + N)
 
-    def draw(rng, n):
-        x0 = rng.standard_normal(n) * math.sqrt(Q)
-        z = rng.standard_normal(n) * math.sqrt(N)
+    def step(x0, z):
         u1 = a * x0 + b
         x1 = x0 + u1
         y = x1 + z
-        u2 = y * gain + offset
-        return u1 * u1, (x1 - u2) ** 2
+        return u1, x1 - (y * gain + offset)
 
-    return _run(cfg, draw)
+    return _run(cfg, (math.sqrt(Q), math.sqrt(N)), step)
 
 
 def simulate_two_point(
@@ -143,17 +200,11 @@ def simulate_two_point(
     Q, N = params.Q, params.N
     a = policy.a
 
-    def draw(rng, n):
-        x0 = rng.standard_normal(n) * math.sqrt(Q)
-        z = rng.standard_normal(n) * math.sqrt(N)
-        sign = np.where(x0 >= 0.0, 1.0, -1.0)
-        u1 = a * sign - x0
-        x1 = a * sign
-        y = x1 + z
-        u2 = two_point_decoder(y, a, N)
-        return u1 * u1, (x1 - u2) ** 2
+    def step(x0, z):
+        x1 = a * np.where(x0 >= 0.0, 1.0, -1.0)
+        return x1 - x0, x1 - two_point_decoder(x1 + z, a, N)
 
-    return _run(cfg, draw)
+    return _run(cfg, (math.sqrt(Q), math.sqrt(N)), step)
 
 
 def simulate_hybrid_conditional(
@@ -172,16 +223,12 @@ def simulate_hybrid_conditional(
         raise ValueError("interim-state variance must be positive")
     lin_gain = cp.rho * math.sqrt(cp.P / Q)
 
-    def draw(rng, n):
-        x0 = rng.standard_normal(n) * math.sqrt(Q)
-        resid = rng.standard_normal(n) * math.sqrt(p_res)
-        z = rng.standard_normal(n) * math.sqrt(N)
+    def step(x0, resid, z):
         u1 = lin_gain * x0 + resid
         x1 = x0 + u1
         y = x1 + z
         w2 = np.where(x1 >= 0.0, 1.0, -1.0)
         # mirror the negative-sign half onto the positive-sign decoder
-        u2 = w2 * skew_cond_mean(w2 * y, T, N)
-        return u1 * u1, (x1 - u2) ** 2
+        return u1, x1 - w2 * skew_cond_mean(w2 * y, T, N)
 
-    return _run(cfg, draw)
+    return _run(cfg, (math.sqrt(Q), math.sqrt(p_res), math.sqrt(N)), step)

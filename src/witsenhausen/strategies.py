@@ -35,7 +35,6 @@ from .numerics import (
     find_root,
     gauss_weighted_integral,
     minimize_1d,
-    norm_pdf,
 )
 from . import skewnormal
 
@@ -151,12 +150,17 @@ def two_point_costs(
 
     P(a) = Q + a(a - 2 sqrt(2Q/pi));
     S(a) = sqrt(2 pi) a^2 phi(a/sqrt(N)) * int phi(t) sech(a t / sqrt(N)) dt.
-    The sech factor is evaluated in log space: a/sqrt(N) can be large enough
-    for cosh to overflow long before the integral becomes negligible.
+    The sech factor and sqrt(2 pi) a^2 phi(a/sqrt(N)) = exp(2 log a - a^2/(2N))
+    are evaluated in log space: a/sqrt(N) can be large enough for cosh to
+    overflow long before the integral becomes negligible, and a^2 can
+    overflow where the cost has long underflowed to 0. A magnitude whose
+    power is not finite is rejected.
     """
     a = policy.a
     Q, N = params.Q, params.N
     power = Q + a * (a - 2.0 * math.sqrt(2.0 * Q / math.pi))
+    if not math.isfinite(power):
+        raise ValueError(f"two-point magnitude a={a} gives a power that is not finite")
     if a == 0.0:
         return CostPoint(power, 0.0)
     kappa = a / math.sqrt(N)
@@ -165,7 +169,7 @@ def two_point_costs(
         return np.exp(-_log_cosh(kappa * np.asarray(t, dtype=float)))
 
     integral = gauss_weighted_integral(f, cfg)
-    mmse = math.sqrt(2.0 * math.pi) * a * a * norm_pdf(kappa) * integral
+    mmse = math.exp(2.0 * math.log(a) - 0.5 * kappa * kappa) * integral
     return CostPoint(power, float(mmse))
 
 

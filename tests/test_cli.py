@@ -294,6 +294,29 @@ def test_non_finite_input_is_a_usage_error(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_two_point_magnitude_with_infinite_power_is_a_usage_error(tmp_path, capsys):
+    # a = 1e200 is finite, but a^2 and so the power Q + a(a - 2 sqrt(2Q/pi)) is not
+    assert run(["simulate", "--strategy", "two-point", "--a", "1e200", "--n", "1000"]) == 2
+    assert "power that is not finite" in capsys.readouterr().err
+    out = tmp_path / "out.csv"
+    argv = ["curve", "--strategy", "two-point", "--a-min", "0", "--a-max", "1e200",
+            "--steps", "3", "--out", str(out)]
+    assert run(argv) == 2
+    assert "power that is not finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_two_point_cost_underflows_to_zero_at_huge_magnitudes(tmp_path):
+    # a^2 phi(a/sqrt(N)) is inf * 0 when formed directly; the cost is exactly 0
+    out = tmp_path / "out.csv"
+    argv = ["curve", "--strategy", "two-point", "--a-min", "0", "--a-max", "1.3e154",
+            "--steps", "3", "--out", str(out)]
+    assert run(argv) == 0
+    _, rows = read_csv(out)
+    assert [r[1] for r in rows] == ["0.0", "0.0", "0.0"]
+    assert all(math.isfinite(float(r[0])) for r in rows)
+
+
 def test_bad_flags_exit_2(tmp_path):
     assert run(["curve", "--strategy", "nope", "--out", "x.csv"]) == 2
     assert run(["curve", "--strategy", "linear", "--Q", "-1",

@@ -1,14 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from witsenhausen.core import validate_params
+from witsenhausen import montecarlo
+from witsenhausen.core import EmpiricalCost, validate_params
 from witsenhausen.montecarlo import (
     RunningMoments,
     SimConfig,
+    _moments,
     simulate_hybrid_conditional,
     simulate_linear,
     simulate_two_point,
@@ -47,12 +50,70 @@ def test_sim_config_rejects_tiny_samples():
 def test_running_moments_match_numpy():
     rng = np.random.default_rng(0)
     x = rng.normal(size=10_000)
+    mean, var_ddof1 = float(np.mean(x)), float(np.var(x, ddof=1))
     rm = RunningMoments()
     for chunk in np.array_split(x, 7):
-        rm.add_batch(chunk)
-    assert rm.mean == pytest.approx(float(np.mean(x)), abs=1e-12)
+        rm.merge(*_moments(chunk))  # overwrites x chunk by chunk
+    assert rm.mean == pytest.approx(mean, abs=1e-12)
     var = rm.m2 / (rm.n - 1)
-    assert var == pytest.approx(float(np.var(x, ddof=1)), rel=1e-10)
+    assert var == pytest.approx(var_ddof1, rel=1e-10)
+
+
+def _three_simulations(params, cfg):
+    return (
+        simulate_linear(linear_policy_for_power(0.04, params), params, cfg),
+        simulate_two_point(TwoPointPolicy(math.sqrt(params.Q)), params, cfg),
+        simulate_hybrid_conditional(
+            CoordParams(0.03, -0.5, params.Q, params.N), params, cfg
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    # several batches plus a remainder; batches shorter than one CHUNK, and
+    # batches of several CHUNKs with a partial last one
+    [SimConfig(50_000, seed=3, batch_size=8192),
+     SimConfig(100_003, seed=11, batch_size=65_537)],
+)
+def test_worker_count_does_not_change_the_estimates(params, cfg, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda n_batches, batch_size: 1)
+    one = _three_simulations(params, cfg)
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda n_batches, batch_size: 2)
+    two = _three_simulations(params, cfg)
+    assert one == two
+
+
+def test_estimates_are_pinned(params):
+    # the estimates of the sequential, out-of-place simulators that preceded
+    # the chunked in-place arithmetic, bit for bit
+    cfg = SimConfig(100_003, seed=11, batch_size=65_537)
+    pinned = (
+        (0.040026709775790696, 0.00017947838608947092,
+         0.0057475043500764345, 2.565842581690818e-05),
+        (0.040488418256528554, 0.00016282305568140972,
+         0.00019387755118891004, 2.1216760477262263e-05),
+        (0.02995682984780293, 0.0001334805315199052,
+         0.0066337061534445805, 3.192689313586488e-05),
+    )
+    assert _three_simulations(params, cfg) == tuple(
+        EmpiricalCost(*fields, n_samples=100_003, seed=11) for fields in pinned
+    )
+
+
+def test_simulation_memory_is_a_few_arrays_per_worker(params):
+    # tracemalloc sees NumPy's buffers; a batch keeps its three drawn arrays
+    # plus cache-sized temporaries
+    batch = 1_000_000
+    workers = montecarlo._worker_count(2, batch)
+    cp = CoordParams(0.03, -0.5, params.Q, params.N)
+    tracemalloc.start()
+    try:
+        simulate_hybrid_conditional(cp, params, SimConfig(2 * batch, seed=1, batch_size=batch))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (workers * 4 + 1) * batch * 8
 
 
 def test_deterministic_replay(params):
