@@ -35,6 +35,7 @@ from .numerics import (
     QuadratureConfig,
     find_root,
     gauss_weighted_integral,
+    gauss_weighted_integrals,
     integral_real_line,
     mills_ratio,
     minimize_1d,
@@ -62,6 +63,7 @@ from .strategies import (
     mmse_lin_dpc,
     mmse_linear,
     timeshare_interval,
+    two_point_cost_grid,
     two_point_costs,
     two_point_decoder,
 )

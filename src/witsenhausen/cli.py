@@ -173,14 +173,12 @@ def cmd_curve(args, argv: list[str]) -> int:
     if sweep_a:
         a_min = args.a_min if args.a_min is not None else 0.0
         a_max = args.a_max if args.a_max is not None else 3.0 * math.sqrt(params.Q)
-        rows = []
-        for a in _grid(a_min, a_max, args.steps, "a"):
-            cost = strategies.two_point_costs(
-                strategies.TwoPointPolicy(float(a)), params, cfg
-            )
-            rows.append(
-                [_fmt(cost.P), _fmt(cost.S), "two-point", _fmt(a), "", "true"]
-            )
+        grid = _grid(a_min, a_max, args.steps, "a")
+        powers, costs = strategies.two_point_cost_grid(grid, params, cfg)
+        rows = [
+            [_fmt(p), _fmt(s), "two-point", _fmt(a), "", "true"]
+            for p, s, a in zip(powers, costs, grid)
+        ]
     else:
         c = strategies.curve(args.strategy, params, _power_grid(args, params), cfg)
         rows = [_point_row(pt, args.strategy) for pt in c.points]
@@ -272,7 +270,8 @@ def cmd_simulate(args, argv: list[str]) -> int:
 def cmd_psi(args, argv: list[str]) -> int:
     cfg = _quad_cfg(args)
     grid = _grid(args.alpha_min, args.alpha_max, args.steps, "alpha", nonnegative=False)
-    rows = [[_fmt(a), _fmt(skewnormal.entropy_reduction(float(a), cfg))] for a in grid]
+    psi = skewnormal.entropy_reduction(grid, cfg)
+    rows = [[_fmt(a), _fmt(v)] for a, v in zip(grid, psi)]
     _write_csv(args.out, ["alpha", "psi"], rows)
     _manifest(args, argv, cfg, args.out)
     if args.gnuplot:

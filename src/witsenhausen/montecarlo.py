@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import EmpiricalCost, ProblemParams, power_split, require_finite
 from .skewnormal import CoordParams, skew_cond_mean
-from .strategies import LinearPolicy, TwoPointPolicy, two_point_decoder
+from .strategies import LinearPolicy, TwoPointPolicy, two_point_decoder, two_point_power
 
 __all__ = [
     "SimConfig",
@@ -196,9 +196,20 @@ def simulate_linear(
 def simulate_two_point(
     policy: TwoPointPolicy, params: ProblemParams, cfg: SimConfig
 ) -> EmpiricalCost:
-    """Empirical costs of the two-point policy with its tanh decoder."""
+    """Empirical costs of the two-point policy with its tanh decoder.
+
+    The moments of the power square u1^2 once more, so the magnitude must
+    keep the power's second moment E[u1^4] >= P(a)^2 finite; it is nearly
+    P(a)^2 for large a. A larger magnitude is rejected.
+    """
     Q, N = params.Q, params.N
     a = policy.a
+    power = two_point_power(a, Q)
+    if not math.isfinite(power * power):
+        raise ValueError(
+            f"two-point magnitude a={a} is too large to simulate: the second "
+            f"moment of its power P(a)={power:.6g} is not finite"
+        )
 
     def step(x0, z):
         x1 = a * np.where(x0 >= 0.0, 1.0, -1.0)

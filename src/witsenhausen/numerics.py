@@ -1,9 +1,10 @@
 """Reusable numerical kernels.
 
 Gaussian-weighted and whole-line quadrature (adaptive Gauss-Kronrod on a
-truncated domain, one vectorized integrand call per refinement round), a
-numerically stable Gaussian tail ratio, a bracketing root-finder and a
-bounded 1-D minimizer (SciPy's Brent search, the package's only optimizer).
+truncated domain for a batch of integrals, one vectorized integrand call per
+refinement round), a numerically stable Gaussian tail ratio, a bracketing
+root-finder and a bounded 1-D minimizer (SciPy's Brent search, the package's
+only optimizer).
 
 All functions are pure.
 """
@@ -23,6 +24,7 @@ __all__ = [
     "QuadratureConfig",
     "DEFAULT_QUADRATURE",
     "gauss_weighted_integral",
+    "gauss_weighted_integrals",
     "integral_real_line",
     "mills_ratio",
     "find_root",
@@ -140,32 +142,47 @@ _WG = np.array(
 )
 
 
-def _eval_panels(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+# Kronrod and Gauss weights as the columns of one matrix. A matrix product
+# (GEMM) sums each panel's 15 nodes in the same order wherever the panel sits
+# in the array, so a panel's values do not depend on the panels evaluated
+# with it; a matrix-vector product (GEMV) blocks over panels, and its rows
+# can differ in the last bit with their position.
+_W = np.stack([_WK, _WG], axis=1)
+_XK1 = _XK + 1.0
+
+# Integrals per engine call when a grid is integrated: bounds the panel and
+# node arrays of one refinement round at the speed of a full-grid batch.
+_BATCH = 64
+
+
+def _eval_panels(f, a: np.ndarray, b: np.ndarray, theta: np.ndarray):
     """Gauss-Kronrod on every panel [a_i, b_i] with one integrand call.
 
-    Returns per panel (kronrod, |kronrod - gauss|).
+    `theta` holds each panel's parameter; f gets it once per node. Returns
+    per panel (kronrod, |kronrod - gauss|).
     """
     h = 0.5 * (b - a)
-    x = a[:, None] + h[:, None] * (_XK + 1.0)
-    y = np.asarray(f(x.ravel()), dtype=float)
+    x = a[:, None] + h[:, None] * _XK1
+    y = np.asarray(f(x.ravel(), np.repeat(theta, _XK.size)), dtype=float)
     if y.ndim == 0:
         # constant integrand returning a scalar for an array argument
         y = np.full(x.size, float(y))
     elif y.shape != (x.size,):
         raise ValueError("integrand must return one value per node")
-    y = y.reshape(x.shape)
-    ik = h * (y @ _WK)
-    return ik, np.abs(ik - h * (y @ _WG))
+    sums = np.ascontiguousarray(y).reshape(x.shape) @ _W
+    ik = h * sums[:, 0]
+    return ik, np.abs(ik - h * sums[:, 1])
 
 
 def _vectorized(f):
-    """Wrap f so it accepts a node array even if written point-wise.
+    """Wrap a one-argument f so it accepts a node array even if written point-wise.
 
     A scalar-only integrand such as math.cos raises TypeError on an array;
-    only then is f called node by node. Any other error propagates.
+    only then is f called node by node. Any other error propagates. The
+    engine's parameter argument is dropped.
     """
 
-    def call(x):
+    def call(x, _theta):
         try:
             return f(x)
         except TypeError:
@@ -174,46 +191,82 @@ def _vectorized(f):
     return call
 
 
-def _adaptive(f, lo: float, hi: float, cfg: QuadratureConfig) -> float:
-    """Adaptive Gauss-Kronrod subdivision of [lo, hi] for a scalar integrand.
+def _adaptive(f, theta, lo: float, hi: float, cfg: QuadratureConfig) -> np.ndarray:
+    """Adaptive Gauss-Kronrod subdivision of [lo, hi] for a batch of integrals.
 
-    Starts from 8 equal panels. Each round bisects every panel whose error
-    estimate is at least the mean and evaluates all the new halves in one
-    integrand call. At most cfg.max_subdivisions panels are bisected in
-    total, the worst first.
+    Integral k is the integral of f(x, theta[k]); f is called with a node
+    array and an equally long array of parameters. Each integral starts from
+    8 equal panels. Each round bisects every panel whose error estimate is at
+    least the mean of its integral's panels, at most cfg.max_subdivisions
+    panels per integral in total, the worst first, and evaluates the new
+    halves of all unfinished integrals in one integrand call. An integral
+    stops once its error sum meets its tolerance and leaves the batch.
+
+    The panels sit in flat arrays with an owner index. Every step keeps
+    each integral's panels in the order a batch of one would have them, and
+    np.bincount sums them in that order, so an integral's value does not
+    depend on its batch-mates, bit for bit. `theta=None` is one integral
+    without a parameter. Raises NonConvergence for the first integral that
+    runs out of budget or reaches a NaN error estimate; no value is returned.
     """
-    fv = _vectorized(f)
+    named = theta is not None
+    theta = np.zeros(1) if theta is None else np.asarray(theta, dtype=float)
+    m = theta.size
     edges = np.linspace(lo, hi, 9)
-    a, b = edges[:-1], edges[1:]
-    ik, err = _eval_panels(fv, a, b)
-    splits = 0
+    owner, panel = np.divmod(np.arange(8 * m), 8)
+    a, b = edges[panel], edges[panel + 1]
+    ik, err = _eval_panels(f, a, b, theta[owner])
+    active = np.ones(m, dtype=bool)  # finished integrals have no panels left
+    count = np.bincount(owner, minlength=m)
+    splits = np.zeros(m, dtype=int)
+    out = np.empty(m)
     while True:
-        total = float(ik.sum())
-        err_sum = float(err.sum())
-        bound = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-        if err_sum <= bound:
-            return total
-        budget = cfg.max_subdivisions - splits
-        # a NaN error estimate would select no panel to bisect
-        if budget <= 0 or not math.isfinite(err_sum):
-            raise NonConvergence(
-                f"quadrature error {err_sum:.3e} above tolerance {bound:.3e} "
-                f"after {splits} subdivisions"
-            )
-        split = err >= err_sum / err.size
-        if np.count_nonzero(split) > budget:
-            split = np.zeros_like(split)
-            split[np.argsort(err)[-budget:]] = True
+        total = np.bincount(owner, ik, m)
+        err_sum = np.bincount(owner, err, m)
+        bound = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
+        done = err_sum <= bound
+        finished = done & active
+        if finished.any():
+            out[finished] = total[finished]
+            active &= ~done
+            if not active.any():
+                return out
+            kept = active[owner]
+            a, b, ik, err, owner = a[kept], b[kept], ik[kept], err[kept], owner[kept]
+        # a NaN error estimate would select no panel to bisect; the total of
+        # the error sums, all >= 0, is finite iff each of them is
+        if splits.max() >= cfg.max_subdivisions or not math.isfinite(err_sum.sum()):
+            failed = ~done & ((splits >= cfg.max_subdivisions) | ~np.isfinite(err_sum))
+            if failed.any():
+                j = int(np.argmax(failed))
+                at = f" at parameter {float(theta[j])!r}" if named else ""
+                raise NonConvergence(
+                    f"quadrature error {err_sum[j]:.3e} above tolerance {bound[j]:.3e} "
+                    f"after {splits[j]} subdivisions{at}"
+                )
+        split = err >= (err_sum / count)[owner]
+        chosen = np.bincount(owner[split], minlength=m)
+        if (splits + chosen).max() > cfg.max_subdivisions:
+            budget = cfg.max_subdivisions - splits
+            for j in np.flatnonzero(chosen > budget):
+                mine = np.flatnonzero(owner == j)
+                worst = np.zeros(mine.size, dtype=bool)
+                worst[np.argsort(err[mine])[-budget[j]:]] = True
+                split[mine] = worst
+                chosen[j] = budget[j]
         keep = ~split
-        sa, sb = a[split], b[split]
+        sa, sb, so = a[split], b[split], owner[split]
         mid = 0.5 * (sa + sb)
         new_a, new_b = np.concatenate([sa, mid]), np.concatenate([mid, sb])
-        new_ik, new_err = _eval_panels(fv, new_a, new_b)
+        new_owner = np.concatenate([so, so])
+        new_ik, new_err = _eval_panels(f, new_a, new_b, theta[new_owner])
         a = np.concatenate([a[keep], new_a])
         b = np.concatenate([b[keep], new_b])
         ik = np.concatenate([ik[keep], new_ik])
         err = np.concatenate([err[keep], new_err])
-        splits += len(sa)
+        owner = np.concatenate([owner[keep], new_owner])
+        splits += chosen
+        count += chosen
 
 
 def gauss_weighted_integral(
@@ -224,12 +277,37 @@ def gauss_weighted_integral(
     The integrand f may grow at most polynomially (times logs); the Gaussian
     weight then confines everything to [-R, R] with R = cfg.truncation_radius.
     """
+    fv = _vectorized(f)
     R = cfg.truncation_radius
 
-    def weighted(x):
-        return np.asarray(f(x), dtype=float) * norm_pdf(x)
+    def weighted(x, theta):
+        return np.asarray(fv(x, theta), dtype=float) * norm_pdf(x)
 
-    return _adaptive(weighted, -R, R, cfg)
+    return float(_adaptive(weighted, None, -R, R, cfg)[0])
+
+
+def gauss_weighted_integrals(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    theta,
+    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+) -> np.ndarray:
+    """The integrals of f(x, theta_k) * phi(x) over the real line, one per theta_k.
+
+    The batched form of gauss_weighted_integral: f is called with an array
+    of nodes and an equally long array of their parameters. The grid is
+    integrated in slices of a fixed number of integrals, and each value is
+    the one a batch of one would give, bit for bit.
+    """
+    theta = np.asarray(theta, dtype=float).ravel()
+    R = cfg.truncation_radius
+
+    def weighted(x, th):
+        return np.asarray(f(x, th), dtype=float) * norm_pdf(x)
+
+    out = np.empty(theta.size)
+    for lo in range(0, theta.size, _BATCH):
+        out[lo : lo + _BATCH] = _adaptive(weighted, theta[lo : lo + _BATCH], -R, R, cfg)
+    return out
 
 
 def integral_real_line(
@@ -242,7 +320,7 @@ def integral_real_line(
     variables accordingly.
     """
     R = cfg.truncation_radius
-    return _adaptive(f, -R, R, cfg)
+    return float(_adaptive(_vectorized(f), None, -R, R, cfg)[0])
 
 
 def mills_ratio(x):

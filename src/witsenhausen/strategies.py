@@ -34,6 +34,7 @@ from .numerics import (
     QuadratureConfig,
     find_root,
     gauss_weighted_integral,
+    gauss_weighted_integrals,
     minimize_1d,
 )
 from . import skewnormal
@@ -46,7 +47,9 @@ __all__ = [
     "linear_policy_for_power",
     "timeshare_interval",
     "mmse_gaussian",
+    "two_point_power",
     "two_point_costs",
+    "two_point_cost_grid",
     "two_point_decoder",
     "two_point_min_power",
     "two_point_gain_for_power",
@@ -135,10 +138,33 @@ def two_point_min_power(params: ProblemParams) -> float:
     return params.Q * (1.0 - 2.0 / math.pi)
 
 
+def two_point_power(a, Q: float):
+    """Power of the two-point policy with magnitude a: Q + a(a - 2 sqrt(2Q/pi)).
+
+    Accepts a scalar or an array of magnitudes; an overflow gives inf.
+    """
+    with np.errstate(over="ignore"):
+        return Q + a * (a - 2.0 * math.sqrt(2.0 * Q / math.pi))
+
+
 def _log_cosh(z):
     """log cosh(z) without overflow: |z| + log1p(exp(-2|z|)) - log 2."""
     az = np.abs(z)
     return az + np.log1p(np.exp(-2.0 * az)) - math.log(2.0)
+
+
+def _two_point_integrand(t, kappa):
+    """sech(kappa t), through log cosh so that cosh never overflows."""
+    return np.exp(-_log_cosh(kappa * t))
+
+
+def _two_point_prefactor(a, kappa):
+    """sqrt(2 pi) a^2 phi(kappa) = exp(2 log a - kappa^2/2), for a > 0.
+
+    kappa^2 may overflow to inf, which makes the factor exactly 0.
+    """
+    with np.errstate(over="ignore"):
+        return np.exp(2.0 * np.log(a) - 0.5 * kappa * kappa)
 
 
 def two_point_costs(
@@ -154,23 +180,42 @@ def two_point_costs(
     are evaluated in log space: a/sqrt(N) can be large enough for cosh to
     overflow long before the integral becomes negligible, and a^2 can
     overflow where the cost has long underflowed to 0. A magnitude whose
-    power is not finite is rejected.
+    power is not finite is rejected. `two_point_cost_grid` is the same
+    computation over an array of magnitudes.
     """
     a = policy.a
-    Q, N = params.Q, params.N
-    power = Q + a * (a - 2.0 * math.sqrt(2.0 * Q / math.pi))
+    power = two_point_power(a, params.Q)
     if not math.isfinite(power):
         raise ValueError(f"two-point magnitude a={a} gives a power that is not finite")
     if a == 0.0:
         return CostPoint(power, 0.0)
-    kappa = a / math.sqrt(N)
+    kappa = a / math.sqrt(params.N)
+    integral = gauss_weighted_integral(lambda t: _two_point_integrand(t, kappa), cfg)
+    return CostPoint(power, float(_two_point_prefactor(a, kappa) * integral))
 
-    def f(t):
-        return np.exp(-_log_cosh(kappa * np.asarray(t, dtype=float)))
 
-    integral = gauss_weighted_integral(f, cfg)
-    mmse = math.exp(2.0 * math.log(a) - 0.5 * kappa * kappa) * integral
-    return CostPoint(power, float(mmse))
+def two_point_cost_grid(
+    a, params: ProblemParams, cfg: QuadratureConfig = DEFAULT_QUADRATURE
+) -> tuple[np.ndarray, np.ndarray]:
+    """Powers and estimation costs of the two-point policy at an array of magnitudes.
+
+    The array form of `two_point_costs`: its sech integrals are one batched
+    quadrature, and each (P, S) equals the scalar call's, bit for bit.
+    Magnitudes must be nonnegative with finite powers.
+    """
+    a = np.asarray(a, dtype=float)
+    if np.any(a < 0.0):
+        raise ValueError("two-point magnitudes must be nonnegative")
+    power = two_point_power(a, params.Q)
+    if not np.all(np.isfinite(power)):
+        bad = a[~np.isfinite(power)].flat[0]
+        raise ValueError(f"two-point magnitude a={bad} gives a power that is not finite")
+    cost = np.zeros(a.shape)
+    pos = a > 0.0
+    kappa = a[pos] / math.sqrt(params.N)
+    integral = gauss_weighted_integrals(_two_point_integrand, kappa, cfg)
+    cost[pos] = _two_point_prefactor(a[pos], kappa) * integral
+    return power, cost
 
 
 def two_point_decoder(y, a: float, N: float):
@@ -301,8 +346,26 @@ def curve(
         raise ValueError("power grid must be nonnegative")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("power grid must be strictly increasing")
-    points = tuple(_eval_point(strategy, p, params, cfg) for p in grid)
+    if strategy == "two-point":
+        points = _two_point_points(grid, params, cfg)
+    else:
+        points = tuple(_eval_point(strategy, p, params, cfg) for p in grid)
     return TradeoffCurve(strategy, params, points)
+
+
+def _two_point_points(
+    grid: list[float], params: ProblemParams, cfg: QuadratureConfig
+) -> tuple[CurvePoint, ...]:
+    """The two-point curve: the magnitudes of all reachable powers in one batch."""
+    gains = [two_point_gain_for_power(P, params) for P in grid]
+    _, costs = two_point_cost_grid([a for a in gains if a is not None], params, cfg)
+    cost = iter(costs)
+    return tuple(
+        CurvePoint(P, None, False, note="below two-point minimum power")
+        if a is None
+        else CurvePoint(P, float(next(cost)), True, a)
+        for P, a in zip(grid, gains)
+    )
 
 
 def _eval_point(
@@ -317,11 +380,6 @@ def _eval_point(
             return CurvePoint(P, None, False, note="requires P <= Q")
         rho = optimal_rho_triple(P, params)
         return CurvePoint(P, mmse_gaussian(P, params), True, rho.rho1, rho.rho2)
-    if strategy == "two-point":
-        a = two_point_gain_for_power(P, params)
-        if a is None:
-            return CurvePoint(P, None, False, note="below two-point minimum power")
-        return CurvePoint(P, two_point_costs(TwoPointPolicy(a), params, cfg).S, True, a)
     if strategy == "dpc":
         return CurvePoint(P, mmse_dpc(P, params), True, dpc_alpha(P, params))
     if strategy == "lin-dpc":

@@ -317,6 +317,26 @@ def test_two_point_cost_underflows_to_zero_at_huge_magnitudes(tmp_path):
     assert all(math.isfinite(float(r[0])) for r in rows)
 
 
+def test_two_point_magnitude_too_large_to_simulate_is_a_usage_error(capsys):
+    # the power 1e160 is finite, but the moments of u1^2 square it: 1e320
+    assert run(["simulate", "--strategy", "two-point", "--a", "1e80", "--n", "1000"]) == 2
+    captured = capsys.readouterr()
+    assert "too large to simulate" in captured.err
+    assert "nan" not in captured.out
+
+
+def test_quadrature_failure_in_a_grid_exits_3_without_output(tmp_path, capsys):
+    # no integral of the batch can meet a tolerance of 1e-300; the first one
+    # to spend its budget is named, and no row is written
+    out = tmp_path / "psi.csv"
+    argv = ["psi", "--alpha-min", "1", "--alpha-max", "3", "--steps", "3",
+            "--tol", "1e-300", "--out", str(out)]
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert "NonConvergence" in err and "after 200 subdivisions at parameter 1.0" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_flags_exit_2(tmp_path):
     assert run(["curve", "--strategy", "nope", "--out", "x.csv"]) == 2
     assert run(["curve", "--strategy", "linear", "--Q", "-1",

@@ -6,12 +6,13 @@ from numpy.polynomial.hermite_e import hermeval
 from scipy.integrate import trapezoid
 from scipy.special import log_ndtr
 
-from witsenhausen import skewnormal
+from witsenhausen import numerics, skewnormal
 from witsenhausen.core import EmptyFeasibleSet, NoBracket, NonConvergence
 from witsenhausen.numerics import (
     QuadratureConfig,
     find_root,
     gauss_weighted_integral,
+    gauss_weighted_integrals,
     integral_real_line,
     mills_ratio,
     minimize_1d,
@@ -103,24 +104,36 @@ def test_vectorized_integrand_value_error_propagates():
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("alpha", [0.3, 1.0, 3.0, 6.3, 30.0, 300.0])
-def test_psi_matches_trapezoid_oracle_in_few_integrand_calls(alpha, monkeypatch):
+def _count_psi_calls(monkeypatch) -> list[int]:
+    """Record the node count of every call of the Psi integrand."""
     calls = []
     psi_integrand = skewnormal._psi_integrand
 
-    def counted(a):
-        f = psi_integrand(a)
-
-        def g(x):
-            calls.append(x.size)
-            return f(x)
-
-        return g
+    def counted(x, alpha):
+        calls.append(x.size)
+        return psi_integrand(x, alpha)
 
     monkeypatch.setattr(skewnormal, "_psi_integrand", counted)
+    return calls
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 3.0, 6.3, 30.0, 300.0])
+def test_psi_matches_trapezoid_oracle_in_few_integrand_calls(alpha, monkeypatch):
+    calls = _count_psi_calls(monkeypatch)
     assert skewnormal.entropy_reduction(alpha) == pytest.approx(psi_trapezoid(alpha), abs=1e-12)
     # every panel of a refinement round is evaluated in one integrand call
     assert len(calls) <= 12
+
+
+def test_psi_grid_takes_few_integrand_calls(monkeypatch):
+    # the 801-point table of `psi`: its distinct nonzero magnitudes (667, as
+    # np.linspace is not exactly symmetric) in slices of numerics._BATCH,
+    # each slice at most the 12 rounds of one integral; 4180 calls one by one
+    calls = _count_psi_calls(monkeypatch)
+    grid = np.linspace(-10.0, 10.0, 801)
+    skewnormal.entropy_reduction(grid)
+    distinct = np.unique(np.abs(grid[grid != 0.0])).size
+    assert len(calls) <= 12 * math.ceil(distinct / numerics._BATCH)
 
 
 # ------------------------------------------------------ integral_real_line
@@ -163,6 +176,48 @@ def test_nonconvergence_is_reported():
 def test_nan_integrand_is_reported():
     with pytest.raises(NonConvergence, match="quadrature error nan"):
         integral_real_line(lambda x: np.full_like(x, np.nan))
+
+
+# ------------------------------------------------- the batched engine
+
+
+def _kink(x, theta):
+    return np.abs(x - theta)
+
+
+def test_batched_integrals_do_not_depend_on_their_batch_mates():
+    # more integrals than one slice, in mixed order; the kink at x = theta
+    # takes each integral through several rounds of refinement
+    theta = np.random.default_rng(5).permutation(np.linspace(-3.0, 3.0, 150))
+    batch = gauss_weighted_integrals(_kink, theta)
+    for i in range(theta.size):
+        alone = gauss_weighted_integrals(_kink, theta[i : i + 1])
+        assert batch[i] == alone[0]
+        assert batch[i] == gauss_weighted_integral(lambda x, t=theta[i]: _kink(x, t))
+    # E|X - theta| = 2 phi(theta) + theta (2 Phi(theta) - 1); off a panel
+    # edge the kink leaves the error estimate below the error (4e-10 here)
+    exact = 2.0 * norm_pdf(theta) + theta * np.vectorize(math.erf)(theta / math.sqrt(2.0))
+    assert np.max(np.abs(batch - exact)) <= 1e-9
+    assert gauss_weighted_integrals(_kink, np.array([])).shape == (0,)
+
+
+def test_batched_nonconvergence_names_the_failing_integral():
+    # theta = 50 needs far more than 2 bisections; the others converge at once
+    cfg = QuadratureConfig(max_subdivisions=2)
+    nodes = []
+
+    def f(x, theta):
+        nodes.append(x.size)
+        return np.abs(np.sin(theta * x))
+
+    with pytest.raises(
+        NonConvergence,
+        match=r"quadrature error \d\.\d{3}e[-+]\d+ above tolerance 1\.000e-10 "
+        r"after 2 subdivisions at parameter 50\.0$",
+    ):
+        gauss_weighted_integrals(f, np.array([0.0, 50.0, 0.0]), cfg)
+    # the failure is raised in the round the lone integral would raise it
+    assert sum(nodes) == 15 * (3 * 8 + 2 * 2)
 
 
 def test_quadrature_config_validation():

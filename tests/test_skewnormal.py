@@ -56,6 +56,26 @@ def test_psi_even():
         )
 
 
+def test_psi_array_equals_scalar_calls_and_is_even():
+    grid = np.concatenate(
+        [np.linspace(-10.0, 10.0, 161), np.geomspace(1e-3, 300.0, 40), [-math.inf, math.inf]]
+    )
+    vals = entropy_reduction(grid)
+    assert vals.shape == grid.shape
+    for a, v in zip(grid, vals):
+        assert entropy_reduction(float(a)) == v
+        assert entropy_reduction(-float(a)) == v
+    assert entropy_reduction(grid.reshape(7, -1)).tolist() == vals.reshape(7, -1).tolist()
+
+
+def test_psi_exact_values_inside_an_array():
+    vals = entropy_reduction(np.array([-math.inf, -2.0, 0.0, -0.0, 2.0, math.inf]))
+    assert vals[[0, 5]].tolist() == [1.0, 1.0]
+    assert vals[[2, 3]].tolist() == [0.0, 0.0]
+    assert vals[1] == vals[4]
+    assert entropy_reduction(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+
+
 def test_psi_matches_trapezoid_oracle():
     for alpha, frozen in [
         (0.5, 0.09831028238760285),

@@ -28,6 +28,7 @@ from witsenhausen.strategies import (
     mmse_lin_dpc,
     mmse_linear,
     timeshare_interval,
+    two_point_cost_grid,
     two_point_costs,
     two_point_decoder,
     two_point_gain_for_power,
@@ -177,6 +178,30 @@ def test_two_point_survives_extreme_gain_over_noise():
     p = validate_params(0.1, 1e-6)
     cost = two_point_costs(TwoPointPolicy(0.5), p)
     assert math.isfinite(cost.S) and cost.S >= 0.0
+
+
+def test_two_point_cost_grid_equals_the_scalar_costs(params):
+    # magnitudes from 0 through the curve's range to where the cost underflows
+    a = np.concatenate([[0.0], np.linspace(0.01, 3.0 * math.sqrt(params.Q), 90), [40.0, 1e154]])
+    powers, costs = two_point_cost_grid(a, params)
+    for x, p, s in zip(a, powers, costs):
+        cost = two_point_costs(TwoPointPolicy(float(x)), params)
+        assert (p, s) == (cost.P, cost.S)
+    assert costs[0] == 0.0 and costs[-1] == 0.0
+    for bad in ([0.1, -0.1], [0.1, 1e200], [math.nan]):
+        with pytest.raises(ValueError):
+            two_point_cost_grid(np.array(bad), params)
+
+
+def test_two_point_curve_equals_the_scalar_costs(params):
+    grid = np.linspace(0.0, 0.3, 31)
+    for P, pt in zip(grid, curve("two-point", params, grid).points):
+        a = two_point_gain_for_power(float(P), params)
+        if a is None:
+            assert not pt.feasible and pt.S is None
+        else:
+            assert pt.S == two_point_costs(TwoPointPolicy(a), params).S
+            assert pt.aux1 == a
 
 
 def test_two_point_decoder_properties():
