@@ -46,7 +46,7 @@ class NonPositiveVariance(WitsenhausenError):
 
 
 class NonConvergence(WitsenhausenError):
-    """A quadrature did not reach the requested tolerance."""
+    """A quadrature or a 1-D solver did not reach its tolerance, or met a NaN."""
 
 
 class NoBracket(WitsenhausenError):

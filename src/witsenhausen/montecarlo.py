@@ -123,6 +123,19 @@ def _worker_count(n_batches: int, batch_size: int) -> int:
     return min(n_batches, cpus)
 
 
+def _require_simulable_power(power: float, what: str) -> None:
+    """Reject a run whose power P has an infinite square.
+
+    The moments of the power square u1^2 once more, and E[u1^4] >= P^2, so
+    such a run can only report a NaN standard error.
+    """
+    if not math.isfinite(power * power):
+        raise ValueError(
+            f"{what} is too large to simulate: the second moment of its power "
+            f"P={power:.6g} is not finite"
+        )
+
+
 def _run(cfg: SimConfig, scales: tuple[float, ...], step) -> EmpiricalCost:
     """Drive the batches of one simulation through `step`.
 
@@ -176,10 +189,12 @@ def simulate_linear(
     """Empirical costs of an affine policy with its conditional-mean decoder.
 
     The decoder reads off the Gaussian conditional mean of the interim state:
-    u2 = y (1+a)^2 Q / ((1+a)^2 Q + N) + b N / ((1+a)^2 Q + N).
+    u2 = y (1+a)^2 Q / ((1+a)^2 Q + N) + b N / ((1+a)^2 Q + N). A policy
+    whose power a^2 Q + b^2 has an infinite square is rejected.
     """
     Q, N = params.Q, params.N
     a, b = policy.a, policy.b
+    _require_simulable_power(a * a * Q + b * b, f"linear policy a={a} b={b}")
     g = (1.0 + a) ** 2 * Q
     gain = g / (g + N)
     offset = b * N / (g + N)
@@ -198,18 +213,12 @@ def simulate_two_point(
 ) -> EmpiricalCost:
     """Empirical costs of the two-point policy with its tanh decoder.
 
-    The moments of the power square u1^2 once more, so the magnitude must
-    keep the power's second moment E[u1^4] >= P(a)^2 finite; it is nearly
-    P(a)^2 for large a. A larger magnitude is rejected.
+    A magnitude whose power P(a) has an infinite square is rejected (see
+    `_require_simulable_power`); E[u1^4] is nearly P(a)^2 for large a.
     """
     Q, N = params.Q, params.N
     a = policy.a
-    power = two_point_power(a, Q)
-    if not math.isfinite(power * power):
-        raise ValueError(
-            f"two-point magnitude a={a} is too large to simulate: the second "
-            f"moment of its power P(a)={power:.6g} is not finite"
-        )
+    _require_simulable_power(two_point_power(a, Q), f"two-point magnitude a={a}")
 
     def step(x0, z):
         x1 = a * np.where(x0 >= 0.0, 1.0, -1.0)
@@ -226,9 +235,11 @@ def simulate_hybrid_conditional(
     Simulates the correlated input u1 = rho sqrt(P/Q) x0 + residual, hands the
     decoder the true sign of the interim state (the single-letter expression
     is defined under exactly this conditioning) and decodes with the
-    skew-normal conditional mean.
+    skew-normal conditional mean. A power P with an infinite square is
+    rejected.
     """
     Q, N = params.Q, params.N
+    _require_simulable_power(cp.P, f"coord power P={cp.P}")
     _, p_res, T = power_split(cp.P, Q, cp.rho)
     if T <= 0.0:
         raise ValueError("interim-state variance must be positive")

@@ -3,8 +3,10 @@
 Gaussian-weighted and whole-line quadrature (adaptive Gauss-Kronrod on a
 truncated domain for a batch of integrals, one vectorized integrand call per
 refinement round), a numerically stable Gaussian tail ratio, a bracketing
-root-finder and a bounded 1-D minimizer (SciPy's Brent search, the package's
-only optimizer).
+root-finder and a bounded 1-D minimizer (Brent's methods, the package's only
+solvers). The two solvers are ports of SciPy's `brentq` and bounded
+`minimize_scalar` that give the same iterates bit for bit, so that starting
+the package does not pay the ~0.3 s import of SciPy's optimize package.
 
 All functions are pure.
 """
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 from scipy.special import log_ndtr
 
 from .core import NoBracket, NonConvergence, require_finite
@@ -337,34 +338,167 @@ def mills_ratio(x):
     return out
 
 
+# Brent's root-finder and bounded minimizer (R. P. Brent, Algorithms for
+# Minimization without Derivatives, 1973), ported line for line from SciPy
+# (BSD-3-Clause): the C loop of `brentq` (Zeros/brentq.c) and
+# `_minimize_scalar_bounded` (_optimize.py) of SciPy's optimize package.
+# Every operation is the same IEEE double operation in the same order, so
+# the iterates, and the results, are SciPy's bit for bit;
+# tests/test_numerics.py checks this against SciPy itself.
+_ROOT_RTOL = 8.9e-16
+_ROOT_MAXITER = 100
+_MINIMIZE_MAXFUN = 500
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _value(f, x: float, solver: str) -> float:
+    """f(x) as a float; a NaN raises NonConvergence naming the solver and x."""
+    fx = float(f(x))
+    if math.isnan(fx):
+        raise NonConvergence(f"{solver}: the function value at x={x!r} is NaN")
+    return fx
+
+
 def find_root(
     f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12
 ) -> float:
-    """Root of f on [lo, hi]; requires a sign change (or a zero endpoint)."""
+    """Root of f on [lo, hi]; requires a sign change (or a zero endpoint).
+
+    Brent's method to an x-tolerance of tol + 8.9e-16 |x|. f is evaluated
+    once at each endpoint, then once per iteration. A NaN value of f, or no
+    convergence within 100 iterations, raises NonConvergence.
+    """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    flo, fhi = f(lo), f(hi)
+    flo, fhi = _value(f, lo, "find_root"), _value(f, hi, "find_root")
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
-    if flo * fhi > 0.0:
+    # by sign rather than by product, which underflows to 0 for tiny values
+    if (flo < 0.0) == (fhi < 0.0):
         raise NoBracket(f"f({lo})={flo:.6g} and f({hi})={fhi:.6g} have the same sign")
-    return float(brentq(f, lo, hi, xtol=tol, rtol=8.9e-16))
+    xpre, xcur, fpre, fcur = float(lo), float(hi), flo, fhi
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (tol + _ROOT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # C gives +-inf or NaN here, which never makes a short step
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = _value(f, xcur, "find_root")
+    raise NonConvergence(
+        f"find_root: no convergence in {_ROOT_MAXITER} iterations on [{lo}, {hi}]; "
+        f"last x={xcur!r}, f(x)={fcur!r}"
+    )
 
 
 def minimize_1d(
     f: Callable[[float], float], lo: float, hi: float, tol: float
 ) -> tuple[float, float]:
-    """(x, f(x)) at a minimum of f on [lo, hi], by SciPy's bounded Brent search.
+    """(x, f(x)) at a minimum of f on [lo, hi], by Brent's bounded search.
 
     `tol` is the absolute x-tolerance (SciPy's default is 1e-5); the search
     also stops at a relative x-tolerance of about 1.5e-8. f must be finite
     on [lo, hi] and is assumed unimodal there: the search finds one local
     minimum and never samples the endpoints, so a caller whose minimum may sit
-    at an endpoint compares against f(lo) and f(hi) itself.
+    at an endpoint compares against f(lo) and f(hi) itself. A NaN value of
+    f, or no convergence within 500 evaluations, raises NonConvergence.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": tol})
-    return float(res.x), float(res.fun)
+    a, b = lo, hi
+    fulc = a + _GOLDEN_MEAN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = _value(f, xf, "minimize_1d")
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + tol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        if num >= _MINIMIZE_MAXFUN:
+            raise NonConvergence(
+                f"minimize_1d: no convergence in {num} evaluations on [{lo}, {hi}]; "
+                f"best x={xf!r}, f(x)={fx!r}"
+            )
+        golden = True
+        # check for a parabolic fit
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            # is the parabola acceptable?
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm - xf >= 0.0 else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN_MEAN * e
+        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        fu = _value(f, x, "minimize_1d")
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + tol / 3.0
+        tol2 = 2.0 * tol1
+    return float(xf), fx

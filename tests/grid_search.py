@@ -1,7 +1,7 @@
 """The grid scan + golden-section minimizer, kept as a test oracle.
 
-Test helper only: the package minimizes with SciPy's bounded Brent search
-(`witsenhausen.numerics.minimize_1d`). This brute-force route, which the
+Test helper only: the package minimizes with Brent's bounded search
+(`witsenhausen.numerics.minimize_1d`, a port of SciPy's). This brute-force route, which the
 package used before, checks the dirty-paper coefficient optimum (acceptance
 criterion 3), the coord edge optimizer and the lin-dpc optimizer.
 """

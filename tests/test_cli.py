@@ -4,6 +4,7 @@ import math
 import os
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -323,6 +324,34 @@ def test_two_point_magnitude_too_large_to_simulate_is_a_usage_error(capsys):
     captured = capsys.readouterr()
     assert "too large to simulate" in captured.err
     assert "nan" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [["linear"], ["coord", "--rho", "-0.5"]],
+    ids=["linear", "coord"],
+)
+def test_power_too_large_to_simulate_is_a_usage_error(strategy, capsys):
+    # P = 1e159 is finite, but the moments of u1^2 square it: 1e318
+    argv = ["simulate", "--strategy", *strategy, "--Q", "1e160", "--N", "1",
+            "--P", "1e159", "--n", "1000"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert "too large to simulate" in captured.err
+    assert captured.out == ""
+
+
+def test_starting_the_cli_does_not_import_scipy_optimize():
+    # that import alone adds about 0.3 s to every run's start-up
+    src = os.path.dirname(os.path.dirname(witsenhausen.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import sys, witsenhausen.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_quadrature_failure_in_a_grid_exits_3_without_output(tmp_path, capsys):

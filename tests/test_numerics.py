@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermeval
 from scipy.integrate import trapezoid
+from scipy.optimize import brentq, minimize_scalar
 from scipy.special import log_ndtr
 
-from witsenhausen import numerics, skewnormal
+from witsenhausen import numerics, skewnormal, strategies
 from witsenhausen.core import EmptyFeasibleSet, NoBracket, NonConvergence
 from witsenhausen.numerics import (
     QuadratureConfig,
@@ -294,6 +295,9 @@ def test_find_root_dpc_cubic_matches_bisection():
 def test_find_root_requires_bracket():
     with pytest.raises(NoBracket):
         find_root(lambda x: x * x, 1.0, 2.0)
+    # the product of the end values underflows to 0; their signs still agree
+    with pytest.raises(NoBracket):
+        find_root(lambda x: 1e-200 * (1.0 + x), 0.0, 1.0)
 
 
 def test_find_root_agrees_with_bisection_on_misc_functions():
@@ -322,7 +326,7 @@ def test_minimize_nonsmooth_unimodal():
 
 
 def test_minimize_tolerance_sets_the_precision():
-    # below tol, SciPy's relative x-tolerance of about 1.5e-8 |x| takes over
+    # below tol, the relative x-tolerance of about 1.5e-8 |x| takes over
     counts = []
     for tol, err in ((1e-5, 1e-4), (1e-12, 1.5e-8 * 0.7 * 2)):
         calls = []
@@ -349,6 +353,115 @@ def test_minimize_never_samples_the_endpoints():
     x, _ = minimize_1d(f, 0.0, 1.0, tol=1e-5)
     assert 0.0 < x <= 1e-4
     assert all(0.0 < c < 1.0 for c in calls)
+
+
+def test_nan_objective_is_a_numerical_failure():
+    with pytest.raises(NonConvergence, match=r"^find_root: the function value at x=0\.5 is NaN"):
+        find_root(lambda x: math.nan if 0.2 < x < 0.9 else x - 0.5, 0.0, 1.0)
+    with pytest.raises(NonConvergence, match=r"^find_root: the function value at x=1\.0 is NaN"):
+        find_root(lambda x: -1.0 if x < 1.0 else math.nan, 0.0, 1.0)
+    with pytest.raises(NonConvergence, match=r"^minimize_1d: the function value at x=0\.6\d* is NaN"):
+        minimize_1d(lambda x: math.nan if x > 0.5 else (x - 0.7) ** 2, 0.0, 1.0, 1e-9)
+
+
+def test_exhausted_solver_budgets_are_numerical_failures():
+    # a step on a bracket of width 2e300: bisection would need ~1000 halvings
+    step = lambda x: 1.0 if x > 1.0 / 3.0 else -1.0
+    with pytest.raises(NonConvergence, match=r"^find_root: no convergence in 100 iterations"):
+        find_root(step, -1e300, 1e300, 1e-12)
+    # |x| on [-1e300, 1e300]: 500 evaluations leave the interval far above 1e-12
+    with pytest.raises(NonConvergence, match=r"^minimize_1d: no convergence in 500 evaluations"):
+        minimize_1d(abs, -1e300, 1e300, 1e-12)
+
+
+# ------------------------------------------- parity with SciPy, the test oracle
+
+
+def _counted(f):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    return counted, calls
+
+
+def _assert_find_root_is_scipys(f, lo, hi, tol):
+    """find_root's root is brentq's bit for bit, with 2 fewer evaluations of f.
+
+    The SciPy route is find_root's bracket check followed by brentq, which
+    evaluates both ends again; find_root passes its end values to the loop.
+    """
+    port, port_calls = _counted(f)
+    ref, ref_calls = _counted(f)
+    root = find_root(port, lo, hi, tol)
+    ends = ref(lo), ref(hi)
+    assert root == brentq(ref, lo, hi, xtol=tol, rtol=8.9e-16)
+    assert 0.0 not in ends
+    assert len(port_calls) == len(ref_calls) - 2
+
+
+def _assert_minimize_is_scipys(f, lo, hi, tol):
+    """minimize_1d's (x, f(x)) and evaluation count are SciPy's bounded search's."""
+    port, port_calls = _counted(f)
+    res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": tol})
+    assert res.status == 0
+    assert minimize_1d(port, lo, hi, tol) == (float(res.x), float(res.fun))
+    assert len(port_calls) == res.nfev
+
+
+@pytest.mark.parametrize("tol", [1e-5, 1e-9, 1e-12])
+@pytest.mark.parametrize("step", [None, 0.1], ids=["smooth", "rounded"])
+def test_solvers_match_scipy_on_random_objectives(tol, step):
+    # rounding to multiples of `step` makes ties, which the port must break
+    # as SciPy does
+    rng = np.random.default_rng(8008)
+    for _ in range(60):
+        c = rng.normal(size=6)
+
+        def f(x, c=c):
+            v = float(np.polyval(c, x) + c[0] * math.sin(3.0 * x))
+            return v if step is None else step * round(v / step)
+
+        _assert_minimize_is_scipys(f, -2.0, 2.0, tol)
+        if f(-2.0) != f(2.0):
+            mid = 0.5 * (f(-2.0) + f(2.0))
+            _assert_find_root_is_scipys(lambda x, f=f, mid=mid: f(x) - mid, -2.0, 2.0, tol)
+
+
+def _record_solver_calls(monkeypatch, module, calls):
+    """Make `module` record every (solver, f, lo, hi, tol) it passes to numerics."""
+    for name in ("find_root", "minimize_1d"):
+
+        def record(f, lo, hi, tol=1e-12, name=name, real=getattr(numerics, name)):
+            calls.append((name, f, lo, hi, tol))
+            return real(f, lo, hi, tol)
+
+        monkeypatch.setattr(module, name, record)
+
+
+def test_solvers_match_scipy_on_the_package_objectives(params, monkeypatch):
+    # the coord margin at the study point (peak search and edge root), the
+    # lin-dpc residual (peak search and left root) and cost, the dpc cubic
+    calls = []
+    _record_solver_calls(monkeypatch, skewnormal, calls)
+    _record_solver_calls(monkeypatch, strategies, calls)
+    skewnormal.mmse_coord(0.03, params)
+    coord = len(calls)
+    strategies.mmse_lin_dpc(0.005, params)
+    strategies.mmse_lin_dpc(0.02, params)
+    lin_dpc = len(calls)
+    strategies.dpc_critical_power(params)
+    kinds = [name for name, *_ in calls]
+    assert kinds[:coord] == ["minimize_1d", "find_root"]
+    assert kinds[coord:lin_dpc] == ["minimize_1d", "minimize_1d", "minimize_1d", "find_root"]
+    assert kinds[lin_dpc:] == ["find_root"]
+    for name, f, lo, hi, tol in calls:
+        if name == "find_root":
+            _assert_find_root_is_scipys(f, lo, hi, tol)
+        else:
+            _assert_minimize_is_scipys(f, lo, hi, tol)
 
 
 # ------------------------------------------ grid-search oracle (tests/grid_search.py)
