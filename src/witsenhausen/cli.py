@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -56,8 +57,13 @@ class RunManifest:
             fh.write("\n")
 
 
+@functools.cache
 def _git_describe() -> str:
-    """`git describe` of the checkout that holds this package, not of the CWD."""
+    """`git describe` of the checkout that holds this package, not of the CWD.
+
+    Read once per process: the code that runs was loaded once, so its state
+    is the one at the first read.
+    """
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
@@ -314,7 +320,9 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="witsenhausen",
         description="Power vs. estimation-cost trade-off curves of the scalar "

@@ -25,6 +25,7 @@ from .gaussian_info import ic_feasible
 # tracer (perfbench/tracer.py) wraps it in every module, and its self-test
 # checks this binding.
 from .numerics import (
+    _GOLDEN_MEAN,
     DEFAULT_QUADRATURE,
     QuadratureConfig,
     find_root,
@@ -56,6 +57,11 @@ _LN2 = math.log(2.0)
 # root-find sets rho* and with it S.
 PEAK_RHO_TOL = 1e-5
 EDGE_RHO_TOL = 1e-12
+
+# The first point of minimize_1d's bounded search on [-1, 1], formed by the
+# same floating-point operations, so that a margin probed here is the one
+# the search reads back from the memo.
+_PROBE_RHO = -1.0 + 2.0 * _GOLDEN_MEAN
 
 
 @dataclass(frozen=True)
@@ -161,14 +167,18 @@ def coord_ic_margin(
     0.5 log2(1 + P(1-rho^2)/N) - Psi(sqrt(T/N)) + Psi(delta) - 1, where the
     trailing 1 is the one bit carried by the sign variable. The scheme is
     achievable iff the margin is >= 0. Returns -inf at the fully degenerate
-    point where the interim state vanishes.
+    point where the interim state vanishes, and exactly -1.0, with no
+    quadrature, where no residual power is left (rho = +-1 or P = 0): there
+    the capacity term is 0 and delta = sqrt(T/N), so the Psi terms cancel.
     """
     s, p_res, d2 = _skew_scales(cp)
     if s == 0.0:
         return -math.inf
+    if p_res == 0.0:
+        return -1.0
     cap = 0.5 * math.log2(1.0 + p_res / cp.N)
     psi1, psi2 = entropy_reduction(np.array([math.sqrt(cp.T / cp.N), d2]), cfg)
-    return cap - psi1 + psi2 - 1.0
+    return float(cap - psi1 + psi2 - 1.0)
 
 
 def skew_cond_variance(y1, T: float, N: float):
@@ -236,12 +246,17 @@ def _margin_in_rho(P: float, params: ProblemParams, cfg: QuadratureConfig):
 
     The margin is >= -1 wherever it is finite (d2 >= d1, so Psi(d2) >= Psi(d1));
     its one -inf, where the interim state vanishes (P = Q, rho = -1), is
-    clamped to -1 so that it can end a root-finder's bracket.
+    clamped to -1 so that it can end a root-finder's bracket. Each rho is
+    evaluated once: the solvers revisit points (the root-finder's upper end is
+    the peak search's best point), and a revisit is read from the memo.
     """
+    memo: dict[float, float] = {}
 
     def margin(rho: float) -> float:
-        cp = CoordParams(P, rho, params.Q, params.N)
-        return max(coord_ic_margin(cp, cfg), -1.0)
+        if rho not in memo:
+            cp = CoordParams(P, rho, params.Q, params.N)
+            memo[rho] = max(coord_ic_margin(cp, cfg), -1.0)
+        return memo[rho]
 
     return margin
 
@@ -260,10 +275,16 @@ def mmse_coord(
     coord_mmse_at_rho depends on rho only through T = P + Q + 2 rho sqrt(PQ),
     which increases with rho, and it increases with T; the correlations with
     a nonnegative information-constraint margin form one interval. The
-    optimum is therefore the left edge of that interval. A bounded
-    maximization of the margin over rho decides feasibility and gives a
-    feasible rho_peak; a bracketing root-find of the margin on [-1, rho_peak]
-    then gives the edge rho*, stepped right if rounding left it infeasible.
+    optimum is therefore the left edge of that interval, and any rho_hi with
+    a positive margin brackets it in [-1, rho_hi], since the margin at -1 is
+    -1. The margin is first probed at rho0 = -1 + 2 g (g the golden mean),
+    the point a bounded search on [-1, 1] starts from. If it is positive,
+    rho_hi = rho0 and no peak search is needed. Otherwise a bounded
+    maximization of the margin over rho, whose first evaluation is the probe,
+    decides feasibility and gives rho_hi = rho_peak. A bracketing root-find of
+    the margin on [-1, rho_hi] then gives the edge rho*, stepped right (never
+    past rho_hi) if rounding left it infeasible. Each margin is evaluated
+    once per call, and at rho = -1 it costs no quadrature.
     Returns (coord_mmse_at_rho at rho*, rho*). Raises EmptyFeasibleSet when
     no correlation lets the channel carry the one-bit sign; at P = 0 this is
     immediate, since with no residual power the margin is -1 for every rho.
@@ -275,15 +296,17 @@ def mmse_coord(
         raise EmptyFeasibleSet("coord infeasible at P=0: the IC margin is -1 for every rho")
 
     margin = _margin_in_rho(P, params, cfg)
-    rho_peak, peak = _peak_margin(margin)
-    if not ic_feasible(peak):
-        raise EmptyFeasibleSet(
-            f"coord infeasible at P={P}: peak IC margin {peak:.6g} bits at rho={rho_peak:.6g}"
-        )
-    rho = find_root(margin, -1.0, rho_peak, EDGE_RHO_TOL) if peak > 0.0 else rho_peak
+    rho_hi = _PROBE_RHO
+    if margin(rho_hi) <= 0.0:
+        rho_hi, peak = _peak_margin(margin)
+        if not ic_feasible(peak):
+            raise EmptyFeasibleSet(
+                f"coord infeasible at P={P}: peak IC margin {peak:.6g} bits at rho={rho_hi:.6g}"
+            )
+    rho = find_root(margin, -1.0, rho_hi, EDGE_RHO_TOL) if margin(rho_hi) > 0.0 else rho_hi
     step = 1e-12
     while not ic_feasible(margin(rho)):
-        rho = min(rho + step, rho_peak)
+        rho = min(rho + step, rho_hi)
         step *= 2.0
     return coord_mmse_at_rho(CoordParams(P, rho, Q, N), cfg), rho
 

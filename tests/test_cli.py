@@ -115,6 +115,29 @@ def test_manifest_records_the_package_git_state(tmp_path, monkeypatch):
     assert recorded != _git("describe", "--always", cwd=other).stdout.strip()
 
 
+def test_git_state_is_read_once_per_process(tmp_path, monkeypatch):
+    from witsenhausen import cli
+
+    started = []
+    real = subprocess.run
+
+    def recording(args, **kwargs):
+        started.append(args[0])
+        return real(args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", recording)
+    cli._git_describe.cache_clear()
+    for name in ("a", "b"):
+        out = tmp_path / f"{name}.csv"
+        assert run(["curve", "--strategy", "linear", "--steps", "3", "--out", str(out)]) == 0
+    recorded = [
+        json.loads((tmp_path / f"{name}.csv.manifest").read_text())["git_describe"]
+        for name in ("a", "b")
+    ]
+    assert started == ["git"]
+    assert recorded[0] == recorded[1]
+
+
 def test_manifest_records_the_optimizer_tolerances(tmp_path, monkeypatch):
     used = set()
 
@@ -125,7 +148,9 @@ def test_manifest_records_the_optimizer_tolerances(tmp_path, monkeypatch):
     monkeypatch.setattr(skewnormal, "minimize_1d", recording)
     monkeypatch.setattr(strategies, "minimize_1d", recording)
     out = tmp_path / "cmp.csv"
-    assert run(["compare", "--steps", "3", "--out", str(out)]) == 0
+    # a 13-step grid has powers where coord's probe fails and its peak search
+    # runs; on 3 steps the probe passes at every feasible power
+    assert run(["compare", "--steps", "13", "--out", str(out)]) == 0
     tol = json.loads((tmp_path / "cmp.csv.manifest").read_text())["tolerances"]
     assert tol == {
         "quadrature_abs_tol": 1e-10,

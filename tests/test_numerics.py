@@ -442,19 +442,22 @@ def _record_solver_calls(monkeypatch, module, calls):
 
 
 def test_solvers_match_scipy_on_the_package_objectives(params, monkeypatch):
-    # the coord margin at the study point (peak search and edge root), the
-    # lin-dpc residual (peak search and left root) and cost, the dpc cubic
+    # the coord margin at the study point (the edge root after a positive
+    # probe at P = 0.03; peak search and edge root at P = 0.023, just above
+    # the minimum power, where the probe's margin is negative), the lin-dpc
+    # residual (peak search and left root) and cost, the dpc cubic
     calls = []
     _record_solver_calls(monkeypatch, skewnormal, calls)
     _record_solver_calls(monkeypatch, strategies, calls)
     skewnormal.mmse_coord(0.03, params)
+    skewnormal.mmse_coord(0.023, params)
     coord = len(calls)
     strategies.mmse_lin_dpc(0.005, params)
     strategies.mmse_lin_dpc(0.02, params)
     lin_dpc = len(calls)
     strategies.dpc_critical_power(params)
     kinds = [name for name, *_ in calls]
-    assert kinds[:coord] == ["minimize_1d", "find_root"]
+    assert kinds[:coord] == ["find_root", "minimize_1d", "find_root"]
     assert kinds[coord:lin_dpc] == ["minimize_1d", "minimize_1d", "minimize_1d", "find_root"]
     assert kinds[lin_dpc:] == ["find_root"]
     for name, f, lo, hi, tol in calls:

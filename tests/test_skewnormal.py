@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 from scipy.special import log_ndtr
 
-from witsenhausen import skewnormal
+from witsenhausen import numerics, skewnormal
 from witsenhausen.core import DegenerateInput, EmptyFeasibleSet, validate_params
 from witsenhausen.gaussian_info import ic_feasible
-from witsenhausen.numerics import norm_cdf, norm_pdf
+from witsenhausen.numerics import DEFAULT_QUADRATURE, norm_cdf, norm_pdf
 from witsenhausen.skewnormal import (
+    EDGE_RHO_TOL,
     CoordParams,
     coord_ic_margin,
     coord_min_power,
@@ -224,7 +225,9 @@ def test_ic_margin_matches_entropy_decomposition(params):
         cp = CoordParams(P, rho, params.Q, params.N)
         h1, h2, h3 = sign_conditioned_entropies(cp)
         h_state = 0.5 * math.log2(2 * math.pi * math.e * params.Q)
-        assert coord_ic_margin(cp) == pytest.approx(h1 - h3 + h2 - h_state, abs=1e-9)
+        margin = coord_ic_margin(cp)
+        assert type(margin) is float
+        assert margin == pytest.approx(h1 - h3 + h2 - h_state, abs=1e-9)
 
 
 def test_ic_margin_infeasible_when_noise_dominates():
@@ -238,14 +241,18 @@ def test_ic_margin_feasible_below_two_point_minimum_power(params):
     assert coord_ic_margin(CoordParams(0.03, -0.3, params.Q, params.N)) > 0.0
 
 
-def test_ic_margin_endpoint_correlations(params):
-    # rho = +-1 carries no residual power: margin is exactly the lost sign bit
-    assert coord_ic_margin(CoordParams(0.04, 1.0, params.Q, params.N)) == pytest.approx(
-        -1.0, abs=1e-12
-    )
-    assert coord_ic_margin(CoordParams(0.04, -1.0, params.Q, params.N)) == pytest.approx(
-        -1.0, abs=1e-12
-    )
+def test_ic_margin_endpoint_correlations(params, monkeypatch):
+    # rho = +-1 (and P = 0) carry no residual power: the margin is exactly the
+    # lost sign bit, with no quadrature
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("Psi evaluated with no residual power")
+
+    monkeypatch.setattr(skewnormal, "entropy_reduction", no_quadrature)
+    for P, rho in [(0.04, 1.0), (0.04, -1.0), (0.0, 0.3)]:
+        margin = coord_ic_margin(CoordParams(P, rho, params.Q, params.N))
+        assert margin == -1.0 and type(margin) is float
+    # where the interim state vanishes too, the margin stays -inf
+    assert coord_ic_margin(CoordParams(params.Q, -1.0, params.Q, params.N)) == -math.inf
 
 
 # ------------------------------------------------ skew conditional moments
@@ -404,6 +411,83 @@ def test_mmse_coord_returns_the_feasibility_edge(params, P):
     assert ic_feasible(margin)
     left = coord_ic_margin(CoordParams(P, rho_star - 1e-6, params.Q, params.N))
     assert not ic_feasible(left)
+
+
+def _peak_route_rho(P: float, params):
+    """rho* by the route without the probe, or None where it finds no feasible rho.
+
+    The bounded peak search, then the edge root on [-1, rho_peak], stepped
+    right as mmse_coord steps it.
+    """
+    margin = skewnormal._margin_in_rho(P, params, DEFAULT_QUADRATURE)
+    rho_peak, peak = skewnormal._peak_margin(margin)
+    if not ic_feasible(peak):
+        return None
+    rho = numerics.find_root(margin, -1.0, rho_peak, EDGE_RHO_TOL) if peak > 0.0 else rho_peak
+    step = 1e-12
+    while not ic_feasible(margin(rho)):
+        rho = min(rho + step, rho_peak)
+        step *= 2.0
+    return rho
+
+
+def assert_matches_peak_route(P: float, params) -> None:
+    expected = _peak_route_rho(P, params)
+    if expected is None:
+        with pytest.raises(EmptyFeasibleSet):
+            mmse_coord(P, params)
+        return
+    _, rho_star = mmse_coord(P, params)
+    assert abs(rho_star - expected) <= 2.0 * EDGE_RHO_TOL
+
+
+@pytest.mark.parametrize("Q, N, steps", [(0.1, 0.01, 25), (1.0, 1e-4, 13)])
+def test_mmse_coord_matches_the_peak_route_on_a_grid(Q, N, steps):
+    p = validate_params(Q, N)
+    for P in np.linspace(0.0, Q, steps):
+        assert_matches_peak_route(float(P), p)
+
+
+@given(log_q=st.floats(-1.3, 0.3), log_ratio=st.floats(-4.0, -0.5), u=st.floats(0.0, 1.0))
+@settings(max_examples=5, deadline=None)
+def test_mmse_coord_matches_the_peak_route_on_drawn_params(log_q, log_ratio, u):
+    Q = 10.0**log_q
+    assert_matches_peak_route(u * Q, validate_params(Q, Q * 10.0**log_ratio))
+
+
+def test_mmse_coord_evaluates_each_margin_once(params, monkeypatch):
+    rhos, solver_rhos = [], set()
+    real_margin = skewnormal.coord_ic_margin
+
+    def counted(cp, cfg=DEFAULT_QUADRATURE):
+        rhos.append(cp.rho)
+        return real_margin(cp, cfg)
+
+    def recording(name):
+        real = getattr(numerics, name)
+
+        def solve(f, lo, hi, tol):
+            def g(x):
+                solver_rhos.add(x)
+                return f(x)
+
+            return real(g, lo, hi, tol)
+
+        return solve
+
+    monkeypatch.setattr(skewnormal, "coord_ic_margin", counted)
+    monkeypatch.setattr(skewnormal, "find_root", recording("find_root"))
+    monkeypatch.setattr(skewnormal, "minimize_1d", recording("minimize_1d"))
+    # P = 0.023: the probe fails and the peak search runs; P = 0.05: it
+    # passes. The peak search, with no memo, made 24 and 21 evaluations.
+    for P, budget in [(0.023, 22), (0.05, 12)]:
+        rhos.clear()
+        solver_rhos.clear()
+        mmse_coord(P, params)
+        assert len(rhos) == len(set(rhos)) <= budget
+        # the probe is the peak search's first point bit for bit, and every
+        # other margin is one the solvers asked for
+        assert set(rhos) == solver_rhos
 
 
 # ------------------------------------------------------ coord minimum power
