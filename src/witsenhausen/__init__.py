@@ -5,7 +5,6 @@ two-point, dirty-paper and hybrid sign-coordination strategy families, each
 cross-validated by an independent Monte-Carlo simulation.
 """
 from .core import (
-    CorrelationTriple,
     CostPoint,
     CurvePoint,
     EmpiricalCost,
@@ -13,17 +12,6 @@ from .core import (
     TradeoffCurve,
     WitsenhausenError,
     validate_params,
-)
-from .gaussian_info import (
-    GaussianVector,
-    StateChannelParams,
-    gaussian_entropy_bits,
-    gaussian_policy_ic,
-    gaussian_policy_mmse,
-    ic_feasible,
-    optimal_rho2,
-    optimal_rho_triple,
-    state_dep_ic,
 )
 from .montecarlo import (
     SimConfig,
@@ -46,22 +34,21 @@ from .skewnormal import (
     coord_min_power,
     coord_mmse_at_rho,
     entropy_reduction,
+    ic_feasible,
     mmse_coord,
-    sign_conditioned_entropies,
     skew_cond_mean,
-    skew_cond_variance,
 )
 from .strategies import (
     STRATEGIES,
     LinearPolicy,
     TwoPointPolicy,
     curve,
-    dpc_critical_power,
     linear_policy_for_power,
     mmse_dpc,
     mmse_gaussian,
     mmse_lin_dpc,
     mmse_linear,
+    optimal_rho_pair,
     timeshare_interval,
     two_point_cost_grid,
     two_point_costs,

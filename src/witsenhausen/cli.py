@@ -9,7 +9,9 @@ Outputs are CSV (UTF-8, LF, header row, '.' decimals, full-precision
 round-trippable numbers) plus a JSON run manifest next to each CSV. Plotting
 is left to external tools; --gnuplot writes a companion script.
 
-Exit codes: 0 ok, 1 simulation verdict FAIL, 2 usage error, 3 numerical failure.
+Exit codes: 0 ok, 1 simulation verdict FAIL, 2 usage error, 3 numerical
+failure: a domain error of the solvers or quadratures, or an arithmetic
+overflow.
 """
 from __future__ import annotations
 
@@ -376,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NonPositiveVariance, ValueError) as exc:
         print(f"invalid arguments for {args.command}: {exc}", file=sys.stderr)
         return 2
-    except WitsenhausenError as exc:
+    except (WitsenhausenError, ArithmeticError) as exc:
         print(
             f"numerical failure in {args.command} ({type(exc).__name__}): {exc}",
             file=sys.stderr,

@@ -1,5 +1,10 @@
 """Shared domain types, parameter validation and error hierarchy.
 
+Holds only what the strategy families, the simulators and the CLI use. The
+correlation triple of the jointly Gaussian policy, and the errors of the
+proofs' building blocks, live with those blocks in the test oracles
+(tests/gaussian_oracles.py, tests/skew_oracles.py).
+
 Conventions used throughout the package:
 
 * all variances and costs are dimensionless reals in double precision,
@@ -17,17 +22,10 @@ __all__ = [
     "NonConvergence",
     "NoBracket",
     "EmptyFeasibleSet",
-    "NegativeEffectiveVariance",
-    "InfeasibleRho",
-    "ZeroScale",
-    "DegenerateChannel",
-    "DegenerateInput",
     "RegimeNotApplicable",
     "UnknownStrategy",
-    "PSD_TOL",
     "ProblemParams",
     "CostPoint",
-    "CorrelationTriple",
     "CurvePoint",
     "TradeoffCurve",
     "EmpiricalCost",
@@ -57,37 +55,12 @@ class EmptyFeasibleSet(WitsenhausenError):
     """A constrained minimization found no feasible point."""
 
 
-class NegativeEffectiveVariance(WitsenhausenError):
-    """An effective variance that must be nonnegative came out significantly negative."""
-
-
-class InfeasibleRho(WitsenhausenError):
-    """Correlation parameters outside the feasible region of the closed form."""
-
-
-class ZeroScale(WitsenhausenError):
-    """A multiplicative scale that must be nonzero is zero."""
-
-
-class DegenerateChannel(WitsenhausenError):
-    """State-dependent channel parameters make the capacity expression undefined."""
-
-
-class DegenerateInput(WitsenhausenError):
-    """Inputs collapse a distribution to a lower-dimensional (undefined) case."""
-
-
 class RegimeNotApplicable(WitsenhausenError):
     """A closed form was requested outside the parameter regime where it holds."""
 
 
 class UnknownStrategy(WitsenhausenError):
     """Strategy identifier not recognized."""
-
-
-# Positive-semidefiniteness slack: correlation triples sitting exactly on the
-# feasibility boundary (the constrained optimum does) may round slightly below 0.
-PSD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -143,53 +116,6 @@ class CostPoint:
     def __post_init__(self) -> None:
         if self.P < 0.0 or self.S < 0.0:
             raise ValueError(f"costs must be nonnegative, got P={self.P}, S={self.S}")
-
-
-@dataclass(frozen=True)
-class CorrelationTriple:
-    """Correlations (rho1, rho2, rho3) of jointly Gaussian (state, side variable, input).
-
-    The associated 3x3 covariance is positive semidefinite iff
-    1 - rho1^2 - rho2^2 - rho3^2 + 2 rho1 rho2 rho3 >= 0; triples within
-    PSD_TOL below the boundary are accepted and clamped.
-    """
-
-    rho1: float
-    rho2: float
-    rho3: float
-
-    def __post_init__(self) -> None:
-        for name in ("rho1", "rho2", "rho3"):
-            v = getattr(self, name)
-            if not -1.0 <= v <= 1.0:
-                raise ValueError(f"{name}={v} outside [-1, 1]")
-        if self._raw_det_factor() < -PSD_TOL:
-            raise ValueError(
-                "correlations are not jointly realizable: "
-                f"det factor {self._raw_det_factor():.3e} < -{PSD_TOL}"
-            )
-
-    def _raw_det_factor(self) -> float:
-        r1, r2, r3 = self.rho1, self.rho2, self.rho3
-        return 1.0 - r1 * r1 - r2 * r2 - r3 * r3 + 2.0 * r1 * r2 * r3
-
-    @property
-    def det_factor(self) -> float:
-        """Scale-free determinant of the 3x3 covariance, clamped at 0."""
-        return max(self._raw_det_factor(), 0.0)
-
-    def covariance(self, Q: float, P: float, V: float = 1.0):
-        """3x3 covariance of (state, side variable, input) with variances (Q, V, P)."""
-        import numpy as np
-
-        r1, r2, r3 = self.rho1, self.rho2, self.rho3
-        return np.array(
-            [
-                [Q, r1 * math.sqrt(Q * V), r2 * math.sqrt(Q * P)],
-                [r1 * math.sqrt(Q * V), V, r3 * math.sqrt(V * P)],
-                [r2 * math.sqrt(Q * P), r3 * math.sqrt(V * P), P],
-            ]
-        )
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ __all__ = [
     "find_root",
     "minimize_1d",
     "norm_pdf",
-    "norm_cdf",
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -42,13 +41,6 @@ def norm_pdf(x):
     """Standard normal density, vectorized."""
     x = np.asarray(x, dtype=float)
     return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-
-
-def norm_cdf(x):
-    """Standard normal CDF, vectorized."""
-    from scipy.special import ndtr
-
-    return ndtr(np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -165,31 +157,11 @@ def _eval_panels(f, a: np.ndarray, b: np.ndarray, theta: np.ndarray):
     h = 0.5 * (b - a)
     x = a[:, None] + h[:, None] * _XK1
     y = np.asarray(f(x.ravel(), np.repeat(theta, _XK.size)), dtype=float)
-    if y.ndim == 0:
-        # constant integrand returning a scalar for an array argument
-        y = np.full(x.size, float(y))
-    elif y.shape != (x.size,):
+    if y.shape != (x.size,):
         raise ValueError("integrand must return one value per node")
     sums = np.ascontiguousarray(y).reshape(x.shape) @ _W
     ik = h * sums[:, 0]
     return ik, np.abs(ik - h * sums[:, 1])
-
-
-def _vectorized(f):
-    """Wrap a one-argument f so it accepts a node array even if written point-wise.
-
-    A scalar-only integrand such as math.cos raises TypeError on an array;
-    only then is f called node by node. Any other error propagates. The
-    engine's parameter argument is dropped.
-    """
-
-    def call(x, _theta):
-        try:
-            return f(x)
-        except TypeError:
-            return np.array([f(xi) for xi in x], dtype=float)
-
-    return call
 
 
 def _adaptive(f, theta, lo: float, hi: float, cfg: QuadratureConfig) -> np.ndarray:
@@ -271,18 +243,18 @@ def _adaptive(f, theta, lo: float, hi: float, cfg: QuadratureConfig) -> np.ndarr
 
 
 def gauss_weighted_integral(
-    f: Callable[[float], float], cfg: QuadratureConfig = DEFAULT_QUADRATURE
+    f: Callable[[np.ndarray], np.ndarray], cfg: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> float:
     """Integral of f(x) * phi(x) over the real line, phi the standard normal density.
 
-    The integrand f may grow at most polynomially (times logs); the Gaussian
-    weight then confines everything to [-R, R] with R = cfg.truncation_radius.
+    f is called with an array of nodes and returns one value per node. It
+    may grow at most polynomially (times logs); the Gaussian weight then
+    confines everything to [-R, R] with R = cfg.truncation_radius.
     """
-    fv = _vectorized(f)
     R = cfg.truncation_radius
 
-    def weighted(x, theta):
-        return np.asarray(fv(x, theta), dtype=float) * norm_pdf(x)
+    def weighted(x, _theta):
+        return np.asarray(f(x), dtype=float) * norm_pdf(x)
 
     return float(_adaptive(weighted, None, -R, R, cfg)[0])
 
@@ -312,16 +284,17 @@ def gauss_weighted_integrals(
 
 
 def integral_real_line(
-    f: Callable[[float], float], cfg: QuadratureConfig = DEFAULT_QUADRATURE
+    f: Callable[[np.ndarray], np.ndarray], cfg: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> float:
     """Integral of f over the real line for integrands with Gaussian-type decay.
 
-    Requires |f(x)| <= C exp(-c x^2) outside a bounded set, with a decay scale
-    of order one so the truncation radius applies; callers standardize their
-    variables accordingly.
+    f is called with an array of nodes and must return one value per node;
+    any other shape raises ValueError. Requires |f(x)| <= C exp(-c x^2)
+    outside a bounded set, with a decay scale of order one so the truncation
+    radius applies; callers standardize their variables accordingly.
     """
     R = cfg.truncation_radius
-    return float(_adaptive(_vectorized(f), None, -R, R, cfg)[0])
+    return float(_adaptive(lambda x, _theta: f(x), None, -R, R, cfg)[0])
 
 
 def mills_ratio(x):

@@ -3,9 +3,12 @@
 When the decoder additionally learns the sign of the interim state, the
 conditional laws become skew normal. This module provides the entropy
 reduction function Psi (the entropy deficit of a skew normal relative to its
-Gaussian envelope), the three sign-conditioned entropies of the scheme, the
-skew-normal conditional variance and mean, the information-constraint margin,
-and the conditional MMSE of the scheme, optimized over the input correlation.
+Gaussian envelope), the information-constraint margin and its feasibility
+test, the skew-normal conditional mean the simulator decodes with, and the
+conditional MMSE of the scheme, optimized over the input correlation. The
+sign-conditioned entropies, the conditional variance and the covariances
+they are built from only check these closed forms; they are test oracles
+(tests/skew_oracles.py).
 
 Numerical care: the skew integrands contain phi/Phi ratios whose denominator
 underflows in the left tail; every such ratio is routed through the log-space
@@ -19,8 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import log_ndtr
 
-from .core import DegenerateInput, EmptyFeasibleSet, ProblemParams, power_split, require_finite
-from .gaussian_info import ic_feasible
+from .core import EmptyFeasibleSet, ProblemParams, power_split, require_finite
 # gauss_weighted_integral is unused here but stays bound: the benchmark's
 # tracer (perfbench/tracer.py) wraps it in every module, and its self-test
 # checks this binding.
@@ -39,18 +41,19 @@ from .numerics import (
 __all__ = [
     "CoordParams",
     "entropy_reduction",
-    "sign_conditioned_entropies",
+    "ic_feasible",
     "coord_ic_margin",
-    "skew_cond_variance",
     "skew_cond_mean",
     "coord_mmse_at_rho",
     "mmse_coord",
     "coord_min_power",
-    "cov_state_precoder",
-    "cov_interim_output_precoder",
 ]
 
 _LN2 = math.log(2.0)
+
+# Rounding slack of the feasibility test: a margin this far below 0 is a
+# point on the constraint boundary, which is achievable.
+_IC_TOL = 1e-12
 
 # x-tolerances in rho of the coord optimizer: the bounded search for the peak
 # IC margin only has to land inside the feasible interval, while the edge
@@ -132,31 +135,13 @@ def _skew_scales(cp: CoordParams) -> tuple[float, float, float]:
     return s, p_res, d2
 
 
-def sign_conditioned_entropies(
-    cp: CoordParams, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> tuple[float, float, float]:
-    """The three conditional entropies of the hybrid scheme given the sign, in bits.
+def ic_feasible(ic_bits: float) -> bool:
+    """Feasibility predicate on an information-constraint margin in bits.
 
-    Returns (h(state, precoder | sign), h(output | sign), h(output, precoder | sign)).
-    Conditioning a centered Gaussian on a sign costs exactly one bit for the
-    joint with the state, and a Psi correction for the skewed pairs.
+    True iff ic_bits >= -1e-12; the slack absorbs rounding at the boundary,
+    which is achievable.
     """
-    s, p_res, d2 = _skew_scales(cp)
-    if p_res <= 0.0 or s == 0.0:
-        raise DegenerateInput(
-            f"degenerate hybrid scheme: residual power {p_res}, state scale {s}"
-        )
-    t, n = cp.T, cp.N
-    h_state_prec = 0.5 * math.log2(
-        (2.0 * math.pi * math.e) ** 2 * cp.Q * p_res
-    ) - 1.0
-    h_out = 0.5 * math.log2(2.0 * math.pi * math.e * (t + n)) - entropy_reduction(
-        math.sqrt(t / n), cfg
-    )
-    h_out_prec = 0.5 * math.log2(
-        (2.0 * math.pi * math.e) ** 2 * (t + n) * n * p_res / (p_res + n)
-    ) - entropy_reduction(d2, cfg)
-    return h_state_prec, h_out, h_out_prec
+    return ic_bits >= -_IC_TOL
 
 
 def coord_ic_margin(
@@ -179,24 +164,6 @@ def coord_ic_margin(
     cap = 0.5 * math.log2(1.0 + p_res / cp.N)
     psi1, psi2 = entropy_reduction(np.array([math.sqrt(cp.T / cp.N), d2]), cfg)
     return float(cap - psi1 + psi2 - 1.0)
-
-
-def skew_cond_variance(y1, T: float, N: float):
-    """Conditional variance of the interim state given output y1 and a positive sign.
-
-    (TN/(T+N)) (1 - u m(u) - m(u)^2) with u = y1 sqrt(T/(N(T+N))) and m the
-    Mills ratio; clipped into [0, TN/(T+N)], the bounds it satisfies exactly.
-    Accepts scalars or arrays.
-    """
-    if T <= 0.0 or N <= 0.0:
-        raise ValueError("T and N must be positive")
-    sig2 = T * N / (T + N)
-    u = np.asarray(y1, dtype=float) * math.sqrt(T / (N * (T + N)))
-    m = mills_ratio(u)
-    val = np.clip(sig2 * (1.0 - u * m - m * m), 0.0, sig2)
-    if np.ndim(y1) == 0:
-        return float(val)
-    return val
 
 
 def skew_cond_mean(y1, T: float, N: float):
@@ -335,33 +302,3 @@ def coord_min_power(
     if top <= 0.0:
         return params.Q
     return find_root(peak, 0.0, params.Q, 1e-12 * params.Q)
-
-
-def cov_state_precoder(cp: CoordParams) -> np.ndarray:
-    """Covariance of (state, precoder variable) for the hybrid scheme.
-
-    Its determinant is P Q (1 - rho^2) regardless of the noise level.
-    """
-    s, p_res, _ = _skew_scales(cp)
-    c = (p_res / (p_res + cp.N)) * (s / math.sqrt(cp.Q))
-    return np.array(
-        [
-            [cp.Q, c * cp.Q],
-            [c * cp.Q, p_res + c * c * cp.Q],
-        ]
-    )
-
-
-def cov_interim_output_precoder(cp: CoordParams) -> np.ndarray:
-    """Covariance of (interim state, output, precoder variable) for the hybrid scheme."""
-    s, p_res, _ = _skew_scales(cp)
-    t, n = cp.T, cp.N
-    a = p_res * (t + n) / (p_res + n)
-    w_var = p_res + (p_res * s / (p_res + n)) ** 2
-    return np.array(
-        [
-            [t, t, a],
-            [t, t + n, a],
-            [a, a, w_var],
-        ]
-    )

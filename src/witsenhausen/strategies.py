@@ -9,6 +9,11 @@ Five families are exposed through a common sweep interface:
 * ``dpc``       - dirty-paper-coding scheme of the non-causal decoder setting
 * ``lin-dpc``   - power split between a linear part and dirty-paper coding
 * ``coord``     - hybrid sign-coordination scheme (delegates to skewnormal)
+
+The gaussian family's time-sharing interval and optimal correlations live
+here, with the curve that writes them. The Gaussian-vector entropies and
+the dirty-paper critical power, which only check these closed forms, are
+test oracles (tests/gaussian_oracles.py).
 """
 from __future__ import annotations
 
@@ -23,12 +28,12 @@ from .core import (
     CurvePoint,
     EmptyFeasibleSet,
     ProblemParams,
+    RegimeNotApplicable,
     TradeoffCurve,
     UnknownStrategy,
     power_split,
     require_finite,
 )
-from .gaussian_info import optimal_rho_triple, timeshare_interval
 from .numerics import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
@@ -46,6 +51,7 @@ __all__ = [
     "mmse_linear",
     "linear_policy_for_power",
     "timeshare_interval",
+    "optimal_rho_pair",
     "mmse_gaussian",
     "two_point_power",
     "two_point_costs",
@@ -53,7 +59,6 @@ __all__ = [
     "two_point_decoder",
     "two_point_min_power",
     "two_point_gain_for_power",
-    "dpc_critical_power",
     "dpc_alpha",
     "mmse_dpc",
     "mmse_lin_dpc",
@@ -115,6 +120,39 @@ def linear_policy_for_power(P: float, params: ProblemParams) -> LinearPolicy:
     if P <= Q:
         return LinearPolicy(-math.sqrt(P / Q), 0.0)
     return LinearPolicy(-1.0, math.sqrt(P - Q))
+
+
+def timeshare_interval(params: ProblemParams) -> tuple[float, float]:
+    """Power interval where time sharing between two linear gains is optimal.
+
+    (Q - 2N -+ sqrt(Q(Q-4N))) / 2; only defined for Q > 4N.
+    """
+    Q, N = params.Q, params.N
+    if Q <= 4.0 * N:
+        raise RegimeNotApplicable(f"requires Q > 4N, got Q={Q}, N={N}")
+    s = math.sqrt(Q * (Q - 4.0 * N))
+    return 0.5 * (Q - 2.0 * N - s), 0.5 * (Q - 2.0 * N + s)
+
+
+def optimal_rho_pair(P: float, params: ProblemParams) -> tuple[float, float]:
+    """Optimal (rho1, rho2) of the jointly Gaussian policy for power P.
+
+    rho1 correlates the state with the side variable and rho2 the state with
+    the input; the input/side-variable correlation rho3 is 0 at the optimum.
+    Inside the regime Q > 4N with P between the two time-sharing powers the
+    optimum is rho1 = sqrt((PQ - (P+N)^2) / (Q(P+N))), rho2 = -(P+N)/sqrt(PQ);
+    everywhere else it collapses to the pure state contraction (0, -1).
+    """
+    Q, N = params.Q, params.N
+    if not 0.0 <= P <= Q:
+        raise ValueError(f"P={P} outside [0, Q]")
+    if Q > 4.0 * N:
+        p_lo, p_hi = timeshare_interval(params)
+        if p_lo <= P <= p_hi:
+            rho1 = math.sqrt(max((P * Q - (P + N) ** 2) / (Q * (P + N)), 0.0))
+            rho2 = -(P + N) / math.sqrt(P * Q)
+            return rho1, max(rho2, -1.0)
+    return 0.0, -1.0
 
 
 def mmse_gaussian(P: float, params: ProblemParams) -> float:
@@ -238,17 +276,6 @@ def two_point_gain_for_power(P: float, params: ProblemParams) -> float | None:
     if P < pmin:
         return None
     return math.sqrt(2.0 * params.Q / math.pi) + math.sqrt(P - pmin)
-
-
-def dpc_critical_power(params: ProblemParams) -> float:
-    """Power above which dirty-paper coding drives the estimation cost to zero.
-
-    The unique positive root of P^2 (P + Q + N) = Q N^2. It lies below N (the
-    left side exceeds the right there by 2 N^3), and the bracket and the
-    tolerance scale with N, so the root scales with the variances.
-    """
-    Q, N = params.Q, params.N
-    return find_root(lambda p: p * p * (p + Q + N) - Q * N * N, 0.0, N, tol=1e-15 * N)
 
 
 def dpc_alpha(P: float, params: ProblemParams) -> float:
@@ -378,8 +405,8 @@ def _eval_point(
     if strategy == "gaussian":
         if P > Q:
             return CurvePoint(P, None, False, note="requires P <= Q")
-        rho = optimal_rho_triple(P, params)
-        return CurvePoint(P, mmse_gaussian(P, params), True, rho.rho1, rho.rho2)
+        rho1, rho2 = optimal_rho_pair(P, params)
+        return CurvePoint(P, mmse_gaussian(P, params), True, rho1, rho2)
     if strategy == "dpc":
         return CurvePoint(P, mmse_dpc(P, params), True, dpc_alpha(P, params))
     if strategy == "lin-dpc":

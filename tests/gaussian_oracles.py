@@ -1,10 +1,12 @@
-"""Information measures of jointly Gaussian vectors and the Gaussian policy family.
+"""The proofs' Gaussian building blocks, kept as independent test oracles.
 
-Covers the building blocks of the optimal jointly-Gaussian scheme: entropies
-of small Gaussian vectors, the information-constraint margin and conditional
-MMSE as functions of the correlation triple, the closed-form optimal
-correlations, entropy behavior under component scaling, and the capacity of
-the state-dependent channel with a dirty-paper-coding input.
+Test helpers only: the package computes the gaussian and dpc curves from
+their closed forms, and these routes exist to check them. Entropies of
+small jointly Gaussian vectors, the information-constraint margin and
+conditional MMSE of the jointly Gaussian policy as functions of its
+correlation triple, entropy behavior under component scaling, the capacity
+of the state-dependent channel with a dirty-paper-coding input, and the
+dirty-paper critical power as the root of its cubic.
 
 Determinants of the (at most 4x4) covariance matrices are expanded by
 cofactors rather than factorized, so the small closed forms reproduce exactly.
@@ -16,35 +18,98 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    CorrelationTriple,
-    DegenerateChannel,
-    InfeasibleRho,
-    NegativeEffectiveVariance,
-    ProblemParams,
-    RegimeNotApplicable,
-    ZeroScale,
-)
-
-__all__ = [
-    "GaussianVector",
-    "StateChannelParams",
-    "gaussian_entropy_bits",
-    "gaussian_policy_ic",
-    "gaussian_policy_mmse",
-    "optimal_rho2",
-    "optimal_rho_triple",
-    "timeshare_interval",
-    "scaled_component_entropy",
-    "state_dep_ic",
-    "dirty_paper_capacity_bits",
-    "quantization_rate_bits",
-    "ic_feasible",
-]
+from witsenhausen.core import ProblemParams, WitsenhausenError
+from witsenhausen.numerics import find_root
+from witsenhausen.strategies import optimal_rho_pair
 
 _LOG2_2PIE = math.log2(2.0 * math.pi * math.e)
 _EIG_TOL = 1e-12
-_IC_TOL = 1e-12
+
+
+class NegativeEffectiveVariance(WitsenhausenError):
+    """An effective variance that must be nonnegative came out significantly negative."""
+
+
+class InfeasibleRho(WitsenhausenError):
+    """Correlation parameters outside the feasible region of the closed form."""
+
+
+class ZeroScale(WitsenhausenError):
+    """A multiplicative scale that must be nonzero is zero."""
+
+
+class DegenerateChannel(WitsenhausenError):
+    """State-dependent channel parameters make the capacity expression undefined."""
+
+
+class DegenerateInput(WitsenhausenError):
+    """Inputs collapse a distribution to a lower-dimensional (undefined) case."""
+
+
+# Positive-semidefiniteness slack: correlation triples sitting exactly on the
+# feasibility boundary (the constrained optimum does) may round slightly below 0.
+PSD_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class CorrelationTriple:
+    """Correlations (rho1, rho2, rho3) of jointly Gaussian (state, side variable, input).
+
+    The associated 3x3 covariance is positive semidefinite iff
+    1 - rho1^2 - rho2^2 - rho3^2 + 2 rho1 rho2 rho3 >= 0; triples within
+    PSD_TOL below the boundary are accepted and clamped.
+    """
+
+    rho1: float
+    rho2: float
+    rho3: float
+
+    def __post_init__(self) -> None:
+        for name in ("rho1", "rho2", "rho3"):
+            v = getattr(self, name)
+            if not -1.0 <= v <= 1.0:
+                raise ValueError(f"{name}={v} outside [-1, 1]")
+        if self._raw_det_factor() < -PSD_TOL:
+            raise ValueError(
+                "correlations are not jointly realizable: "
+                f"det factor {self._raw_det_factor():.3e} < -{PSD_TOL}"
+            )
+
+    def _raw_det_factor(self) -> float:
+        r1, r2, r3 = self.rho1, self.rho2, self.rho3
+        return 1.0 - r1 * r1 - r2 * r2 - r3 * r3 + 2.0 * r1 * r2 * r3
+
+    @property
+    def det_factor(self) -> float:
+        """Scale-free determinant of the 3x3 covariance, clamped at 0."""
+        return max(self._raw_det_factor(), 0.0)
+
+    def covariance(self, Q: float, P: float, V: float = 1.0):
+        """3x3 covariance of (state, side variable, input) with variances (Q, V, P)."""
+        r1, r2, r3 = self.rho1, self.rho2, self.rho3
+        return np.array(
+            [
+                [Q, r1 * math.sqrt(Q * V), r2 * math.sqrt(Q * P)],
+                [r1 * math.sqrt(Q * V), V, r3 * math.sqrt(V * P)],
+                [r2 * math.sqrt(Q * P), r3 * math.sqrt(V * P), P],
+            ]
+        )
+
+
+def optimal_rho_triple(P: float, params: ProblemParams) -> CorrelationTriple:
+    """The package's optimal Gaussian correlations as a triple, with rho3 = 0."""
+    return CorrelationTriple(*optimal_rho_pair(P, params), 0.0)
+
+
+def dpc_critical_power(params: ProblemParams) -> float:
+    """Power above which dirty-paper coding drives the estimation cost to zero.
+
+    The unique positive root of P^2 (P + Q + N) = Q N^2. It lies below N (the
+    left side exceeds the right there by 2 N^3), and the bracket and the
+    tolerance scale with N, so the root scales with the variances.
+    """
+    Q, N = params.Q, params.N
+    return find_root(lambda p: p * p * (p + Q + N) - Q * N * N, 0.0, N, tol=1e-15 * N)
 
 
 def _cofactor_det(m: np.ndarray) -> float:
@@ -152,37 +217,6 @@ def optimal_rho2(rho1: float, rho3: float, P: float, N: float) -> float:
     return rho1 * rho3 - math.sqrt(max(radicand, 0.0))
 
 
-def timeshare_interval(params: ProblemParams) -> tuple[float, float]:
-    """Power interval where time sharing between two linear gains is optimal.
-
-    (Q - 2N -+ sqrt(Q(Q-4N))) / 2; only defined for Q > 4N.
-    """
-    Q, N = params.Q, params.N
-    if Q <= 4.0 * N:
-        raise RegimeNotApplicable(f"requires Q > 4N, got Q={Q}, N={N}")
-    s = math.sqrt(Q * (Q - 4.0 * N))
-    return 0.5 * (Q - 2.0 * N - s), 0.5 * (Q - 2.0 * N + s)
-
-
-def optimal_rho_triple(P: float, params: ProblemParams) -> CorrelationTriple:
-    """Optimal correlations of the Gaussian policy for power P.
-
-    Inside the regime Q > 4N with P between the two time-sharing powers the
-    optimum is the nontrivial correlated triple; everywhere else it collapses
-    to the pure state contraction (0, -1, 0).
-    """
-    Q, N = params.Q, params.N
-    if not 0.0 <= P <= Q:
-        raise ValueError(f"P={P} outside [0, Q]")
-    if Q > 4.0 * N:
-        p_lo, p_hi = timeshare_interval(params)
-        if p_lo <= P <= p_hi:
-            rho1 = math.sqrt(max((P * Q - (P + N) ** 2) / (Q * (P + N)), 0.0))
-            rho2 = -(P + N) / math.sqrt(P * Q)
-            return CorrelationTriple(rho1, max(rho2, -1.0), 0.0)
-    return CorrelationTriple(0.0, -1.0, 0.0)
-
-
 def scaled_component_entropy(g: GaussianVector, component: int, beta: float) -> float:
     """Entropy in bits after scaling one component by beta.
 
@@ -261,12 +295,3 @@ def quantization_rate_bits(rho1: float) -> float:
     if r1sq >= 1.0:
         return math.inf
     return 0.5 * math.log2(1.0 / (1.0 - r1sq))
-
-
-def ic_feasible(ic_bits: float) -> bool:
-    """Feasibility predicate on an information-constraint margin in bits.
-
-    True iff ic_bits >= -1e-12; the slack absorbs rounding at the boundary,
-    which is achievable.
-    """
-    return ic_bits >= -_IC_TOL

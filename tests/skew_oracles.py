@@ -1,14 +1,101 @@
-"""Independent quadrature routes that cross-check the hybrid-scheme closed forms.
+"""The hybrid scheme's skew-normal building blocks and independent quadrature routes.
 
-Test helpers only: the package computes the estimation cost through
-coord_mmse_at_rho, and these routes exist to check it.
+Test helpers only: the package computes the information-constraint margin
+through coord_ic_margin and the estimation cost through coord_mmse_at_rho,
+and these routes exist to check them. The sign-conditioned entropies, the
+conditional variance and the covariances of the scheme's Gaussian pairs
+are the proofs' building blocks; the two quadratures are a second route to
+the cost and to the term its closed form drops.
 """
 import math
 
 import numpy as np
+from scipy.special import ndtr as norm_cdf
 
-from witsenhausen.numerics import gauss_weighted_integral, mills_ratio, norm_cdf
-from witsenhausen.skewnormal import CoordParams, skew_cond_variance
+from witsenhausen.numerics import (
+    DEFAULT_QUADRATURE,
+    QuadratureConfig,
+    gauss_weighted_integral,
+    mills_ratio,
+)
+from witsenhausen.skewnormal import CoordParams, _skew_scales, entropy_reduction
+
+from gaussian_oracles import DegenerateInput
+
+
+def sign_conditioned_entropies(
+    cp: CoordParams, cfg: QuadratureConfig = DEFAULT_QUADRATURE
+) -> tuple[float, float, float]:
+    """The three conditional entropies of the hybrid scheme given the sign, in bits.
+
+    Returns (h(state, precoder | sign), h(output | sign), h(output, precoder | sign)).
+    Conditioning a centered Gaussian on a sign costs exactly one bit for the
+    joint with the state, and a Psi correction for the skewed pairs.
+    """
+    s, p_res, d2 = _skew_scales(cp)
+    if p_res <= 0.0 or s == 0.0:
+        raise DegenerateInput(
+            f"degenerate hybrid scheme: residual power {p_res}, state scale {s}"
+        )
+    t, n = cp.T, cp.N
+    h_state_prec = 0.5 * math.log2(
+        (2.0 * math.pi * math.e) ** 2 * cp.Q * p_res
+    ) - 1.0
+    h_out = 0.5 * math.log2(2.0 * math.pi * math.e * (t + n)) - entropy_reduction(
+        math.sqrt(t / n), cfg
+    )
+    h_out_prec = 0.5 * math.log2(
+        (2.0 * math.pi * math.e) ** 2 * (t + n) * n * p_res / (p_res + n)
+    ) - entropy_reduction(d2, cfg)
+    return h_state_prec, h_out, h_out_prec
+
+
+def skew_cond_variance(y1, T: float, N: float):
+    """Conditional variance of the interim state given output y1 and a positive sign.
+
+    (TN/(T+N)) (1 - u m(u) - m(u)^2) with u = y1 sqrt(T/(N(T+N))) and m the
+    Mills ratio; clipped into [0, TN/(T+N)], the bounds it satisfies exactly.
+    Accepts scalars or arrays.
+    """
+    if T <= 0.0 or N <= 0.0:
+        raise ValueError("T and N must be positive")
+    sig2 = T * N / (T + N)
+    u = np.asarray(y1, dtype=float) * math.sqrt(T / (N * (T + N)))
+    m = mills_ratio(u)
+    val = np.clip(sig2 * (1.0 - u * m - m * m), 0.0, sig2)
+    if np.ndim(y1) == 0:
+        return float(val)
+    return val
+
+
+def cov_state_precoder(cp: CoordParams) -> np.ndarray:
+    """Covariance of (state, precoder variable) for the hybrid scheme.
+
+    Its determinant is P Q (1 - rho^2) regardless of the noise level.
+    """
+    s, p_res, _ = _skew_scales(cp)
+    c = (p_res / (p_res + cp.N)) * (s / math.sqrt(cp.Q))
+    return np.array(
+        [
+            [cp.Q, c * cp.Q],
+            [c * cp.Q, p_res + c * c * cp.Q],
+        ]
+    )
+
+
+def cov_interim_output_precoder(cp: CoordParams) -> np.ndarray:
+    """Covariance of (interim state, output, precoder variable) for the hybrid scheme."""
+    s, p_res, _ = _skew_scales(cp)
+    t, n = cp.T, cp.N
+    a = p_res * (t + n) / (p_res + n)
+    w_var = p_res + (p_res * s / (p_res + n)) ** 2
+    return np.array(
+        [
+            [t, t, a],
+            [t, t + n, a],
+            [a, a, w_var],
+        ]
+    )
 
 
 def mmse_via_conditional_density(cp: CoordParams) -> float:

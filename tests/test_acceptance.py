@@ -13,18 +13,7 @@ import pytest
 from scipy.integrate import trapezoid
 from scipy.special import log_ndtr
 
-from witsenhausen.core import CorrelationTriple, validate_params
-from witsenhausen.gaussian_info import (
-    GaussianVector,
-    StateChannelParams,
-    dirty_paper_capacity_bits,
-    gaussian_entropy_bits,
-    gaussian_policy_ic,
-    optimal_rho_triple,
-    quantization_rate_bits,
-    scaled_component_entropy,
-    state_dep_ic,
-)
+from witsenhausen.core import validate_params
 from witsenhausen.montecarlo import (
     SimConfig,
     simulate_hybrid_conditional,
@@ -42,7 +31,6 @@ from witsenhausen.skewnormal import (
 from witsenhausen.strategies import (
     TwoPointPolicy,
     dpc_alpha,
-    dpc_critical_power,
     linear_policy_for_power,
     mmse_dpc,
     mmse_gaussian,
@@ -54,6 +42,19 @@ from witsenhausen.strategies import (
     two_point_min_power,
 )
 
+from gaussian_oracles import (
+    CorrelationTriple,
+    GaussianVector,
+    StateChannelParams,
+    dirty_paper_capacity_bits,
+    dpc_critical_power,
+    gaussian_entropy_bits,
+    gaussian_policy_ic,
+    optimal_rho_triple,
+    quantization_rate_bits,
+    scaled_component_entropy,
+    state_dep_ic,
+)
 from grid_search import minimize_1d
 from skew_oracles import dropped_odd_term, mmse_via_conditional_density
 

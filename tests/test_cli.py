@@ -391,6 +391,26 @@ def test_quadrature_failure_in_a_grid_exits_3_without_output(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curve", "--strategy", "linear", "--steps", "3"],
+        ["simulate", "--strategy", "linear", "--P", "1", "--n", "1000"],
+    ],
+    ids=["curve", "simulate"],
+)
+def test_overflow_is_a_numerical_failure(tmp_path, capsys, argv):
+    # the dirty-paper cost squares p_res + N = 1e300, which overflows
+    argv = argv + ["--Q", "1e300", "--N", "1e300"]
+    if argv[0] == "curve":
+        argv += ["--out", str(tmp_path / "out.csv")]
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert f"numerical failure in {argv[0]} (OverflowError)" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_flags_exit_2(tmp_path):
     assert run(["curve", "--strategy", "nope", "--out", "x.csv"]) == 2
     assert run(["curve", "--strategy", "linear", "--Q", "-1",

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from witsenhausen.core import (
-    CorrelationTriple,
     CostPoint,
     EmpiricalCost,
     CurvePoint,
@@ -15,6 +14,8 @@ from witsenhausen.core import (
     TradeoffCurve,
     validate_params,
 )
+
+from gaussian_oracles import CorrelationTriple
 
 
 def test_validate_params_study_point():

@@ -3,30 +3,29 @@ import math
 import numpy as np
 import pytest
 
-from witsenhausen.core import (
+from witsenhausen.core import validate_params
+from witsenhausen.skewnormal import CoordParams, ic_feasible
+from witsenhausen.strategies import mmse_linear, timeshare_interval
+
+from gaussian_oracles import (
     CorrelationTriple,
     DegenerateChannel,
+    GaussianVector,
     InfeasibleRho,
     NegativeEffectiveVariance,
-    ZeroScale,
-    validate_params,
-)
-from witsenhausen.gaussian_info import (
-    GaussianVector,
     StateChannelParams,
+    ZeroScale,
     dirty_paper_capacity_bits,
     gaussian_entropy_bits,
     gaussian_policy_ic,
     gaussian_policy_mmse,
-    ic_feasible,
     optimal_rho2,
     optimal_rho_triple,
     quantization_rate_bits,
     scaled_component_entropy,
     state_dep_ic,
 )
-from witsenhausen.skewnormal import CoordParams, cov_state_precoder
-from witsenhausen.strategies import mmse_linear, timeshare_interval
+from skew_oracles import cov_state_precoder
 
 LOG2_2PIE = math.log2(2.0 * math.pi * math.e)
 

@@ -19,7 +19,6 @@ from witsenhausen.montecarlo import (
 from witsenhausen.skewnormal import (
     CoordParams,
     coord_mmse_at_rho,
-    cov_interim_output_precoder,
     skew_cond_mean,
 )
 from witsenhausen.strategies import (
@@ -30,6 +29,8 @@ from witsenhausen.strategies import (
     two_point_costs,
     two_point_min_power,
 )
+
+from skew_oracles import cov_interim_output_precoder
 
 
 def within(closed, mean, stderr, k=4.0):

@@ -9,27 +9,33 @@ from scipy.integrate import trapezoid
 from scipy.special import log_ndtr
 
 from witsenhausen import numerics, skewnormal
-from witsenhausen.core import DegenerateInput, EmptyFeasibleSet, validate_params
-from witsenhausen.gaussian_info import ic_feasible
-from witsenhausen.numerics import DEFAULT_QUADRATURE, norm_cdf, norm_pdf
+from scipy.special import ndtr as norm_cdf
+
+from witsenhausen.core import EmptyFeasibleSet, validate_params
+from witsenhausen.numerics import DEFAULT_QUADRATURE, norm_pdf
 from witsenhausen.skewnormal import (
     EDGE_RHO_TOL,
     CoordParams,
     coord_ic_margin,
     coord_min_power,
     coord_mmse_at_rho,
-    cov_interim_output_precoder,
-    cov_state_precoder,
     entropy_reduction,
+    ic_feasible,
     mmse_coord,
-    sign_conditioned_entropies,
     skew_cond_mean,
-    skew_cond_variance,
 )
 from witsenhausen.strategies import two_point_min_power
 
+from gaussian_oracles import DegenerateInput
 from grid_search import minimize_1d
-from skew_oracles import dropped_odd_term, mmse_via_conditional_density
+from skew_oracles import (
+    cov_interim_output_precoder,
+    cov_state_precoder,
+    dropped_odd_term,
+    mmse_via_conditional_density,
+    sign_conditioned_entropies,
+    skew_cond_variance,
+)
 
 LN2 = math.log(2.0)
 LOG2_2PIE = math.log2(2.0 * math.pi * math.e)

@@ -21,7 +21,6 @@ from witsenhausen.strategies import (
     TwoPointPolicy,
     curve,
     dpc_alpha,
-    dpc_critical_power,
     linear_policy_for_power,
     mmse_dpc,
     mmse_gaussian,
@@ -36,6 +35,7 @@ from witsenhausen.strategies import (
 )
 from witsenhausen.strategies import _dirty_paper_cost
 
+from gaussian_oracles import dpc_critical_power
 from grid_search import minimize_1d as grid_minimize
 
 
