@@ -11,8 +11,9 @@ they are built from only check these closed forms; they are test oracles
 (tests/skew_oracles.py).
 
 Numerical care: the skew integrands contain phi/Phi ratios whose denominator
-underflows in the left tail; every such ratio is routed through the log-space
-mills_ratio so no integral is silently truncated.
+underflows in the left tail; every such ratio is routed through mills_ratio
+(log space, and erfcx deep in the left tail), so no integral is silently
+truncated.
 """
 from __future__ import annotations
 
@@ -249,9 +250,11 @@ def mmse_coord(
     rho_hi = rho0 and no peak search is needed. Otherwise a bounded
     maximization of the margin over rho, whose first evaluation is the probe,
     decides feasibility and gives rho_hi = rho_peak. A bracketing root-find of
-    the margin on [-1, rho_hi] then gives the edge rho*, stepped right (never
-    past rho_hi) if rounding left it infeasible. Each margin is evaluated
-    once per call, and at rho = -1 it costs no quadrature.
+    the margin on [-1, rho_hi] then gives the edge rho*: it stops at the first
+    point whose margin is within the feasibility slack of 0, and its result
+    is stepped right (never past rho_hi) if rounding left it infeasible.
+    Each margin is evaluated once per call, and at rho = -1 it costs no
+    quadrature.
     Returns (coord_mmse_at_rho at rho*, rho*). Raises EmptyFeasibleSet when
     no correlation lets the channel carry the one-bit sign; at P = 0 this is
     immediate, since with no residual power the margin is -1 for every rho.
@@ -270,7 +273,14 @@ def mmse_coord(
             raise EmptyFeasibleSet(
                 f"coord infeasible at P={P}: peak IC margin {peak:.6g} bits at rho={rho_hi:.6g}"
             )
-    rho = find_root(margin, -1.0, rho_hi, EDGE_RHO_TOL) if margin(rho_hi) > 0.0 else rho_hi
+
+    def edge_margin(rho: float) -> float:
+        # 0.0 inside the feasibility slack, so that Brent stops at the first
+        # point it finds on the constraint boundary
+        m = margin(rho)
+        return 0.0 if abs(m) <= _IC_TOL else m
+
+    rho = find_root(edge_margin, -1.0, rho_hi, EDGE_RHO_TOL) if margin(rho_hi) > 0.0 else rho_hi
     step = 1e-12
     while not ic_feasible(margin(rho)):
         rho = min(rho + step, rho_hi)

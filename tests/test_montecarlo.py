@@ -102,19 +102,48 @@ def test_estimates_are_pinned(params):
     )
 
 
-def test_simulation_memory_is_a_few_arrays_per_worker(params):
-    # tracemalloc sees NumPy's buffers; a batch keeps its three drawn arrays
-    # plus cache-sized temporaries
-    batch = 1_000_000
-    workers = montecarlo._worker_count(2, batch)
+@pytest.mark.parametrize(
+    "cfg, pinned",
+    [
+        # batches shorter than one CHUNK, and a short remainder batch
+        (SimConfig(50_000, seed=3, batch_size=8192),
+         (0.029881088051393202, 0.00018789863398951243,
+          0.006630727684965131, 4.556691507276207e-05)),
+        # one batch of two full slices and a partial last one
+        (SimConfig(40_000, seed=5, batch_size=40_000),
+         (0.029705924012155372, 0.0002107255208930355,
+          0.00662914004346949, 5.047173007461091e-05)),
+    ],
+)
+def test_sliced_noise_draw_keeps_the_hybrid_estimates(params, cfg, pinned):
+    # the estimates of the simulator that drew the channel noise as one whole
+    # array after the other two, bit for bit
     cp = CoordParams(0.03, -0.5, params.Q, params.N)
-    tracemalloc.start()
-    try:
-        simulate_hybrid_conditional(cp, params, SimConfig(2 * batch, seed=1, batch_size=batch))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= (workers * 4 + 1) * batch * 8
+    assert simulate_hybrid_conditional(cp, params, cfg) == EmpiricalCost(
+        *pinned, n_samples=cfg.n_samples, seed=cfg.seed
+    )
+
+
+def test_simulation_memory_is_a_few_arrays_per_worker(params, monkeypatch):
+    # tracemalloc sees NumPy's buffers; a coord batch keeps the two drawn
+    # arrays that the power and the squared error overwrite, and draws its
+    # channel noise slice by slice, so with one worker it peaks at 2.2
+    # arrays of a batch (3.2 when all three draws were held whole)
+    batch = 1_000_000
+    cp = CoordParams(0.03, -0.5, params.Q, params.N)
+    for workers in (1, 2):
+        monkeypatch.setattr(
+            montecarlo, "_worker_count", lambda n_batches, batch_size: workers
+        )
+        tracemalloc.start()
+        try:
+            simulate_hybrid_conditional(
+                cp, params, SimConfig(2 * batch, seed=1, batch_size=batch)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= workers * 2.5 * batch * 8, workers
 
 
 def test_deterministic_replay(params):

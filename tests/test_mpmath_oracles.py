@@ -1,8 +1,9 @@
-"""Arbitrary-precision oracles for the special integrals (mpmath, 30 digits)."""
+"""Arbitrary-precision oracles for the special functions (mpmath)."""
 import mpmath
 import numpy as np
 import pytest
 
+from witsenhausen.numerics import mills_ratio
 from witsenhausen.skewnormal import entropy_reduction
 
 
@@ -38,3 +39,33 @@ def test_psi_matches_mpmath(alpha):
 @pytest.mark.parametrize("alpha", [600.0, 1e4])
 def test_psi_matches_mpmath_at_large_skewness(alpha):
     assert abs(entropy_reduction(alpha) - psi_mpmath(alpha)) <= 1e-14
+
+
+def mills_mpmath(x: float) -> float:
+    """phi(x) / Phi(x) at 50 digits."""
+    with mpmath.workdps(50):
+        return float(mpmath.npdf(x) / mpmath.ncdf(x))
+
+
+# either side of the switch of form at x = -38
+_MILLS_LEFT_TAIL = (-np.geomspace(38.0 + 1e-9, 1e8, 40)).tolist()
+_MILLS_BODY = np.linspace(-38.0, 37.0, 301).tolist()
+
+
+def test_mills_matches_mpmath_in_the_left_tail():
+    # the log-space form was off by 9.1e-14 at x = -40, 6.1e-9 at -1e4 and
+    # 0.78 at -1e8; the erfcx form there is within 3.4e-16
+    values = mills_ratio(np.array(_MILLS_LEFT_TAIL))
+    for x, value in zip(_MILLS_LEFT_TAIL, values):
+        oracle = mills_mpmath(x)
+        assert abs(value - oracle) <= 1e-14 * oracle, x
+        assert mills_ratio(x) == value
+
+
+def test_mills_matches_mpmath_on_the_log_space_range():
+    # exp(log phi - log Phi) loses about x^2 2^-53 relative accuracy; the
+    # grid stops at x = 37, as from about 37.5 on the value is subnormal
+    values = mills_ratio(np.array(_MILLS_BODY))
+    for x, value in zip(_MILLS_BODY, values):
+        oracle = mills_mpmath(x)
+        assert abs(value - oracle) <= (x * x + 8.0) * 2.0**-51 * oracle, x

@@ -496,6 +496,30 @@ def test_mmse_coord_evaluates_each_margin_once(params, monkeypatch):
         assert set(rhos) == solver_rhos
 
 
+@pytest.mark.parametrize(
+    "Q, N, P", [(0.1, 0.01, 0.023), (0.1, 0.01, 0.05), (1.0, 1e-4, 1e-3)]
+)
+def test_mmse_coord_edge_stops_inside_the_feasibility_slack(Q, N, P, monkeypatch):
+    # the edge root-find ends at the first margin within 1e-12 of 0 that it
+    # meets: that rho is feasible, and a further Brent step would only move
+    # rho* by rounding, so how many margins a call makes would hang on the
+    # last bit of Psi
+    values = []
+    real = numerics.find_root
+
+    def recording(f, lo, hi, tol):
+        def g(x):
+            values.append(f(x))
+            return values[-1]
+
+        return real(g, lo, hi, tol)
+
+    monkeypatch.setattr(skewnormal, "find_root", recording)
+    mmse_coord(P, validate_params(Q, N))
+    inside = [abs(v) <= 1e-12 for v in values]
+    assert inside[-1] and not any(inside[:-1])
+
+
 # ------------------------------------------------------ coord minimum power
 
 
