@@ -20,7 +20,6 @@ from .montecarlo import (
     simulate_two_point,
 )
 from .numerics import (
-    QuadratureConfig,
     find_root,
     gauss_weighted_integral,
     gauss_weighted_integrals,

@@ -35,7 +35,7 @@ from .core import (
     WitsenhausenError,
     validate_params,
 )
-from .numerics import QuadratureConfig
+from .numerics import DEFAULT_TOL
 
 __all__ = ["main", "RunManifest"]
 
@@ -95,15 +95,15 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
         writer.writerows(rows)
 
 
-def _manifest(args, argv: list[str], cfg: QuadratureConfig, out: str) -> None:
+def _manifest(args, argv: list[str], tol: float, out: str) -> None:
     RunManifest(
         command=args.command,
         argv=argv,
         Q=getattr(args, "Q", None),
         N=getattr(args, "N", None),
         tolerances={
-            "quadrature_abs_tol": cfg.abs_tol,
-            "quadrature_rel_tol": cfg.rel_tol,
+            "quadrature_abs_tol": tol,
+            "quadrature_rel_tol": tol,
             "coord_peak_rho_xtol": skewnormal.PEAK_RHO_TOL,
             "coord_edge_rho_xtol": skewnormal.EDGE_RHO_TOL,
             "lin_dpc_rho_xtol": strategies.LIN_DPC_RHO_TOL,
@@ -126,11 +126,14 @@ def _gnuplot_script(out: str, columns: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _quad_cfg(args) -> QuadratureConfig:
-    tol = getattr(args, "tol", None)
-    if tol is None:
-        return QuadratureConfig()
-    return QuadratureConfig(abs_tol=tol, rel_tol=tol)
+def _tol(args) -> float:
+    """The --tol value, the quadratures' absolute and relative error bound.
+
+    One that is not finite or not positive is a usage error.
+    """
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise ValueError(f"--tol must be positive and finite, got {args.tol}")
+    return args.tol
 
 
 def _grid(
@@ -139,7 +142,8 @@ def _grid(
     """`steps` evenly spaced values from lo to hi; a bad grid is a usage error.
 
     Checks --steps and the bounds --<name>-min/--<name>-max: both finite,
-    lo < hi and, when `nonnegative`, lo >= 0.
+    lo < hi, a finite span hi - lo (np.linspace steps through it) and, when
+    `nonnegative`, lo >= 0.
     """
     if steps < 2:
         raise ValueError("--steps must be >= 2")
@@ -148,6 +152,8 @@ def _grid(
     if not (0.0 if nonnegative else -math.inf) <= lo < hi:
         floor = "0 <= " if nonnegative else ""
         raise ValueError(f"need {floor}{name}-min < {name}-max")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"the span {name}-max - {name}-min overflows")
     return np.linspace(lo, hi, steps)
 
 
@@ -172,7 +178,7 @@ _CURVE_HEADER = ["P", "S", "strategy", "aux1", "aux2", "feasible"]
 
 def cmd_curve(args, argv: list[str]) -> int:
     params = validate_params(args.Q, args.N)
-    cfg = _quad_cfg(args)
+    tol = _tol(args)
     sweep_a = args.a_min is not None or args.a_max is not None
     if sweep_a and args.strategy != "two-point":
         print("--a-min/--a-max only apply to the two-point strategy", file=sys.stderr)
@@ -182,17 +188,17 @@ def cmd_curve(args, argv: list[str]) -> int:
         a_min = args.a_min if args.a_min is not None else 0.0
         a_max = args.a_max if args.a_max is not None else 3.0 * math.sqrt(params.Q)
         grid = _grid(a_min, a_max, args.steps, "a")
-        powers, costs = strategies.two_point_cost_grid(grid, params, cfg)
+        powers, costs = strategies.two_point_cost_grid(grid, params, tol)
         rows = [
             [_fmt(p), _fmt(s), "two-point", _fmt(a), "", "true"]
             for p, s, a in zip(powers, costs, grid)
         ]
     else:
-        c = strategies.curve(args.strategy, params, _power_grid(args, params), cfg)
+        c = strategies.curve(args.strategy, params, _power_grid(args, params), tol)
         rows = [_point_row(pt, args.strategy) for pt in c.points]
 
     _write_csv(args.out, _CURVE_HEADER, rows)
-    _manifest(args, argv, cfg, args.out)
+    _manifest(args, argv, tol, args.out)
     if args.gnuplot:
         _gnuplot_script(args.out, ["S"])
     return 0
@@ -203,15 +209,15 @@ _COMPARE_COLUMNS = [s.replace("-", "_") for s in strategies.STRATEGIES]
 
 def cmd_compare(args, argv: list[str]) -> int:
     params = validate_params(args.Q, args.N)
-    cfg = _quad_cfg(args)
+    tol = _tol(args)
     grid = _power_grid(args, params)
-    curves = [strategies.curve(s, params, grid, cfg) for s in strategies.STRATEGIES]
+    curves = [strategies.curve(s, params, grid, tol) for s in strategies.STRATEGIES]
     rows = [
         [_fmt(pts[0].P)] + [_fmt(pt.S) if pt.feasible else "" for pt in pts]
         for pts in zip(*(c.points for c in curves))
     ]
     _write_csv(args.out, ["P"] + _COMPARE_COLUMNS, rows)
-    _manifest(args, argv, cfg, args.out)
+    _manifest(args, argv, tol, args.out)
     if args.gnuplot:
         _gnuplot_script(args.out, _COMPARE_COLUMNS)
     return 0
@@ -219,7 +225,7 @@ def cmd_compare(args, argv: list[str]) -> int:
 
 def cmd_simulate(args, argv: list[str]) -> int:
     params = validate_params(args.Q, args.N)
-    cfg = _quad_cfg(args)
+    tol = _tol(args)
     try:
         sim_cfg = montecarlo.SimConfig(n_samples=args.n, seed=args.seed)
     except ValueError as exc:
@@ -240,7 +246,7 @@ def cmd_simulate(args, argv: list[str]) -> int:
             print("two-point simulation needs --a", file=sys.stderr)
             return 2
         policy = strategies.TwoPointPolicy(args.a)
-        cost = strategies.two_point_costs(policy, params, cfg)
+        cost = strategies.two_point_costs(policy, params, tol)
         closed_p, closed_s = cost.P, cost.S
         emp = montecarlo.simulate_two_point(policy, params, sim_cfg)
         label = f"two-point a={args.a}"
@@ -250,7 +256,7 @@ def cmd_simulate(args, argv: list[str]) -> int:
             return 2
         cp = skewnormal.CoordParams(args.P, args.rho, params.Q, params.N)
         closed_p = args.P
-        closed_s = skewnormal.coord_mmse_at_rho(cp, cfg)
+        closed_s = skewnormal.coord_mmse_at_rho(cp, tol)
         emp = montecarlo.simulate_hybrid_conditional(cp, params, sim_cfg)
         label = f"coord P={args.P} rho={args.rho}"
     else:
@@ -276,12 +282,12 @@ def cmd_simulate(args, argv: list[str]) -> int:
 
 
 def cmd_psi(args, argv: list[str]) -> int:
-    cfg = _quad_cfg(args)
+    tol = _tol(args)
     grid = _grid(args.alpha_min, args.alpha_max, args.steps, "alpha", nonnegative=False)
-    psi = skewnormal.entropy_reduction(grid, cfg)
+    psi = skewnormal.entropy_reduction(grid, tol)
     rows = [[_fmt(a), _fmt(v)] for a, v in zip(grid, psi)]
     _write_csv(args.out, ["alpha", "psi"], rows)
-    _manifest(args, argv, cfg, args.out)
+    _manifest(args, argv, tol, args.out)
     if args.gnuplot:
         _gnuplot_script(args.out, ["psi"])
     return 0
@@ -293,7 +299,10 @@ def _add_common(
     if variances:
         p.add_argument("--Q", type=float, default=0.1, help="state variance (default 0.1)")
         p.add_argument("--N", type=float, default=0.01, help="noise variance (default 0.01)")
-    p.add_argument("--tol", type=float, default=None, help="quadrature tolerance override")
+    p.add_argument(
+        "--tol", type=float, default=DEFAULT_TOL,
+        help=f"quadrature tolerance, absolute and relative (default {DEFAULT_TOL:g})",
+    )
     if output:
         p.add_argument("--out", required=True, help="output CSV path")
         p.add_argument(

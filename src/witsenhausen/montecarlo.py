@@ -2,10 +2,11 @@
 
 Draws the state and channel noise, applies a scalar control policy together
 with its closed-form optimal decoder, and estimates (power, estimation cost)
-empirically. Everything is seeded and batched: batch b uses the Philox
-counter-based stream jumped b times from the configured seed, and batch
-moments are merged in batch order, so results are bit-identical for a given
-config regardless of how batches are scheduled.
+empirically. Everything is seeded and batched: the samples are split into
+batches of the fixed size BATCH (the last one shorter), batch b uses the
+Philox counter-based stream jumped b times from the seed, and batch moments
+are merged in batch order, so the pair (seed, n_samples) gives bit-identical
+estimates regardless of how batches are scheduled.
 
 Batches run on a thread pool with one worker per CPU in the process's
 affinity set; the random draws and the large-array arithmetic release the
@@ -15,8 +16,8 @@ arrays of its size: the arithmetic, the scaling of the draws included, runs
 over CHUNK-long slices whose temporaries stay in cache; the power and
 squared error are written back over the first two drawn arrays and reduced
 there; and the hybrid scheme's third normal array, its channel noise, is
-drawn one slice at a time. Under tracemalloc a coord run at the default
-batch size peaks at 2.2 arrays of a batch with one worker and 4.4 with two.
+drawn one slice at a time. Under tracemalloc a coord run peaks at 2.2
+arrays of a batch with one worker and 4.4 with two.
 """
 from __future__ import annotations
 
@@ -38,6 +39,9 @@ __all__ = [
     "simulate_hybrid_conditional",
 ]
 
+# Samples per batch: each batch is one Philox stream, so the estimates
+# depend on it, and a batch holds two arrays of this many doubles (16 MB).
+BATCH = 1_000_000
 # Samples per slice of the elementwise arithmetic and of the sliced draw: the
 # slice's temporaries stay in cache, and a batch holds little more than its
 # two whole drawn arrays.
@@ -46,23 +50,22 @@ CHUNK = 2**14
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Sample budget, RNG seed and batch size of one simulation run."""
+    """Sample budget and RNG seed of one simulation run.
+
+    Together they fix the estimates bit for bit: the samples are drawn in
+    batches of BATCH from Philox streams keyed by the seed.
+    """
 
     n_samples: int
     seed: int = 0
-    batch_size: int = 1_000_000
 
     def __post_init__(self) -> None:
-        require_finite(
-            n_samples=self.n_samples, seed=self.seed, batch_size=self.batch_size
-        )
+        require_finite(n_samples=self.n_samples, seed=self.seed)
         if self.n_samples < 1000:
             raise ValueError(
                 f"n_samples={self.n_samples} too small: standard errors are "
                 "meaningless below 1000"
             )
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
 
 
 class RunningMoments:
@@ -105,21 +108,15 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
 
 
 def _batch_sizes(cfg: SimConfig):
-    full, rest = divmod(cfg.n_samples, cfg.batch_size)
-    sizes = [cfg.batch_size] * full
+    full, rest = divmod(cfg.n_samples, BATCH)
+    sizes = [BATCH] * full
     if rest:
         sizes.append(rest)
     return sizes
 
 
-def _worker_count(n_batches: int, batch_size: int) -> int:
-    """Threads to run the batches on: one per CPU this process may use.
-
-    Never more than there are batches, and one when a batch is shorter than
-    a CHUNK: so little arithmetic cannot win back a thread's start-up.
-    """
-    if batch_size < CHUNK:
-        return 1
+def _worker_count(n_batches: int) -> int:
+    """One thread per CPU this process may use, and at most one per batch."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity API on this platform
@@ -171,7 +168,7 @@ def _run(cfg: SimConfig, scales: tuple[float, ...], step) -> EmpiricalCost:
             np.square(err, out=parts[1])
         return _moments(kept[0]), _moments(kept[1])
 
-    workers = _worker_count(len(sizes), cfg.batch_size)
+    workers = _worker_count(len(sizes))
     if workers == 1:
         stats = [batch(b) for b in range(len(sizes))]
     else:
@@ -209,11 +206,15 @@ def simulate_linear(
     _require_simulable_power(a * a * Q + b * b, f"linear policy a={a} b={b}")
     g = (1.0 + a) ** 2 * Q
     gain = g / (g + N)
-    offset = b * N / (g + N)
+    offset = b * (N / (g + N))
 
     def step(x0, z):
-        u1 = a * x0 + b
-        x1 = x0 + u1
+        # x1 = (x0 + a x0) + b, not x0 + u1: at a = -1 it is b exactly, and
+        # so is the estimate, whose gain is then 0 and offset b, so the
+        # error is exactly 0 like the closed form's
+        ax = a * x0
+        u1 = ax + b
+        x1 = x0 + ax + b
         y = x1 + z
         return u1, x1 - (y * gain + offset)
 

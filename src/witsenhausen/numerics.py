@@ -8,22 +8,27 @@ solvers). The two solvers are ports of SciPy's `brentq` and bounded
 `minimize_scalar` that give the same iterates bit for bit, so that starting
 the package does not pay the ~0.3 s import of SciPy's optimize package.
 
+The quadratures have one setting, `tol`, which bounds each integral's error
+estimate both absolutely and relative to its value. Their truncation radius
+and subdivision budget are fixed: every integrand here decays at least like
+exp(-c x^2) on a scale of order one, so cutting the real line at 12 units
+discards tail mass below 1e-31, and an integral that still misses its
+tolerance after 200 bisections raises NonConvergence.
+
 All functions are pure.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.special import erfcx, log_ndtr
 
-from .core import NoBracket, NonConvergence, require_finite
+from .core import NoBracket, NonConvergence
 
 __all__ = [
-    "QuadratureConfig",
-    "DEFAULT_QUADRATURE",
+    "DEFAULT_TOL",
     "gauss_weighted_integral",
     "gauss_weighted_integrals",
     "integral_real_line",
@@ -49,37 +54,6 @@ def norm_pdf(x):
     x = np.asarray(x, dtype=float)
     return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and truncation for the adaptive quadratures.
-
-    All integrands handled here decay at least like exp(-c x^2), so truncating
-    the real line at `truncation_radius` standard-scale units discards tail
-    mass below 1e-31 for the default radius of 12.
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 200
-    truncation_radius: float = 12.0
-
-    def __post_init__(self) -> None:
-        require_finite(
-            abs_tol=self.abs_tol,
-            rel_tol=self.rel_tol,
-            max_subdivisions=self.max_subdivisions,
-            truncation_radius=self.truncation_radius,
-        )
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.truncation_radius < 8.0:
-            raise ValueError("truncation_radius must be >= 8 standard deviations")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
 
 # 15-point Kronrod extension of 7-point Gauss-Legendre (nodes on [-1, 1]).
 _XK = np.array(
@@ -153,6 +127,13 @@ _XK1 = _XK + 1.0
 # Integrals per engine call when a grid is integrated: bounds the panel and
 # node arrays of one refinement round at the speed of a full-grid batch.
 _BATCH = 64
+# Bisections allowed per integral, and the half-width of the integration
+# domain [-_RADIUS, _RADIUS] that stands in for the real line.
+_MAX_SUBDIVISIONS = 200
+_RADIUS = 12.0
+
+# Default quadrature tolerance, absolute and relative.
+DEFAULT_TOL = 1e-10
 
 
 def _eval_panels(f, a: np.ndarray, b: np.ndarray, theta: np.ndarray):
@@ -171,16 +152,17 @@ def _eval_panels(f, a: np.ndarray, b: np.ndarray, theta: np.ndarray):
     return ik, np.abs(ik - h * sums[:, 1])
 
 
-def _adaptive(f, theta, lo: float, hi: float, cfg: QuadratureConfig) -> np.ndarray:
-    """Adaptive Gauss-Kronrod subdivision of [lo, hi] for a batch of integrals.
+def _adaptive(f, theta, tol: float) -> np.ndarray:
+    """Adaptive Gauss-Kronrod subdivision of [-_RADIUS, _RADIUS] for a batch of integrals.
 
     Integral k is the integral of f(x, theta[k]); f is called with a node
     array and an equally long array of parameters. Each integral starts from
     8 equal panels. Each round bisects every panel whose error estimate is at
-    least the mean of its integral's panels, at most cfg.max_subdivisions
+    least the mean of its integral's panels, at most _MAX_SUBDIVISIONS
     panels per integral in total, the worst first, and evaluates the new
     halves of all unfinished integrals in one integrand call. An integral
-    stops once its error sum meets its tolerance and leaves the batch.
+    stops once its error sum is at most max(tol, tol |value|) and leaves the
+    batch.
 
     The panels sit in flat arrays with an owner index. Every step keeps
     each integral's panels in the order a batch of one would have them, and
@@ -192,7 +174,7 @@ def _adaptive(f, theta, lo: float, hi: float, cfg: QuadratureConfig) -> np.ndarr
     named = theta is not None
     theta = np.zeros(1) if theta is None else np.asarray(theta, dtype=float)
     m = theta.size
-    edges = np.linspace(lo, hi, 9)
+    edges = np.linspace(-_RADIUS, _RADIUS, 9)
     owner, panel = np.divmod(np.arange(8 * m), 8)
     a, b = edges[panel], edges[panel + 1]
     ik, err = _eval_panels(f, a, b, theta[owner])
@@ -203,7 +185,7 @@ def _adaptive(f, theta, lo: float, hi: float, cfg: QuadratureConfig) -> np.ndarr
     while True:
         total = np.bincount(owner, ik, m)
         err_sum = np.bincount(owner, err, m)
-        bound = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
+        bound = np.maximum(tol, tol * np.abs(total))
         done = err_sum <= bound
         finished = done & active
         if finished.any():
@@ -215,8 +197,8 @@ def _adaptive(f, theta, lo: float, hi: float, cfg: QuadratureConfig) -> np.ndarr
             a, b, ik, err, owner = a[kept], b[kept], ik[kept], err[kept], owner[kept]
         # a NaN error estimate would select no panel to bisect; the total of
         # the error sums, all >= 0, is finite iff each of them is
-        if splits.max() >= cfg.max_subdivisions or not math.isfinite(err_sum.sum()):
-            failed = ~done & ((splits >= cfg.max_subdivisions) | ~np.isfinite(err_sum))
+        if splits.max() >= _MAX_SUBDIVISIONS or not math.isfinite(err_sum.sum()):
+            failed = ~done & ((splits >= _MAX_SUBDIVISIONS) | ~np.isfinite(err_sum))
             if failed.any():
                 j = int(np.argmax(failed))
                 at = f" at parameter {float(theta[j])!r}" if named else ""
@@ -226,8 +208,8 @@ def _adaptive(f, theta, lo: float, hi: float, cfg: QuadratureConfig) -> np.ndarr
                 )
         split = err >= (err_sum / count)[owner]
         chosen = np.bincount(owner[split], minlength=m)
-        if (splits + chosen).max() > cfg.max_subdivisions:
-            budget = cfg.max_subdivisions - splits
+        if (splits + chosen).max() > _MAX_SUBDIVISIONS:
+            budget = _MAX_SUBDIVISIONS - splits
             for j in np.flatnonzero(chosen > budget):
                 mine = np.flatnonzero(owner == j)
                 worst = np.zeros(mine.size, dtype=bool)
@@ -250,26 +232,25 @@ def _adaptive(f, theta, lo: float, hi: float, cfg: QuadratureConfig) -> np.ndarr
 
 
 def gauss_weighted_integral(
-    f: Callable[[np.ndarray], np.ndarray], cfg: QuadratureConfig = DEFAULT_QUADRATURE
+    f: Callable[[np.ndarray], np.ndarray], tol: float = DEFAULT_TOL
 ) -> float:
     """Integral of f(x) * phi(x) over the real line, phi the standard normal density.
 
     f is called with an array of nodes and returns one value per node. It
     may grow at most polynomially (times logs); the Gaussian weight then
-    confines everything to [-R, R] with R = cfg.truncation_radius.
+    confines everything to [-12, 12].
     """
-    R = cfg.truncation_radius
 
     def weighted(x, _theta):
         return np.asarray(f(x), dtype=float) * norm_pdf(x)
 
-    return float(_adaptive(weighted, None, -R, R, cfg)[0])
+    return float(_adaptive(weighted, None, tol)[0])
 
 
 def gauss_weighted_integrals(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     theta,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    tol: float = DEFAULT_TOL,
 ) -> np.ndarray:
     """The integrals of f(x, theta_k) * phi(x) over the real line, one per theta_k.
 
@@ -279,29 +260,27 @@ def gauss_weighted_integrals(
     the one a batch of one would give, bit for bit.
     """
     theta = np.asarray(theta, dtype=float).ravel()
-    R = cfg.truncation_radius
 
     def weighted(x, th):
         return np.asarray(f(x, th), dtype=float) * norm_pdf(x)
 
     out = np.empty(theta.size)
     for lo in range(0, theta.size, _BATCH):
-        out[lo : lo + _BATCH] = _adaptive(weighted, theta[lo : lo + _BATCH], -R, R, cfg)
+        out[lo : lo + _BATCH] = _adaptive(weighted, theta[lo : lo + _BATCH], tol)
     return out
 
 
 def integral_real_line(
-    f: Callable[[np.ndarray], np.ndarray], cfg: QuadratureConfig = DEFAULT_QUADRATURE
+    f: Callable[[np.ndarray], np.ndarray], tol: float = DEFAULT_TOL
 ) -> float:
     """Integral of f over the real line for integrands with Gaussian-type decay.
 
     f is called with an array of nodes and must return one value per node;
     any other shape raises ValueError. Requires |f(x)| <= C exp(-c x^2)
     outside a bounded set, with a decay scale of order one so the truncation
-    radius applies; callers standardize their variables accordingly.
+    radius of 12 applies; callers standardize their variables accordingly.
     """
-    R = cfg.truncation_radius
-    return float(_adaptive(lambda x, _theta: f(x), None, -R, R, cfg)[0])
+    return float(_adaptive(lambda x, _theta: f(x), None, tol)[0])
 
 
 def mills_ratio(x):

@@ -29,8 +29,7 @@ from .core import EmptyFeasibleSet, ProblemParams, power_split, require_finite
 # checks this binding.
 from .numerics import (
     _GOLDEN_MEAN,
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
+    DEFAULT_TOL,
     find_root,
     gauss_weighted_integral,  # noqa: F401
     gauss_weighted_integrals,
@@ -104,7 +103,7 @@ def _psi_integrand(x, alpha):
     return np.where(t > 0.0, t * (l + _LN2) / _LN2, 0.0)
 
 
-def entropy_reduction(alpha, cfg: QuadratureConfig = DEFAULT_QUADRATURE):
+def entropy_reduction(alpha, tol: float = DEFAULT_TOL):
     """Entropy deficit Psi(alpha) of a skew normal with skewness alpha, in bits.
 
     Psi(alpha) = int 2 Phi(alpha x) log2(2 Phi(alpha x)) phi(x) dx. Even in
@@ -121,7 +120,7 @@ def entropy_reduction(alpha, cfg: QuadratureConfig = DEFAULT_QUADRATURE):
         # about 5% of the size-2 call that coord_ic_margin makes
         grid = np.sort(mag[todo])
         grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
-        psi = gauss_weighted_integrals(_psi_integrand, grid, cfg)
+        psi = gauss_weighted_integrals(_psi_integrand, grid, tol)
         out[todo] = psi[np.searchsorted(grid, mag[todo])]
     return float(out) if out.ndim == 0 else out
 
@@ -145,9 +144,7 @@ def ic_feasible(ic_bits: float) -> bool:
     return ic_bits >= -_IC_TOL
 
 
-def coord_ic_margin(
-    cp: CoordParams, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> float:
+def coord_ic_margin(cp: CoordParams, tol: float = DEFAULT_TOL) -> float:
     """Information-constraint margin of the hybrid scheme, in bits.
 
     0.5 log2(1 + P(1-rho^2)/N) - Psi(sqrt(T/N)) + Psi(delta) - 1, where the
@@ -163,7 +160,7 @@ def coord_ic_margin(
     if p_res == 0.0:
         return -1.0
     cap = 0.5 * math.log2(1.0 + p_res / cp.N)
-    psi1, psi2 = entropy_reduction(np.array([math.sqrt(cp.T / cp.N), d2]), cfg)
+    psi1, psi2 = entropy_reduction(np.array([math.sqrt(cp.T / cp.N), d2]), tol)
     return float(cap - psi1 + psi2 - 1.0)
 
 
@@ -183,9 +180,7 @@ def skew_cond_mean(y1, T: float, N: float):
     return val
 
 
-def coord_mmse_at_rho(
-    cp: CoordParams, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> float:
+def coord_mmse_at_rho(cp: CoordParams, tol: float = DEFAULT_TOL) -> float:
     """Estimation cost of the hybrid scheme at a fixed correlation, in power units.
 
     Closed-form single integral
@@ -205,11 +200,11 @@ def coord_mmse_at_rho(
         w = np.asarray(w, dtype=float)
         return mills_ratio(kap * w) * np.exp(-0.5 * w * w * (1.0 - kap2))
 
-    g = integral_real_line(f, cfg)
+    g = integral_real_line(f, tol)
     return sig2 * (1.0 - (1.0 / math.pi) * math.sqrt(n / (2.0 * t + n)) * g)
 
 
-def _margin_in_rho(P: float, params: ProblemParams, cfg: QuadratureConfig):
+def _margin_in_rho(P: float, params: ProblemParams, tol: float):
     """The information-constraint margin at power P as a function of rho.
 
     The margin is >= -1 wherever it is finite (d2 >= d1, so Psi(d2) >= Psi(d1));
@@ -223,7 +218,7 @@ def _margin_in_rho(P: float, params: ProblemParams, cfg: QuadratureConfig):
     def margin(rho: float) -> float:
         if rho not in memo:
             cp = CoordParams(P, rho, params.Q, params.N)
-            memo[rho] = max(coord_ic_margin(cp, cfg), -1.0)
+            memo[rho] = max(coord_ic_margin(cp, tol), -1.0)
         return memo[rho]
 
     return margin
@@ -236,7 +231,7 @@ def _peak_margin(margin) -> tuple[float, float]:
 
 
 def mmse_coord(
-    P: float, params: ProblemParams, cfg: QuadratureConfig = DEFAULT_QUADRATURE
+    P: float, params: ProblemParams, tol: float = DEFAULT_TOL
 ) -> tuple[float, float]:
     """Minimal hybrid-scheme estimation cost at power P, and its correlation.
 
@@ -265,7 +260,7 @@ def mmse_coord(
     if P == 0.0:
         raise EmptyFeasibleSet("coord infeasible at P=0: the IC margin is -1 for every rho")
 
-    margin = _margin_in_rho(P, params, cfg)
+    margin = _margin_in_rho(P, params, tol)
     rho_hi = _PROBE_RHO
     if margin(rho_hi) <= 0.0:
         rho_hi, peak = _peak_margin(margin)
@@ -285,12 +280,10 @@ def mmse_coord(
     while not ic_feasible(margin(rho)):
         rho = min(rho + step, rho_hi)
         step *= 2.0
-    return coord_mmse_at_rho(CoordParams(P, rho, Q, N), cfg), rho
+    return coord_mmse_at_rho(CoordParams(P, rho, Q, N), tol), rho
 
 
-def coord_min_power(
-    params: ProblemParams, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> float:
+def coord_min_power(params: ProblemParams, tol: float = DEFAULT_TOL) -> float:
     """Smallest power at which the hybrid scheme is feasible.
 
     The root in P of the peak information-constraint margin over rho, the
@@ -302,7 +295,7 @@ def coord_min_power(
     def peak(P: float) -> float:
         if P == 0.0:
             return -1.0
-        return _peak_margin(_margin_in_rho(P, params, cfg))[1]
+        return _peak_margin(_margin_in_rho(P, params, tol))[1]
 
     top = peak(params.Q)
     if not ic_feasible(top):

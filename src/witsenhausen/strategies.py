@@ -35,8 +35,7 @@ from .core import (
     require_finite,
 )
 from .numerics import (
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
+    DEFAULT_TOL,
     find_root,
     gauss_weighted_integral,
     gauss_weighted_integrals,
@@ -208,7 +207,7 @@ def _two_point_prefactor(a, kappa):
 def two_point_costs(
     policy: TwoPointPolicy,
     params: ProblemParams,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    tol: float = DEFAULT_TOL,
 ) -> CostPoint:
     """Power and estimation cost of the two-point policy with magnitude a.
 
@@ -228,12 +227,12 @@ def two_point_costs(
     if a == 0.0:
         return CostPoint(power, 0.0)
     kappa = a / math.sqrt(params.N)
-    integral = gauss_weighted_integral(lambda t: _two_point_integrand(t, kappa), cfg)
+    integral = gauss_weighted_integral(lambda t: _two_point_integrand(t, kappa), tol)
     return CostPoint(power, float(_two_point_prefactor(a, kappa) * integral))
 
 
 def two_point_cost_grid(
-    a, params: ProblemParams, cfg: QuadratureConfig = DEFAULT_QUADRATURE
+    a, params: ProblemParams, tol: float = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
     """Powers and estimation costs of the two-point policy at an array of magnitudes.
 
@@ -251,7 +250,7 @@ def two_point_cost_grid(
     cost = np.zeros(a.shape)
     pos = a > 0.0
     kappa = a[pos] / math.sqrt(params.N)
-    integral = gauss_weighted_integrals(_two_point_integrand, kappa, cfg)
+    integral = gauss_weighted_integrals(_two_point_integrand, kappa, tol)
     cost[pos] = _two_point_prefactor(a[pos], kappa) * integral
     return power, cost
 
@@ -355,7 +354,7 @@ def curve(
     strategy: str,
     params: ProblemParams,
     P_grid: Sequence[float],
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    tol: float = DEFAULT_TOL,
 ) -> TradeoffCurve:
     """Evaluate one strategy family on a power grid.
 
@@ -374,18 +373,18 @@ def curve(
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("power grid must be strictly increasing")
     if strategy == "two-point":
-        points = _two_point_points(grid, params, cfg)
+        points = _two_point_points(grid, params, tol)
     else:
-        points = tuple(_eval_point(strategy, p, params, cfg) for p in grid)
+        points = tuple(_eval_point(strategy, p, params, tol) for p in grid)
     return TradeoffCurve(strategy, params, points)
 
 
 def _two_point_points(
-    grid: list[float], params: ProblemParams, cfg: QuadratureConfig
+    grid: list[float], params: ProblemParams, tol: float
 ) -> tuple[CurvePoint, ...]:
     """The two-point curve: the magnitudes of all reachable powers in one batch."""
     gains = [two_point_gain_for_power(P, params) for P in grid]
-    _, costs = two_point_cost_grid([a for a in gains if a is not None], params, cfg)
+    _, costs = two_point_cost_grid([a for a in gains if a is not None], params, tol)
     cost = iter(costs)
     return tuple(
         CurvePoint(P, None, False, note="below two-point minimum power")
@@ -396,7 +395,7 @@ def _two_point_points(
 
 
 def _eval_point(
-    strategy: str, P: float, params: ProblemParams, cfg: QuadratureConfig
+    strategy: str, P: float, params: ProblemParams, tol: float
 ) -> CurvePoint:
     Q = params.Q
     if strategy == "linear":
@@ -416,7 +415,7 @@ def _eval_point(
         if P > Q:
             return CurvePoint(P, None, False, note="requires P <= Q")
         try:
-            val, rho = skewnormal.mmse_coord(P, params, cfg)
+            val, rho = skewnormal.mmse_coord(P, params, tol)
         except EmptyFeasibleSet:
             return CurvePoint(P, None, False, note="information constraint infeasible")
         return CurvePoint(P, val, True, rho)

@@ -13,6 +13,7 @@ import pytest
 from scipy.integrate import trapezoid
 from scipy.special import log_ndtr
 
+from witsenhausen import montecarlo
 from witsenhausen.core import validate_params
 from witsenhausen.montecarlo import (
     SimConfig,
@@ -250,7 +251,7 @@ def test_criterion_8_comparison_figure_reproduction():
         assert found
 
 
-def test_criterion_9_property_suite():
+def test_criterion_9_property_suite(monkeypatch):
     with criterion(9, 60.0, "module invariants: chain rule, scaling, Mills, PSD, replay"):
         rng = np.random.default_rng(2024)
 
@@ -287,7 +288,8 @@ def test_criterion_9_property_suite():
         boundary = CorrelationTriple(0.5, -math.sqrt(0.75 + 5e-13), 0.0)
         assert boundary.det_factor == 0.0
 
-        # deterministic replay
+        # deterministic replay, over several batches
+        monkeypatch.setattr(montecarlo, "BATCH", 8192)
         pol = linear_policy_for_power(0.04, PARAMS)
-        cfg = SimConfig(n_samples=50_000, seed=99, batch_size=8192)
+        cfg = SimConfig(n_samples=50_000, seed=99)
         assert simulate_linear(pol, PARAMS, cfg) == simulate_linear(pol, PARAMS, cfg)

@@ -218,14 +218,18 @@ def test_compare_degenerate_regime_gaussian_equals_linear(tmp_path):
         assert r[1] == r[2]
 
 
-def test_simulate_linear_pass(capsys):
+@pytest.mark.parametrize("P", ["0.04", "0.2"])
+def test_simulate_linear_pass(capsys, P):
+    # above Q = 0.1 the policy cancels the state and the cost is exactly 0
     rc = run(
-        ["simulate", "--strategy", "linear", "--P", "0.04", "--n", "200000",
+        ["simulate", "--strategy", "linear", "--P", P, "--n", "200000",
          "--seed", "3"]
     )
     out = capsys.readouterr().out
     assert rc == 0
     assert "PASS" in out
+    if float(P) > 0.1:
+        assert " mmse  closed=0 empirical=0 stderr=0 " in out
 
 
 def test_simulate_two_point_pass(capsys):
@@ -306,6 +310,18 @@ NON_FINITE = [
     ["psi", "--tol", "nan"],
     ["psi", "--tol", "inf"],
     ["curve", "--strategy", "two-point", "--tol", "nan"],
+    # a tolerance must also be positive; linear simulation and curve run no
+    # quadrature, and still check it
+    *(
+        argv + ["--tol", tol]
+        for argv in (
+            ["simulate", "--strategy", "linear", "--P", "0.04"],
+            ["curve", "--strategy", "linear"],
+            ["compare"],
+            ["psi"],
+        )
+        for tol in ("0", "-1")
+    ),
 ]
 
 
@@ -447,6 +463,8 @@ BAD_GRIDS = [
     ["curve", "--strategy", "linear", "--p-min", "-1e-3"],
     ["curve", "--strategy", "linear", "--steps", "1"],
     ["psi", "--steps", "1"],
+    # finite bounds whose span alpha-max - alpha-min overflows
+    ["psi", "--alpha-min", "-1e308", "--alpha-max", "1e308", "--steps", "5"],
 ]
 
 

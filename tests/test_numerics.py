@@ -10,7 +10,6 @@ from scipy.special import log_ndtr
 from witsenhausen import numerics, skewnormal, strategies
 from witsenhausen.core import EmptyFeasibleSet, NoBracket, NonConvergence
 from witsenhausen.numerics import (
-    QuadratureConfig,
     find_root,
     gauss_weighted_integral,
     gauss_weighted_integrals,
@@ -152,8 +151,8 @@ def test_real_line_sech_weighted_gaussian():
     assert value == pytest.approx(0.7412642741253773, abs=1e-12)
 
 
-def test_nonconvergence_is_reported():
-    cfg = QuadratureConfig(max_subdivisions=2)
+def test_nonconvergence_is_reported(monkeypatch):
+    monkeypatch.setattr(numerics, "_MAX_SUBDIVISIONS", 2)
     nodes = []
 
     def rough(x):
@@ -165,7 +164,7 @@ def test_nonconvergence_is_reported():
         match=r"quadrature error \d\.\d{3}e[-+]\d+ above tolerance 1\.000e-10 "
         r"after 2 subdivisions",
     ):
-        integral_real_line(rough, cfg)
+        integral_real_line(rough)
     # 8 initial panels, then the 2 allowed bisections: 4 halves of 15 nodes
     assert sum(nodes) == 15 * (8 + 2 * 2)
 
@@ -198,9 +197,9 @@ def test_batched_integrals_do_not_depend_on_their_batch_mates():
     assert gauss_weighted_integrals(_kink, np.array([])).shape == (0,)
 
 
-def test_batched_nonconvergence_names_the_failing_integral():
+def test_batched_nonconvergence_names_the_failing_integral(monkeypatch):
     # theta = 50 needs far more than 2 bisections; the others converge at once
-    cfg = QuadratureConfig(max_subdivisions=2)
+    monkeypatch.setattr(numerics, "_MAX_SUBDIVISIONS", 2)
     nodes = []
 
     def f(x, theta):
@@ -212,22 +211,9 @@ def test_batched_nonconvergence_names_the_failing_integral():
         match=r"quadrature error \d\.\d{3}e[-+]\d+ above tolerance 1\.000e-10 "
         r"after 2 subdivisions at parameter 50\.0$",
     ):
-        gauss_weighted_integrals(f, np.array([0.0, 50.0, 0.0]), cfg)
+        gauss_weighted_integrals(f, np.array([0.0, 50.0, 0.0]))
     # the failure is raised in the round the lone integral would raise it
     assert sum(nodes) == 15 * (3 * 8 + 2 * 2)
-
-
-def test_quadrature_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(truncation_radius=4.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_subdivisions=0)
-    for bad in (dict(abs_tol=math.nan), dict(rel_tol=math.inf),
-                dict(truncation_radius=math.inf)):
-        with pytest.raises(ValueError, match="finite"):
-            QuadratureConfig(**bad)
 
 
 # ------------------------------------------------------------- mills_ratio
