@@ -223,6 +223,24 @@ def cmd_compare(args, argv: list[str]) -> int:
     return 0
 
 
+def _require_resolvable_power(a: float, P: float, Q: float, n: int) -> None:
+    """Reject a two-point run whose power verdict could only see rounding.
+
+    The power u1^2 = a^2 - 2a|X0| + X0^2 of a sample has the variance
+    Q (2Q + 4a (a (1 - 2/pi) - sqrt(2Q/pi))), about 4 a^2 Q (1 - 2/pi) for
+    large a. Where 4 standard errors of its mean over n samples are narrower
+    than 2 ulps of P(a), one rounding step of P(a) fails the verdict.
+    """
+    var = Q * (2.0 * Q + 4.0 * a * (a * (1.0 - 2.0 / math.pi) - math.sqrt(2.0 * Q / math.pi)))
+    band = 4.0 * math.sqrt(var / n)
+    if band < 2.0 * math.ulp(P):
+        raise ValueError(
+            f"two-point magnitude a={a} is too large to simulate with n={n}: the "
+            f"predicted 4-standard-error band {band:.3g} of its power is narrower "
+            f"than 2 ulps of P={P:.6g}"
+        )
+
+
 def cmd_simulate(args, argv: list[str]) -> int:
     params = validate_params(args.Q, args.N)
     tol = _tol(args)
@@ -248,6 +266,7 @@ def cmd_simulate(args, argv: list[str]) -> int:
         policy = strategies.TwoPointPolicy(args.a)
         cost = strategies.two_point_costs(policy, params, tol)
         closed_p, closed_s = cost.P, cost.S
+        _require_resolvable_power(args.a, closed_p, params.Q, args.n)
         emp = montecarlo.simulate_two_point(policy, params, sim_cfg)
         label = f"two-point a={args.a}"
     elif args.strategy == "coord":

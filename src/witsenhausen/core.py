@@ -14,7 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "WitsenhausenError",
@@ -65,22 +65,37 @@ class UnknownStrategy(WitsenhausenError):
 
 @dataclass(frozen=True)
 class ProblemParams:
-    """Scalar Gaussian control problem: state variance Q and channel-noise variance N."""
+    """Scalar Gaussian control problem: state variance Q and channel-noise variance N.
+
+    Costs satisfy S(P; Q, N) = Q S(P/Q; 1, N/Q): the closed forms see only
+    p = `unit_power(P)` and n = N/Q, and the public functions scale back by Q.
+    """
 
     Q: float
     N: float
+    n: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.Q < math.inf) or not (0.0 < self.N < math.inf):
+        if not (0.0 < self.Q < math.inf and 0.0 < self.N < math.inf
+                and 0.0 < self.N / self.Q < math.inf):
             raise NonPositiveVariance(
-                f"both variances must be positive and finite, got Q={self.Q}, N={self.N}"
+                "both variances and the ratio N/Q must be positive and finite, "
+                f"got Q={self.Q}, N={self.N}"
             )
+        object.__setattr__(self, "n", self.N / self.Q)
+
+    def unit_power(self, P: float) -> float:
+        """P/Q; raises ValueError unless it is nonnegative and finite."""
+        p = P / self.Q
+        if not 0.0 <= p < math.inf:
+            raise ValueError(f"P must be nonnegative and finite, got P={P}, P/Q={p}")
+        return p
 
 
 def validate_params(Q: float, N: float) -> ProblemParams:
     """Validate (Q, N) and return the problem parameters.
 
-    Raises NonPositiveVariance unless both are positive and finite.
+    Raises NonPositiveVariance unless Q, N and N/Q are positive and finite.
     """
     return ProblemParams(float(Q), float(N))
 
@@ -99,6 +114,7 @@ def power_split(P: float, Q: float, rho: float) -> tuple[float, float, float]:
     of X0 in the interim state and t = s^2 + p_res = P + Q + 2 rho sqrt(PQ) its
     variance. s is formed as (Q-P)/(sqrt(Q)+sqrt(P)) + (1+rho) sqrt(P): for
     P <= Q a sum of nonnegative terms, so nothing cancels as rho -> -1, P -> Q.
+    The closed forms call it with Q = 1.
     """
     sp = math.sqrt(P)
     s = (Q - P) / (math.sqrt(Q) + sp) + (1.0 + rho) * sp

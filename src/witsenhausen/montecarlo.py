@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,16 +125,24 @@ def _worker_count(n_batches: int) -> int:
     return min(n_batches, cpus)
 
 
-def _require_simulable_power(power: float, what: str) -> None:
-    """Reject a run whose power P has an infinite square.
+def _require_simulable_power(power: float, Q: float, what: str) -> None:
+    """Reject a run whose squares do not fit in the moments.
 
-    The moments of the power square u1^2 once more, and E[u1^4] >= P^2, so
-    such a run can only report a NaN standard error.
+    The moments square u1^2 and the squared error once more, and both are of
+    the order of (P + Q)^2 (E[u1^4] >= P^2), which must be finite and at
+    least the smallest normal double. Above that range a run can only report
+    a NaN standard error; below it, a standard error of 0.
     """
-    if not math.isfinite(power * power):
+    square = (power + Q) * (power + Q)
+    if not math.isfinite(square):
         raise ValueError(
-            f"{what} is too large to simulate: the second moment of its power "
-            f"P={power:.6g} is not finite"
+            f"{what} is too large to simulate: (P + Q)^2 is not finite for "
+            f"P={power:.6g}, Q={Q:.6g}"
+        )
+    if square < sys.float_info.min:
+        raise ValueError(
+            f"{what} is too small to simulate: (P + Q)^2 is below the normal "
+            f"range for P={power:.6g}, Q={Q:.6g}"
         )
 
 
@@ -199,11 +208,12 @@ def simulate_linear(
 
     The decoder reads off the Gaussian conditional mean of the interim state:
     u2 = y (1+a)^2 Q / ((1+a)^2 Q + N) + b N / ((1+a)^2 Q + N). A policy
-    whose power a^2 Q + b^2 has an infinite square is rejected.
+    whose power P = a^2 Q + b^2 is too large or too small to simulate is
+    rejected (see `_require_simulable_power`).
     """
     Q, N = params.Q, params.N
     a, b = policy.a, policy.b
-    _require_simulable_power(a * a * Q + b * b, f"linear policy a={a} b={b}")
+    _require_simulable_power(a * a * Q + b * b, Q, f"linear policy a={a} b={b}")
     g = (1.0 + a) ** 2 * Q
     gain = g / (g + N)
     offset = b * (N / (g + N))
@@ -226,12 +236,12 @@ def simulate_two_point(
 ) -> EmpiricalCost:
     """Empirical costs of the two-point policy with its tanh decoder.
 
-    A magnitude whose power P(a) has an infinite square is rejected (see
-    `_require_simulable_power`); E[u1^4] is nearly P(a)^2 for large a.
+    A magnitude whose power P(a) is too large or too small to simulate is
+    rejected (see `_require_simulable_power`).
     """
     Q, N = params.Q, params.N
     a = policy.a
-    _require_simulable_power(two_point_power(a, Q), f"two-point magnitude a={a}")
+    _require_simulable_power(two_point_power(a, Q), Q, f"two-point magnitude a={a}")
 
     def step(x0, z):
         x1 = a * np.where(x0 >= 0.0, 1.0, -1.0)
@@ -248,11 +258,11 @@ def simulate_hybrid_conditional(
     Simulates the correlated input u1 = rho sqrt(P/Q) x0 + residual, hands the
     decoder the true sign of the interim state (the single-letter expression
     is defined under exactly this conditioning) and decodes with the
-    skew-normal conditional mean. A power P with an infinite square is
-    rejected.
+    skew-normal conditional mean. A power P too large or too small to
+    simulate is rejected.
     """
     Q, N = params.Q, params.N
-    _require_simulable_power(cp.P, f"coord power P={cp.P}")
+    _require_simulable_power(cp.P, Q, f"coord power P={cp.P}")
     _, p_res, T = power_split(cp.P, Q, cp.rho)
     if T <= 0.0:
         raise ValueError("interim-state variance must be positive")

@@ -125,12 +125,11 @@ def entropy_reduction(alpha, tol: float = DEFAULT_TOL):
     return float(out) if out.ndim == 0 else out
 
 
-def _skew_scales(cp: CoordParams) -> tuple[float, float, float]:
-    """(s, residual power, skewness of the joint output/precoder pair)."""
-    s, p_res, t = power_split(cp.P, cp.Q, cp.rho)
+def _skew_scales(p: float, n: float, rho: float) -> tuple[float, float, float]:
+    """(s, residual power, skewness of the joint output/precoder pair), in units of Q."""
+    s, p_res, t = power_split(p, 1.0, rho)
     if s * s <= 0.0:
         return s, p_res, math.inf
-    n = cp.N
     d2 = math.sqrt((t * s * s * n + p_res * (t + n) ** 2) / (s * s * n * n))
     return s, p_res, d2
 
@@ -154,12 +153,13 @@ def coord_ic_margin(cp: CoordParams, tol: float = DEFAULT_TOL) -> float:
     quadrature, where no residual power is left (rho = +-1 or P = 0): there
     the capacity term is 0 and delta = sqrt(T/N), so the Psi terms cancel.
     """
-    s, p_res, d2 = _skew_scales(cp)
+    n = cp.N / cp.Q
+    s, p_res, d2 = _skew_scales(cp.P / cp.Q, n, cp.rho)
     if s == 0.0:
         return -math.inf
     if p_res == 0.0:
         return -1.0
-    cap = 0.5 * math.log2(1.0 + p_res / cp.N)
+    cap = 0.5 * math.log2(1.0 + p_res / n)
     psi1, psi2 = entropy_reduction(np.array([math.sqrt(cp.T / cp.N), d2]), tol)
     return float(cap - psi1 + psi2 - 1.0)
 
@@ -189,7 +189,7 @@ def coord_mmse_at_rho(cp: CoordParams, tol: float = DEFAULT_TOL) -> float:
     mills(kappa w) exp(-w^2 (1-kappa^2)/2), total on the whole line. Since
     kappa^2 <= 1/2, the integrand decays at least like exp(-w^2/4).
     """
-    t, n = cp.T, cp.N
+    t, n = cp.T / cp.Q, cp.N / cp.Q
     if t == 0.0:
         return 0.0
     sig2 = t * n / (t + n)
@@ -201,11 +201,11 @@ def coord_mmse_at_rho(cp: CoordParams, tol: float = DEFAULT_TOL) -> float:
         return mills_ratio(kap * w) * np.exp(-0.5 * w * w * (1.0 - kap2))
 
     g = integral_real_line(f, tol)
-    return sig2 * (1.0 - (1.0 / math.pi) * math.sqrt(n / (2.0 * t + n)) * g)
+    return cp.Q * (sig2 * (1.0 - (1.0 / math.pi) * math.sqrt(n / (2.0 * t + n)) * g))
 
 
-def _margin_in_rho(P: float, params: ProblemParams, tol: float):
-    """The information-constraint margin at power P as a function of rho.
+def _margin_in_rho(p: float, n: float, tol: float):
+    """The information-constraint margin at power p as a function of rho, in units of Q.
 
     The margin is >= -1 wherever it is finite (d2 >= d1, so Psi(d2) >= Psi(d1));
     its one -inf, where the interim state vanishes (P = Q, rho = -1), is
@@ -217,8 +217,7 @@ def _margin_in_rho(P: float, params: ProblemParams, tol: float):
 
     def margin(rho: float) -> float:
         if rho not in memo:
-            cp = CoordParams(P, rho, params.Q, params.N)
-            memo[rho] = max(coord_ic_margin(cp, tol), -1.0)
+            memo[rho] = max(coord_ic_margin(CoordParams(p, rho, 1.0, n), tol), -1.0)
         return memo[rho]
 
     return margin
@@ -254,13 +253,13 @@ def mmse_coord(
     no correlation lets the channel carry the one-bit sign; at P = 0 this is
     immediate, since with no residual power the margin is -1 for every rho.
     """
-    Q, N = params.Q, params.N
-    if not 0.0 <= P <= Q:
+    p, n = params.unit_power(P), params.n
+    if P > params.Q:
         raise ValueError(f"P={P} outside [0, Q]")
-    if P == 0.0:
+    if p == 0.0:
         raise EmptyFeasibleSet("coord infeasible at P=0: the IC margin is -1 for every rho")
 
-    margin = _margin_in_rho(P, params, tol)
+    margin = _margin_in_rho(p, n, tol)
     rho_hi = _PROBE_RHO
     if margin(rho_hi) <= 0.0:
         rho_hi, peak = _peak_margin(margin)
@@ -280,7 +279,7 @@ def mmse_coord(
     while not ic_feasible(margin(rho)):
         rho = min(rho + step, rho_hi)
         step *= 2.0
-    return coord_mmse_at_rho(CoordParams(P, rho, Q, N), tol), rho
+    return params.Q * coord_mmse_at_rho(CoordParams(p, rho, 1.0, n), tol), rho
 
 
 def coord_min_power(params: ProblemParams, tol: float = DEFAULT_TOL) -> float:
@@ -288,20 +287,20 @@ def coord_min_power(params: ProblemParams, tol: float = DEFAULT_TOL) -> float:
 
     The root in P of the peak information-constraint margin over rho, the
     quantity mmse_coord tests for feasibility; at P = 0 the margin is -1. The
-    root-find stops at 1e-12 Q, so the result scales with the variances.
-    Raises EmptyFeasibleSet when the scheme is infeasible even at P = Q.
+    root-find runs on P/Q in [0, 1] and stops at 1e-12. Raises
+    EmptyFeasibleSet when the scheme is infeasible even at P = Q.
     """
 
-    def peak(P: float) -> float:
-        if P == 0.0:
+    def peak(p: float) -> float:
+        if p == 0.0:
             return -1.0
-        return _peak_margin(_margin_in_rho(P, params, tol))[1]
+        return _peak_margin(_margin_in_rho(p, params.n, tol))[1]
 
-    top = peak(params.Q)
+    top = peak(1.0)
     if not ic_feasible(top):
         raise EmptyFeasibleSet(
             f"coord infeasible at every power: peak IC margin {top:.6g} bits at P=Q"
         )
     if top <= 0.0:
         return params.Q
-    return find_root(peak, 0.0, params.Q, 1e-12 * params.Q)
+    return params.Q * find_root(peak, 0.0, 1.0, 1e-12)

@@ -102,9 +102,7 @@ def mmse_linear(P: float, params: ProblemParams) -> float:
     cancelled outright and the cost is 0. It is the dirty-paper cost at
     rho = -1, where no power is left to code with.
     """
-    if not 0.0 <= P < math.inf:
-        raise ValueError(f"P must be nonnegative and finite, got {P}")
-    return _dirty_paper_cost(P, params, -1.0)[0]
+    return params.Q * _dirty_paper_cost(params.unit_power(P), params.n, -1.0)[0]
 
 
 def linear_policy_for_power(P: float, params: ProblemParams) -> LinearPolicy:
@@ -113,24 +111,22 @@ def linear_policy_for_power(P: float, params: ProblemParams) -> LinearPolicy:
     Pure contraction -sqrt(P/Q) x for P <= Q; above Q the gain saturates at -1
     and the leftover power goes into an offset, which does not affect the cost.
     """
-    if not 0.0 <= P < math.inf:
-        raise ValueError(f"P must be nonnegative and finite, got {P}")
-    Q = params.Q
-    if P <= Q:
-        return LinearPolicy(-math.sqrt(P / Q), 0.0)
-    return LinearPolicy(-1.0, math.sqrt(P - Q))
+    p = params.unit_power(P)
+    if P <= params.Q:
+        return LinearPolicy(-math.sqrt(p), 0.0)
+    return LinearPolicy(-1.0, math.sqrt(params.Q) * math.sqrt(p - 1.0))
 
 
 def timeshare_interval(params: ProblemParams) -> tuple[float, float]:
     """Power interval where time sharing between two linear gains is optimal.
 
-    (Q - 2N -+ sqrt(Q(Q-4N))) / 2; only defined for Q > 4N.
+    Q (1 - 2n -+ sqrt(1 - 4n)) / 2 with n = N/Q; only defined for Q > 4N.
     """
-    Q, N = params.Q, params.N
-    if Q <= 4.0 * N:
-        raise RegimeNotApplicable(f"requires Q > 4N, got Q={Q}, N={N}")
-    s = math.sqrt(Q * (Q - 4.0 * N))
-    return 0.5 * (Q - 2.0 * N - s), 0.5 * (Q - 2.0 * N + s)
+    n = params.n
+    if 4.0 * n >= 1.0:
+        raise RegimeNotApplicable(f"requires Q > 4N, got Q={params.Q}, N={params.N}")
+    s = math.sqrt(1.0 - 4.0 * n)
+    return params.Q * (0.5 * (1.0 - 2.0 * n - s)), params.Q * (0.5 * (1.0 - 2.0 * n + s))
 
 
 def optimal_rho_pair(P: float, params: ProblemParams) -> tuple[float, float]:
@@ -142,15 +138,14 @@ def optimal_rho_pair(P: float, params: ProblemParams) -> tuple[float, float]:
     optimum is rho1 = sqrt((PQ - (P+N)^2) / (Q(P+N))), rho2 = -(P+N)/sqrt(PQ);
     everywhere else it collapses to the pure state contraction (0, -1).
     """
-    Q, N = params.Q, params.N
-    if not 0.0 <= P <= Q:
+    p, n = params.unit_power(P), params.n
+    if P > params.Q:
         raise ValueError(f"P={P} outside [0, Q]")
-    if Q > 4.0 * N:
+    if 4.0 * n < 1.0:
         p_lo, p_hi = timeshare_interval(params)
         if p_lo <= P <= p_hi:
-            rho1 = math.sqrt(max((P * Q - (P + N) ** 2) / (Q * (P + N)), 0.0))
-            rho2 = -(P + N) / math.sqrt(P * Q)
-            return rho1, max(rho2, -1.0)
+            rho1 = math.sqrt(max((p - (p + n) ** 2) / (p + n), 0.0))
+            return rho1, max(-(p + n) / math.sqrt(p), -1.0)
     return 0.0, -1.0
 
 
@@ -160,13 +155,11 @@ def mmse_gaussian(P: float, params: ProblemParams) -> float:
     N (Q - N - P) / Q on the time-sharing interval when Q > 4N; elsewhere the
     best affine policy is optimal.
     """
-    if not 0.0 <= P < math.inf:
-        raise ValueError(f"P must be nonnegative and finite, got {P}")
-    Q, N = params.Q, params.N
-    if Q > 4.0 * N:
+    p, n = params.unit_power(P), params.n
+    if 4.0 * n < 1.0:
         p1, p2 = timeshare_interval(params)
         if p1 <= P <= p2:
-            return N * (Q - N - P) / Q
+            return params.Q * (n * (1.0 - n - p))
     return mmse_linear(P, params)
 
 
@@ -211,11 +204,11 @@ def two_point_costs(
 ) -> CostPoint:
     """Power and estimation cost of the two-point policy with magnitude a.
 
-    P(a) = Q + a(a - 2 sqrt(2Q/pi));
-    S(a) = sqrt(2 pi) a^2 phi(a/sqrt(N)) * int phi(t) sech(a t / sqrt(N)) dt.
-    The sech factor and sqrt(2 pi) a^2 phi(a/sqrt(N)) = exp(2 log a - a^2/(2N))
-    are evaluated in log space: a/sqrt(N) can be large enough for cosh to
-    overflow long before the integral becomes negligible, and a^2 can
+    P(a) = Q + a(a - 2 sqrt(2Q/pi)); with u = a/sqrt(Q) and kappa = a/sqrt(N),
+    S(a) = Q sqrt(2 pi) u^2 phi(kappa) * int phi(t) sech(kappa t) dt.
+    The sech factor and sqrt(2 pi) u^2 phi(kappa) = exp(2 log u - kappa^2/2)
+    are evaluated in log space: kappa can be large enough for cosh to
+    overflow long before the integral becomes negligible, and u^2 can
     overflow where the cost has long underflowed to 0. A magnitude whose
     power is not finite is rejected. `two_point_cost_grid` is the same
     computation over an array of magnitudes.
@@ -228,7 +221,8 @@ def two_point_costs(
         return CostPoint(power, 0.0)
     kappa = a / math.sqrt(params.N)
     integral = gauss_weighted_integral(lambda t: _two_point_integrand(t, kappa), tol)
-    return CostPoint(power, float(_two_point_prefactor(a, kappa) * integral))
+    prefactor = _two_point_prefactor(a / math.sqrt(params.Q), kappa)
+    return CostPoint(power, params.Q * float(prefactor * integral))
 
 
 def two_point_cost_grid(
@@ -251,7 +245,8 @@ def two_point_cost_grid(
     pos = a > 0.0
     kappa = a[pos] / math.sqrt(params.N)
     integral = gauss_weighted_integrals(_two_point_integrand, kappa, tol)
-    cost[pos] = _two_point_prefactor(a[pos], kappa) * integral
+    u = a[pos] / math.sqrt(params.Q)
+    cost[pos] = params.Q * (_two_point_prefactor(u, kappa) * integral)
     return power, cost
 
 
@@ -269,36 +264,34 @@ def two_point_gain_for_power(P: float, params: ProblemParams) -> float | None:
     """Magnitude a >= sqrt(2Q/pi) with P(a) = P, or None when P is unreachable.
 
     The increasing branch of the power parabola Q + a(a - 2 sqrt(2Q/pi)), whose
-    vertex is the minimum power Q(1 - 2/pi): a = sqrt(2Q/pi) + sqrt(P - Pmin).
+    vertex is the minimum power Q(1 - 2/pi): a = sqrt(Q) (sqrt(2/pi) + sqrt((P - Pmin)/Q)).
     """
     pmin = two_point_min_power(params)
     if P < pmin:
         return None
-    return math.sqrt(2.0 * params.Q / math.pi) + math.sqrt(P - pmin)
+    return math.sqrt(params.Q) * (math.sqrt(2.0 / math.pi) + math.sqrt((P - pmin) / params.Q))
 
 
 def dpc_alpha(P: float, params: ProblemParams) -> float:
     """Optimal precoding coefficient of the dirty-paper scheme at power P."""
-    Q, N = params.Q, params.N
-    if P <= 0.0:
-        return 0.0
-    return min(1.0, P * (math.sqrt(Q) + math.sqrt(P + Q + N)) / (math.sqrt(Q) * (P + N)))
+    p, n = params.unit_power(P), params.n
+    return min(1.0, p * (1.0 + math.sqrt(p + 1.0 + n)) / (p + n))
 
 
-def _dirty_paper_cost(P: float, params: ProblemParams, rho: float) -> tuple[float, float]:
-    """Dirty-paper cost of the split of P at correlation rho, and its residual.
+def _dirty_paper_cost(p: float, n: float, rho: float) -> tuple[float, float]:
+    """Dirty-paper cost of the split of p at correlation rho, and its residual, in units of Q.
 
-    With (s, p_res, t) = power_split(P, Q, rho), dirty-paper coding with power
-    p_res against the residual state s X0 / sqrt(Q) leaves the estimation cost
-    N r^2 / ((p_res + N)^2 (t + N)), where r = p_res sqrt(t+N) - N s is the
-    unsquared numerator; the cost is exactly 0 where r >= 0. Returns (cost, r).
+    With (s, p_res, t) = power_split(p, 1.0, rho), dirty-paper coding with power
+    p_res against the residual state s X0 leaves the estimation cost
+    (r / (p_res + n))^2 n / (t + n), where r = p_res sqrt(t+n) - n s; neither
+    factor under- or overflows at any ratio n. It is exactly 0 where r >= 0.
+    Returns (cost, r).
     """
-    N = params.N
-    s, p_res, t = power_split(P, params.Q, rho)
-    r = p_res * math.sqrt(t + N) - N * s
+    s, p_res, t = power_split(p, 1.0, rho)
+    r = p_res * math.sqrt(t + n) - n * s
     if r >= 0.0:
         return 0.0, r
-    return N * r * r / ((p_res + N) ** 2 * (t + N)), r
+    return (r / (p_res + n)) ** 2 * (n / (t + n)), r
 
 
 def mmse_dpc(P: float, params: ProblemParams) -> float:
@@ -308,9 +301,7 @@ def mmse_dpc(P: float, params: ProblemParams) -> float:
     at rho = 0; exactly 0 from the critical power on, where the residual's
     sign turns.
     """
-    if not 0.0 <= P < math.inf:
-        raise ValueError(f"P must be nonnegative and finite, got {P}")
-    return _dirty_paper_cost(P, params, 0.0)[0]
+    return params.Q * _dirty_paper_cost(params.unit_power(P), params.n, 0.0)[0]
 
 
 def mmse_lin_dpc(P: float, params: ProblemParams) -> tuple[float, float]:
@@ -327,19 +318,17 @@ def mmse_lin_dpc(P: float, params: ProblemParams) -> tuple[float, float]:
     that minimum and the endpoints (the search never samples them).
     Returns (cost, rho).
     """
-    if not 0.0 <= P < math.inf:
-        raise ValueError(f"P must be nonnegative and finite, got {P}")
-    Q = params.Q
-    if P == 0.0:
+    p, n = params.unit_power(P), params.n
+    if p == 0.0:
         return mmse_linear(0.0, params), -1.0
-    if P >= Q:
-        return 0.0, -math.sqrt(Q / P)
+    if P >= params.Q:
+        return 0.0, -math.sqrt(params.Q / P)
 
     def cost(rho: float) -> float:
-        return _dirty_paper_cost(P, params, rho)[0]
+        return _dirty_paper_cost(p, n, rho)[0]
 
     def residual(rho: float) -> float:
-        return _dirty_paper_cost(P, params, rho)[1]
+        return _dirty_paper_cost(p, n, rho)[1]
 
     rho_peak, neg_peak = minimize_1d(
         lambda rho: -residual(rho), -1.0, 1.0, LIN_DPC_RHO_TOL
@@ -347,7 +336,8 @@ def mmse_lin_dpc(P: float, params: ProblemParams) -> tuple[float, float]:
     if neg_peak <= 0.0:
         return 0.0, find_root(residual, -1.0, rho_peak, LIN_DPC_RHO_TOL)
     rho, val = minimize_1d(cost, -1.0, 1.0, LIN_DPC_RHO_TOL)
-    return min((val, rho), (cost(-1.0), -1.0), (cost(1.0), 1.0))
+    val, rho = min((val, rho), (cost(-1.0), -1.0), (cost(1.0), 1.0))
+    return params.Q * val, rho
 
 
 def curve(
@@ -366,10 +356,8 @@ def curve(
     if strategy not in STRATEGIES:
         raise UnknownStrategy(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     grid = [float(p) for p in P_grid]
-    if not all(math.isfinite(p) for p in grid):
-        raise ValueError("power grid must be finite")
-    if any(p < 0.0 for p in grid):
-        raise ValueError("power grid must be nonnegative")
+    if not all(0.0 <= p < math.inf for p in grid):
+        raise ValueError("power grid must be finite and nonnegative")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("power grid must be strictly increasing")
     if strategy == "two-point":
@@ -397,13 +385,12 @@ def _two_point_points(
 def _eval_point(
     strategy: str, P: float, params: ProblemParams, tol: float
 ) -> CurvePoint:
-    Q = params.Q
     if strategy == "linear":
         pol = linear_policy_for_power(P, params)
         return CurvePoint(P, mmse_linear(P, params), True, pol.a, pol.b)
+    if strategy in ("gaussian", "coord") and P > params.Q:
+        return CurvePoint(P, None, False, note="requires P <= Q")
     if strategy == "gaussian":
-        if P > Q:
-            return CurvePoint(P, None, False, note="requires P <= Q")
         rho1, rho2 = optimal_rho_pair(P, params)
         return CurvePoint(P, mmse_gaussian(P, params), True, rho1, rho2)
     if strategy == "dpc":
@@ -412,8 +399,6 @@ def _eval_point(
         val, rho = mmse_lin_dpc(P, params)
         return CurvePoint(P, val, True, rho)
     if strategy == "coord":
-        if P > Q:
-            return CurvePoint(P, None, False, note="requires P <= Q")
         try:
             val, rho = skewnormal.mmse_coord(P, params, tol)
         except EmptyFeasibleSet:

@@ -18,6 +18,12 @@ from witsenhausen.skewnormal import CoordParams, _skew_scales, entropy_reduction
 from gaussian_oracles import DegenerateInput
 
 
+def _scales(cp: CoordParams) -> tuple[float, float, float]:
+    """(s, p_res, d2) of cp in the variances' own units; _skew_scales works in units of Q."""
+    s, p_res, d2 = _skew_scales(cp.P / cp.Q, cp.N / cp.Q, cp.rho)
+    return math.sqrt(cp.Q) * s, cp.Q * p_res, d2
+
+
 def sign_conditioned_entropies(
     cp: CoordParams, tol: float = DEFAULT_TOL
 ) -> tuple[float, float, float]:
@@ -27,7 +33,7 @@ def sign_conditioned_entropies(
     Conditioning a centered Gaussian on a sign costs exactly one bit for the
     joint with the state, and a Psi correction for the skewed pairs.
     """
-    s, p_res, d2 = _skew_scales(cp)
+    s, p_res, d2 = _scales(cp)
     if p_res <= 0.0 or s == 0.0:
         raise DegenerateInput(
             f"degenerate hybrid scheme: residual power {p_res}, state scale {s}"
@@ -68,7 +74,7 @@ def cov_state_precoder(cp: CoordParams) -> np.ndarray:
 
     Its determinant is P Q (1 - rho^2) regardless of the noise level.
     """
-    s, p_res, _ = _skew_scales(cp)
+    s, p_res, _ = _scales(cp)
     c = (p_res / (p_res + cp.N)) * (s / math.sqrt(cp.Q))
     return np.array(
         [
@@ -80,7 +86,7 @@ def cov_state_precoder(cp: CoordParams) -> np.ndarray:
 
 def cov_interim_output_precoder(cp: CoordParams) -> np.ndarray:
     """Covariance of (interim state, output, precoder variable) for the hybrid scheme."""
-    s, p_res, _ = _skew_scales(cp)
+    s, p_res, _ = _scales(cp)
     t, n = cp.T, cp.N
     a = p_res * (t + n) / (p_res + n)
     w_var = p_res + (p_res * s / (p_res + n)) ** 2

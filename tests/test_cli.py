@@ -382,6 +382,69 @@ def test_power_too_large_to_simulate_is_a_usage_error(strategy, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("scale", ["1e300", "1e-300"])
+@pytest.mark.parametrize("strategy", strategies.STRATEGIES)
+def test_extreme_variances_scale_the_unit_curve(tmp_path, strategy, scale):
+    # the middle row is P = Q/2; every family evaluates in units of Q, so it
+    # is the Q = N = 1 row with S multiplied by Q
+    rows = {}
+    for q in ("1", scale):
+        out = tmp_path / f"{q}.csv"
+        argv = ["curve", "--strategy", strategy, "--Q", q, "--N", q,
+                "--p-min", "0", "--p-max", q, "--steps", "3", "--out", str(out)]
+        assert run(argv) == 0
+        rows[q] = read_csv(out)[1][1]
+    unit, big = rows["1"], rows[scale]
+    assert float(big[0]) == float(scale) / 2
+    assert big[5] == unit[5]
+    if unit[5] == "true":
+        assert float(big[1]) == float(scale) * float(unit[1])
+
+
+def test_noise_ratio_outside_double_range_is_a_usage_error(tmp_path, capsys):
+    # N/Q = 1e-600 is 0 in double precision
+    out = tmp_path / "out.csv"
+    argv = ["curve", "--strategy", "linear", "--Q", "1e300", "--N", "1e-300",
+            "--steps", "3", "--out", str(out)]
+    assert run(argv) == 2
+    assert "ratio N/Q" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+SIMULATE_POLICIES = {
+    "linear": lambda q: ["--P", repr(q / 2)],
+    "two-point": lambda q: ["--a", repr(math.sqrt(q))],
+    "coord": lambda q: ["--P", repr(q / 2), "--rho", "-0.5"],
+}
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300])
+@pytest.mark.parametrize("strategy", sorted(SIMULATE_POLICIES))
+def test_variances_too_extreme_to_simulate_are_a_usage_error(strategy, scale, capsys):
+    # the closed forms hold at these scales, but the squares of the power and
+    # of the error, of the order of (P + Q)^2, leave the double range
+    argv = ["simulate", "--strategy", strategy, "--Q", repr(scale), "--N", repr(scale),
+            *SIMULATE_POLICIES[strategy](scale), "--n", "1000"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert "to simulate" in captured.err
+    assert captured.out == ""
+
+
+def test_two_point_power_below_rounding_is_a_usage_error(capsys):
+    # at n = 1e6 and Q = 0.1 the predicted 4-standard-error band of the power
+    # is 1.5e10 at a = 1e13, below 2 ulps of P(a) = 1e26 (3.4e10), so one
+    # rounding step of P(a) would fail the verdict; at a = 4e12 it is 6.1e9,
+    # above 2 ulps of 1.6e25 (4.3e9), and the run passes
+    argv = ["simulate", "--strategy", "two-point", "--n", "1000000", "--a"]
+    assert run(argv + ["1e13"]) == 2
+    captured = capsys.readouterr()
+    assert "narrower than 2 ulps" in captured.err
+    assert captured.out == ""
+    assert run(argv + ["4e12"]) == 0
+    assert capsys.readouterr().out.endswith("PASS\n")
+
+
 def test_starting_the_cli_does_not_import_scipy_optimize():
     # that import alone adds about 0.3 s to every run's start-up
     src = os.path.dirname(os.path.dirname(witsenhausen.__file__))
@@ -415,9 +478,14 @@ def test_quadrature_failure_in_a_grid_exits_3_without_output(tmp_path, capsys):
     ],
     ids=["curve", "simulate"],
 )
-def test_overflow_is_a_numerical_failure(tmp_path, capsys, argv):
-    # the dirty-paper cost squares p_res + N = 1e300, which overflows
-    argv = argv + ["--Q", "1e300", "--N", "1e300"]
+def test_overflow_is_a_numerical_failure(tmp_path, capsys, monkeypatch, argv):
+    # the closed forms evaluate in units of Q, so large variances no longer
+    # overflow the linear cost; an OverflowError raised inside it must still
+    # be reported as a numerical failure
+    def overflow(*args):
+        raise OverflowError("Numerical result out of range")
+
+    monkeypatch.setattr(strategies, "_dirty_paper_cost", overflow)
     if argv[0] == "curve":
         argv += ["--out", str(tmp_path / "out.csv")]
     assert run(argv) == 3

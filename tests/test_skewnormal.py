@@ -425,7 +425,7 @@ def _peak_route_rho(P: float, params):
     The bounded peak search, then the edge root on [-1, rho_peak], stepped
     right as mmse_coord steps it.
     """
-    margin = skewnormal._margin_in_rho(P, params, DEFAULT_TOL)
+    margin = skewnormal._margin_in_rho(P / params.Q, params.N / params.Q, DEFAULT_TOL)
     rho_peak, peak = skewnormal._peak_margin(margin)
     if not ic_feasible(peak):
         return None

@@ -1,4 +1,5 @@
 import math
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -288,7 +289,7 @@ def test_lin_dpc_endpoint_is_linear(params):
     Q, N = params.Q, params.N
     for P in (0.01, 0.04, 0.09):
         g = (math.sqrt(Q) - math.sqrt(P)) ** 2
-        cost, _ = _dirty_paper_cost(P, params, -1.0)
+        cost = Q * _dirty_paper_cost(P / Q, N / Q, -1.0)[0]
         assert cost == pytest.approx(g * N / (g + N), rel=1e-12)
 
 
@@ -356,7 +357,8 @@ def test_lin_dpc_matches_grid_oracle(log_q, log_ratio, u):
         assert all(r(float(x)) < 0.0 for x in np.linspace(-1.0, rho, 101)[:-1])
         return
     _, oracle = grid_minimize(
-        lambda x: _dirty_paper_cost(P, params, x)[0], -1.0, 1.0, grid=401, tol=1e-12
+        lambda x: Q * _dirty_paper_cost(P / Q, params.N / Q, x)[0],
+        -1.0, 1.0, grid=401, tol=1e-12,
     )
     assert S == pytest.approx(oracle, rel=1e-10)
     assert S <= oracle * (1.0 + 1e-10)
@@ -402,6 +404,34 @@ def test_cost_scales_with_the_variances(strategy, log_q, log_ratio, u, k):
 @settings(max_examples=20, deadline=None)
 def test_coord_cost_scales_with_the_variances(log_q, log_ratio, u, k):
     assert_cost_scales("coord", log_q, log_ratio, u, k)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("Q, N", [(0.1, 0.01), (1.0, 0.5)])
+@given(k=st.integers(-990, 990))
+@example(k=-990)
+@example(k=-1)
+@example(k=1)
+@example(k=990)
+@settings(max_examples=6, deadline=None)
+def test_costs_scale_bit_exactly(strategy, Q, N, k):
+    # every family evaluates S = Q S(P/Q; 1, N/Q), and with c = 2^k the
+    # powers P/Q and the ratio N/Q are the same doubles at both scales, so
+    # c S is exact. Two-point writes its magnitude in units of sqrt(Q) and
+    # prices that magnitude, which is exact where sqrt(c) is a power of 2.
+    if strategy == "two-point":
+        k -= k % 2
+    c = 2.0**k
+    # the powers 0 and >= Q and dpc past its critical power give exact
+    # zeros, and every other cost keeps c S in the normal range
+    grid = [u * Q for u in (0.0, 0.05, 0.3, 0.55, 0.8, 1.0, 1.5)]
+    base = curve(strategy, validate_params(Q, N), grid).points
+    scaled = curve(strategy, validate_params(c * Q, c * N), [c * P for P in grid]).points
+    for pt, sc in zip(base, scaled):
+        assert sc.feasible == pt.feasible
+        if pt.feasible:
+            assert sc.S == c * pt.S
+            assert sc.S == 0.0 or sc.S >= sys.float_info.min
 
 
 @pytest.mark.parametrize(
