@@ -1,27 +1,24 @@
 #!/usr/bin/env python3
-"""Cross-validate every closed-form cost expression against Monte-Carlo.
+"""Cross-validate the closed forms against Monte-Carlo at (Q, N) = (0.1, 0.01).
 
-Prints a table of closed-form vs empirical values with 4-standard-error
-verdicts for the linear, two-point and hybrid (sign side information)
-schemes at (Q, N) = (0.1, 0.01). Exits nonzero if any row fails.
+Runs `witsenhausen simulate` at ten operating points of the linear, two-point
+and hybrid (sign side information) schemes; each run prints the power and the
+estimation cost, closed form against empirical, with 4-standard-error
+verdicts. Exits nonzero if any run fails.
 """
 import argparse
 import math
 import sys
 
-from witsenhausen import (
-    CoordParams,
-    SimConfig,
-    TwoPointPolicy,
-    coord_mmse_at_rho,
-    linear_policy_for_power,
-    mmse_linear,
-    simulate_hybrid_conditional,
-    simulate_linear,
-    simulate_two_point,
-    two_point_costs,
-    validate_params,
-)
+from witsenhausen.cli import main as cli
+
+POINTS = [
+    *(["--strategy", "linear", "--P", P] for P in ("0.01", "0.04", "0.09")),
+    *(["--strategy", "two-point", "--a", repr(a)]
+      for a in (0.1, math.sqrt(2 * 0.1 / math.pi), math.sqrt(0.1), 0.4)),
+    *(["--strategy", "coord", "--P", P, "--rho", rho]
+      for P, rho in (("0.03", "-0.5"), ("0.05", "-0.7"), ("0.09", "-0.85"))),
+]
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__)
@@ -29,32 +26,5 @@ if __name__ == "__main__":
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    params = validate_params(0.1, 0.01)
-    cfg = SimConfig(n_samples=args.n, seed=args.seed)
-    rows = []
-
-    for P in (0.01, 0.04, 0.09):
-        emp = simulate_linear(linear_policy_for_power(P, params), params, cfg)
-        rows.append((f"linear P={P}", mmse_linear(P, params), emp))
-
-    for a in (0.1, math.sqrt(2 * 0.1 / math.pi), math.sqrt(0.1), 0.4):
-        cost = two_point_costs(TwoPointPolicy(a), params)
-        emp = simulate_two_point(TwoPointPolicy(a), params, cfg)
-        rows.append((f"two-point a={a:.4f}", cost.S, emp))
-
-    for P, rho in ((0.03, -0.5), (0.05, -0.7), (0.09, -0.85)):
-        cp = CoordParams(P, rho, params.Q, params.N)
-        emp = simulate_hybrid_conditional(cp, params, cfg)
-        rows.append((f"coord P={P} rho={rho}", coord_mmse_at_rho(cp), emp))
-
-    ok = True
-    print(f"{'scheme':28s} {'closed':>12s} {'empirical':>12s} {'stderr':>10s}  verdict")
-    for label, closed, emp in rows:
-        dev = abs(emp.mmse_mean - closed)
-        passed = dev <= 4 * emp.mmse_stderr
-        ok &= passed
-        print(
-            f"{label:28s} {closed:12.6e} {emp.mmse_mean:12.6e} "
-            f"{emp.mmse_stderr:10.2e}  {'PASS' if passed else 'FAIL'}"
-        )
-    sys.exit(0 if ok else 1)
+    run = ["--Q", "0.1", "--N", "0.01", "--n", str(args.n), "--seed", str(args.seed)]
+    sys.exit(max(cli(["simulate", *point, *run]) for point in POINTS))

@@ -181,8 +181,7 @@ def cmd_curve(args, argv: list[str]) -> int:
     tol = _tol(args)
     sweep_a = args.a_min is not None or args.a_max is not None
     if sweep_a and args.strategy != "two-point":
-        print("--a-min/--a-max only apply to the two-point strategy", file=sys.stderr)
-        return 2
+        raise ValueError("--a-min/--a-max only apply to the two-point strategy")
 
     if sweep_a:
         a_min = args.a_min if args.a_min is not None else 0.0
@@ -223,37 +222,14 @@ def cmd_compare(args, argv: list[str]) -> int:
     return 0
 
 
-def _require_resolvable_power(a: float, P: float, Q: float, n: int) -> None:
-    """Reject a two-point run whose power verdict could only see rounding.
-
-    The power u1^2 = a^2 - 2a|X0| + X0^2 of a sample has the variance
-    Q (2Q + 4a (a (1 - 2/pi) - sqrt(2Q/pi))), about 4 a^2 Q (1 - 2/pi) for
-    large a. Where 4 standard errors of its mean over n samples are narrower
-    than 2 ulps of P(a), one rounding step of P(a) fails the verdict.
-    """
-    var = Q * (2.0 * Q + 4.0 * a * (a * (1.0 - 2.0 / math.pi) - math.sqrt(2.0 * Q / math.pi)))
-    band = 4.0 * math.sqrt(var / n)
-    if band < 2.0 * math.ulp(P):
-        raise ValueError(
-            f"two-point magnitude a={a} is too large to simulate with n={n}: the "
-            f"predicted 4-standard-error band {band:.3g} of its power is narrower "
-            f"than 2 ulps of P={P:.6g}"
-        )
-
-
 def cmd_simulate(args, argv: list[str]) -> int:
     params = validate_params(args.Q, args.N)
     tol = _tol(args)
-    try:
-        sim_cfg = montecarlo.SimConfig(n_samples=args.n, seed=args.seed)
-    except ValueError as exc:
-        print(f"invalid simulation config: {exc}", file=sys.stderr)
-        return 2
+    sim_cfg = montecarlo.SimConfig(n_samples=args.n, seed=args.seed)
 
     if args.strategy == "linear":
         if args.P is None:
-            print("linear simulation needs --P", file=sys.stderr)
-            return 2
+            raise ValueError("linear simulation needs --P")
         policy = strategies.linear_policy_for_power(args.P, params)
         closed_p = args.P
         closed_s = strategies.mmse_linear(args.P, params)
@@ -261,33 +237,38 @@ def cmd_simulate(args, argv: list[str]) -> int:
         label = f"linear P={args.P}"
     elif args.strategy == "two-point":
         if args.a is None:
-            print("two-point simulation needs --a", file=sys.stderr)
-            return 2
+            raise ValueError("two-point simulation needs --a")
         policy = strategies.TwoPointPolicy(args.a)
         cost = strategies.two_point_costs(policy, params, tol)
         closed_p, closed_s = cost.P, cost.S
-        _require_resolvable_power(args.a, closed_p, params.Q, args.n)
         emp = montecarlo.simulate_two_point(policy, params, sim_cfg)
         label = f"two-point a={args.a}"
-    elif args.strategy == "coord":
+    else:
         if args.P is None or args.rho is None:
-            print("coord simulation needs --P and --rho", file=sys.stderr)
-            return 2
+            raise ValueError("coord simulation needs --P and --rho")
         cp = skewnormal.CoordParams(args.P, args.rho, params.Q, params.N)
         closed_p = args.P
         closed_s = skewnormal.coord_mmse_at_rho(cp, tol)
         emp = montecarlo.simulate_hybrid_conditional(cp, params, sim_cfg)
         label = f"coord P={args.P} rho={args.rho}"
-    else:
-        print(f"unknown simulation strategy {args.strategy!r}", file=sys.stderr)
-        return 2
+
+    checks = (
+        ("power", closed_p, emp.power_mean, emp.power_stderr),
+        ("mmse", closed_s, emp.mmse_mean, emp.mmse_stderr),
+    )
+    # One rounding step of a nonzero closed form fails a band narrower than 2
+    # of its ulps, so the verdict could only see rounding; a NaN band fails too.
+    for name, closed, _, stderr in checks:
+        if closed != 0.0 and not 4.0 * stderr >= 2.0 * math.ulp(closed):
+            raise ValueError(
+                f"{label} cannot be judged with n={args.n}: the measured "
+                f"4-standard-error band {4.0 * stderr:.3g} of its {name} is "
+                f"narrower than 2 ulps of closed={closed:.6g}"
+            )
 
     ok = True
     print(f"simulate {label}  n={args.n}  seed={args.seed}")
-    for name, closed, mean, stderr in (
-        ("power", closed_p, emp.power_mean, emp.power_stderr),
-        ("mmse", closed_s, emp.mmse_mean, emp.mmse_stderr),
-    ):
+    for name, closed, mean, stderr in checks:
         dev = abs(mean - closed)
         bound = 4.0 * stderr
         verdict = "PASS" if dev <= bound else "FAIL"

@@ -130,7 +130,8 @@ def _skew_scales(p: float, n: float, rho: float) -> tuple[float, float, float]:
     s, p_res, t = power_split(p, 1.0, rho)
     if s * s <= 0.0:
         return s, p_res, math.inf
-    d2 = math.sqrt((t * s * s * n + p_res * (t + n) ** 2) / (s * s * n * n))
+    r = (t + n) / n / s
+    d2 = math.sqrt(t / n + p_res * r * r)
     return s, p_res, d2
 
 

@@ -121,12 +121,14 @@ def timeshare_interval(params: ProblemParams) -> tuple[float, float]:
     """Power interval where time sharing between two linear gains is optimal.
 
     Q (1 - 2n -+ sqrt(1 - 4n)) / 2 with n = N/Q; only defined for Q > 4N.
+    The roots multiply to n^2, so the lower end is formed as n^2 over the
+    upper one, which does not cancel; it underflows to 0 below n ~ 1e-162.
     """
     n = params.n
     if 4.0 * n >= 1.0:
         raise RegimeNotApplicable(f"requires Q > 4N, got Q={params.Q}, N={params.N}")
-    s = math.sqrt(1.0 - 4.0 * n)
-    return params.Q * (0.5 * (1.0 - 2.0 * n - s)), params.Q * (0.5 * (1.0 - 2.0 * n + s))
+    p_hi = 0.5 * (1.0 - 2.0 * n + math.sqrt(1.0 - 4.0 * n))
+    return params.Q * (n * n / p_hi), params.Q * p_hi
 
 
 def optimal_rho_pair(P: float, params: ProblemParams) -> tuple[float, float]:
@@ -143,7 +145,7 @@ def optimal_rho_pair(P: float, params: ProblemParams) -> tuple[float, float]:
         raise ValueError(f"P={P} outside [0, Q]")
     if 4.0 * n < 1.0:
         p_lo, p_hi = timeshare_interval(params)
-        if p_lo <= P <= p_hi:
+        if p > 0.0 and p_lo <= P <= p_hi:
             rho1 = math.sqrt(max((p - (p + n) ** 2) / (p + n), 0.0))
             return rho1, max(-(p + n) / math.sqrt(p), -1.0)
     return 0.0, -1.0
@@ -158,7 +160,7 @@ def mmse_gaussian(P: float, params: ProblemParams) -> float:
     p, n = params.unit_power(P), params.n
     if 4.0 * n < 1.0:
         p1, p2 = timeshare_interval(params)
-        if p1 <= P <= p2:
+        if p > 0.0 and p1 <= P <= p2:
             return params.Q * (n * (1.0 - n - p))
     return mmse_linear(P, params)
 

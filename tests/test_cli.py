@@ -432,7 +432,7 @@ def test_variances_too_extreme_to_simulate_are_a_usage_error(strategy, scale, ca
 
 
 def test_two_point_power_below_rounding_is_a_usage_error(capsys):
-    # at n = 1e6 and Q = 0.1 the predicted 4-standard-error band of the power
+    # at n = 1e6 and Q = 0.1 the measured 4-standard-error band of the power
     # is 1.5e10 at a = 1e13, below 2 ulps of P(a) = 1e26 (3.4e10), so one
     # rounding step of P(a) would fail the verdict; at a = 4e12 it is 6.1e9,
     # above 2 ulps of 1.6e25 (4.3e9), and the run passes
@@ -443,6 +443,63 @@ def test_two_point_power_below_rounding_is_a_usage_error(capsys):
     assert captured.out == ""
     assert run(argv + ["4e12"]) == 0
     assert capsys.readouterr().out.endswith("PASS\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the power's band 2.6e12 is below 2 ulps of P = 1e30 (2.8e14)
+        ["--strategy", "linear", "--P", "1e30", "--n", "1000000"],
+        # the error x1 - estimate cancels against x1 ~ 1e76: band 0, mmse 1
+        ["--strategy", "linear", "--Q", "1e152", "--N", "1", "--P", "1e151", "--n", "1000"],
+        # the mmse 1.4e-196 is nonzero, but no sample sees it: band 0
+        ["--strategy", "two-point", "--a", "3", "--n", "100000"],
+    ],
+    ids=["linear-power", "linear-mmse", "two-point-mmse"],
+)
+def test_simulate_band_narrower_than_rounding_is_a_usage_error(argv, capsys):
+    assert run(["simulate", *argv]) == 2
+    captured = capsys.readouterr()
+    assert "narrower than 2 ulps" in captured.err
+    assert captured.out == ""
+
+
+def test_linear_power_verdict_needs_a_band_of_2_ulps(capsys):
+    # at n = 1e6 the band of P = 1e24 is 2.5e9, above 2 ulps (2.7e8); that of
+    # P = 1e26 is 2.5e10, below 2 ulps (3.4e10), so it is refused even though
+    # its rounding happens to fall inside the band
+    argv = ["simulate", "--strategy", "linear", "--n", "1000000", "--P"]
+    assert run(argv + ["1e24"]) == 0
+    assert capsys.readouterr().out.endswith("PASS\n")
+    assert run(argv + ["1e26"]) == 2
+    captured = capsys.readouterr()
+    assert "narrower than 2 ulps" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("ratio", ["3e-9", "1e-9", "1e-10", "1e-14", "1e-16", "1e-17", "1e-200", "1e-307"])
+def test_gaussian_curve_holds_at_tiny_noise_ratios(tmp_path, ratio):
+    # the lower end of the time-sharing interval, about N^2/Q, must not
+    # round to 0 and so put P = 0 inside the interval
+    out = tmp_path / "gaussian.csv"
+    argv = ["curve", "--strategy", "gaussian", "--Q", "1", "--N", ratio,
+            "--steps", "5", "--out", str(out)]
+    assert run(argv) == 0
+    _, rows = read_csv(out)
+    assert all(r[5] == "true" and math.isfinite(float(r[1])) for r in rows)
+
+
+@pytest.mark.parametrize("ratio", ["1e-300", "1e-200", "1e160", "1e300"])
+def test_coord_curve_holds_over_the_double_range_of_noise_ratios(tmp_path, ratio):
+    out = tmp_path / "coord.csv"
+    argv = ["curve", "--strategy", "coord", "--Q", "1", "--N", ratio,
+            "--steps", "3", "--out", str(out)]
+    assert run(argv) == 0
+    _, rows = read_csv(out)
+    feasible = [r for r in rows if r[5] == "true"]
+    assert all(math.isfinite(float(r[1])) and float(r[1]) >= 0.0 for r in feasible)
+    if float(ratio) > 1.0:
+        assert feasible == []
 
 
 def test_starting_the_cli_does_not_import_scipy_optimize():

@@ -3,8 +3,10 @@ import mpmath
 import numpy as np
 import pytest
 
+from witsenhausen.core import validate_params
 from witsenhausen.numerics import mills_ratio
 from witsenhausen.skewnormal import entropy_reduction
+from witsenhausen.strategies import timeshare_interval
 
 
 def psi_mpmath(alpha: float) -> float:
@@ -69,3 +71,15 @@ def test_mills_matches_mpmath_on_the_log_space_range():
     for x, value in zip(_MILLS_BODY, values):
         oracle = mills_mpmath(x)
         assert abs(value - oracle) <= (x * x + 8.0) * 2.0**-51 * oracle, x
+
+
+@pytest.mark.parametrize("n", [0.2, 1e-2, 1e-4, 1e-8, 1e-9, 1e-10, 1e-16, 1e-17, 1e-100, 1e-150])
+def test_timeshare_interval_matches_mpmath_roots(n):
+    # the roots of p^2 - (1 - 2n) p + n^2 at Q = 1; 400 digits leave about
+    # 100 after the lower root's cancellation at n = 1e-150
+    with mpmath.workdps(400):
+        m = mpmath.mpf(n)
+        half = mpmath.sqrt(1 - 4 * m) / 2
+        roots = (float((1 - 2 * m) / 2 - half), float((1 - 2 * m) / 2 + half))
+    for end, root in zip(timeshare_interval(validate_params(1.0, n)), roots):
+        assert end == pytest.approx(root, rel=1e-14, abs=0.0)
