@@ -5,11 +5,9 @@ two-point, dirty-paper and hybrid sign-coordination strategy families, each
 cross-validated by an independent Monte-Carlo simulation.
 """
 from .core import (
-    CostPoint,
     CurvePoint,
     EmpiricalCost,
     ProblemParams,
-    TradeoffCurve,
     WitsenhausenError,
     validate_params,
 )

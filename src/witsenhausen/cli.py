@@ -24,7 +24,6 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,26 +36,7 @@ from .core import (
 )
 from .numerics import DEFAULT_TOL
 
-__all__ = ["main", "RunManifest"]
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record serialized alongside every CSV output."""
-
-    command: str
-    argv: list[str]
-    Q: float | None
-    N: float | None
-    tolerances: dict
-    git_describe: str
-    timestamp: str
-    output: str
-
-    def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+__all__ = ["main"]
 
 
 @functools.cache
@@ -96,22 +76,26 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
 
 
 def _manifest(args, argv: list[str], tol: float, out: str) -> None:
-    RunManifest(
-        command=args.command,
-        argv=argv,
-        Q=getattr(args, "Q", None),
-        N=getattr(args, "N", None),
-        tolerances={
+    """Write the reproducibility record of a run next to its CSV, as out + ".manifest"."""
+    manifest = {
+        "command": args.command,
+        "argv": argv,
+        "Q": getattr(args, "Q", None),
+        "N": getattr(args, "N", None),
+        "tolerances": {
             "quadrature_abs_tol": tol,
             "quadrature_rel_tol": tol,
             "coord_peak_rho_xtol": skewnormal.PEAK_RHO_TOL,
             "coord_edge_rho_xtol": skewnormal.EDGE_RHO_TOL,
             "lin_dpc_rho_xtol": strategies.LIN_DPC_RHO_TOL,
         },
-        git_describe=_git_describe(),
-        timestamp=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        output=out,
-    ).write(out + ".manifest")
+        "git_describe": _git_describe(),
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "output": out,
+    }
+    with open(out + ".manifest", "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _gnuplot_script(out: str, columns: list[str]) -> None:
@@ -193,8 +177,8 @@ def cmd_curve(args, argv: list[str]) -> int:
             for p, s, a in zip(powers, costs, grid)
         ]
     else:
-        c = strategies.curve(args.strategy, params, _power_grid(args, params), tol)
-        rows = [_point_row(pt, args.strategy) for pt in c.points]
+        points = strategies.curve(args.strategy, params, _power_grid(args, params), tol)
+        rows = [_point_row(pt, args.strategy) for pt in points]
 
     _write_csv(args.out, _CURVE_HEADER, rows)
     _manifest(args, argv, tol, args.out)
@@ -213,7 +197,7 @@ def cmd_compare(args, argv: list[str]) -> int:
     curves = [strategies.curve(s, params, grid, tol) for s in strategies.STRATEGIES]
     rows = [
         [_fmt(pts[0].P)] + [_fmt(pt.S) if pt.feasible else "" for pt in pts]
-        for pts in zip(*(c.points for c in curves))
+        for pts in zip(*curves)
     ]
     _write_csv(args.out, ["P"] + _COMPARE_COLUMNS, rows)
     _manifest(args, argv, tol, args.out)
@@ -239,8 +223,7 @@ def cmd_simulate(args, argv: list[str]) -> int:
         if args.a is None:
             raise ValueError("two-point simulation needs --a")
         policy = strategies.TwoPointPolicy(args.a)
-        cost = strategies.two_point_costs(policy, params, tol)
-        closed_p, closed_s = cost.P, cost.S
+        closed_p, closed_s = strategies.two_point_costs(policy, params, tol)
         emp = montecarlo.simulate_two_point(policy, params, sim_cfg)
         label = f"two-point a={args.a}"
     else:

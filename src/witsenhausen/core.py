@@ -25,9 +25,7 @@ __all__ = [
     "RegimeNotApplicable",
     "UnknownStrategy",
     "ProblemParams",
-    "CostPoint",
     "CurvePoint",
-    "TradeoffCurve",
     "EmpiricalCost",
     "validate_params",
     "require_finite",
@@ -123,18 +121,6 @@ def power_split(P: float, Q: float, rho: float) -> tuple[float, float, float]:
 
 
 @dataclass(frozen=True)
-class CostPoint:
-    """One operating point: channel-input power P and estimation cost S."""
-
-    P: float
-    S: float
-
-    def __post_init__(self) -> None:
-        if self.P < 0.0 or self.S < 0.0:
-            raise ValueError(f"costs must be nonnegative, got P={self.P}, S={self.S}")
-
-
-@dataclass(frozen=True)
 class CurvePoint:
     """One sample of a trade-off curve with per-point optimizer metadata."""
 
@@ -144,20 +130,6 @@ class CurvePoint:
     aux1: float | None = None
     aux2: float | None = None
     note: str = ""
-
-
-@dataclass(frozen=True)
-class TradeoffCurve:
-    """Ordered (P, S) samples of one strategy family, strictly increasing in P."""
-
-    strategy: str
-    params: ProblemParams
-    points: tuple[CurvePoint, ...]
-
-    def __post_init__(self) -> None:
-        ps = [pt.P for pt in self.points]
-        if any(b <= a for a, b in zip(ps, ps[1:])):
-            raise ValueError("curve points must be strictly increasing in P")
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ from .strategies import LinearPolicy, TwoPointPolicy, two_point_decoder, two_poi
 
 __all__ = [
     "SimConfig",
-    "RunningMoments",
     "simulate_linear",
     "simulate_two_point",
     "simulate_hybrid_conditional",
@@ -69,31 +68,21 @@ class SimConfig:
             )
 
 
-class RunningMoments:
-    """Streaming mean and second central moment with pairwise batch merges.
+def _merge(batches) -> tuple[float, float]:
+    """Mean and standard error of the mean of batches given as `_moments` returns them.
 
-    Per-batch statistics are reduced with the Welford/Chan merge formula, so
-    accumulating 1e8 samples does not lose the small variance to cancellation.
+    The batches' (n, mean, m2) are folded in order with the Welford/Chan merge
+    formula, so accumulating 1e8 samples does not lose the small variance to
+    cancellation. They must hold at least 2 samples in all.
     """
-
-    def __init__(self) -> None:
-        self.n = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-
-    def merge(self, bn: int, bmean: float, bm2: float) -> None:
-        """Fold in the (n, mean, m2) of one batch, as `_moments` returns them."""
-        delta = bmean - self.mean
-        n = self.n + bn
-        self.m2 += bm2 + delta * delta * self.n * bn / n
-        self.mean += delta * bn / n
-        self.n = n
-
-    @property
-    def stderr(self) -> float:
-        if self.n < 2:
-            return math.inf
-        return math.sqrt(self.m2 / (self.n - 1) / self.n)
+    n, mean, m2 = 0, 0.0, 0.0
+    for bn, bmean, bm2 in batches:
+        delta = bmean - mean
+        total = n + bn
+        m2 += bm2 + delta * delta * n * bn / total
+        mean += delta * bn / total
+        n = total
+    return mean, math.sqrt(m2 / (n - 1) / n)
 
 
 def _moments(x: np.ndarray) -> tuple[int, float, float]:
@@ -186,16 +175,13 @@ def _run(cfg: SimConfig, scales: tuple[float, ...], step) -> EmpiricalCost:
 
         with ThreadPoolExecutor(workers) as pool:
             stats = list(pool.map(batch, range(len(sizes))))
-    power = RunningMoments()
-    mmse = RunningMoments()
-    for p, s in stats:
-        power.merge(*p)
-        mmse.merge(*s)
+    power_mean, power_stderr = _merge(p for p, _ in stats)
+    mmse_mean, mmse_stderr = _merge(s for _, s in stats)
     return EmpiricalCost(
-        power_mean=power.mean,
-        power_stderr=power.stderr,
-        mmse_mean=mmse.mean,
-        mmse_stderr=mmse.stderr,
+        power_mean=power_mean,
+        power_stderr=power_stderr,
+        mmse_mean=mmse_mean,
+        mmse_stderr=mmse_stderr,
         n_samples=cfg.n_samples,
         seed=cfg.seed,
     )

@@ -23,7 +23,7 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.special import erfcx, log_ndtr
+from scipy.special import erfcx
 
 from .core import NoBracket, NonConvergence
 
@@ -38,15 +38,9 @@ __all__ = [
     "norm_pdf",
 ]
 
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _SQRT2 = math.sqrt(2.0)
-# Below this x, mills_ratio takes the erfcx form: the log-space form loses
-# about x^2 2^-53 relative accuracy, 9e-14 at x = -40 and 1e-4 at x = -1e6.
-# No quadrature of the package reaches it (its nodes stay within 12 units of
-# 0), nor does the simulator's decoder at moderate T/N.
-_MILLS_ERFCX_BELOW = -38.0
 
 
 def norm_pdf(x):
@@ -286,22 +280,29 @@ def integral_real_line(
 def mills_ratio(x):
     """Gaussian hazard-type ratio phi(x) / Phi(x), stable over the whole line.
 
-    Evaluated in log space as exp(log phi(x) - log Phi(x)) down to x = -38,
-    with a relative error below about (x^2 + 8) 2^-51 (1.3e-13 at x = -37);
-    for x >= 37.5 the value is subnormal and loses relative precision, and
-    it underflows to 0.0 near x = 38.6. Below x = -38 it is
-    sqrt(2/pi) / erfcx(-x/sqrt(2)), within 1e-15 relative out to x = -1e8.
-    Accepts scalars or arrays.
+    With E = erfcx(|x|/sqrt(2)) and g = exp(-x^2/2), Phi(x) = g E / 2 for
+    x < 0 and 1 - g E / 2 for x >= 0, so the ratio is sqrt(2/pi) / E for
+    x < 0, within 1e-15 relative out to x = -1e8, and
+    g / (sqrt(2 pi) (1 - g E / 2)) for x >= 0, within (x^2 + 8) 2^-51 up to
+    x = 37; from about 37.5 on the value is subnormal and loses relative
+    precision, and it underflows to 0.0 near x = 38.6. Accepts scalars or
+    arrays.
     """
-    arr = np.asarray(x, dtype=float)
-    out = np.exp(-0.5 * arr * arr - _LOG_SQRT_2PI - log_ndtr(arr))
-    tail = arr < _MILLS_ERFCX_BELOW
-    if tail.any():
-        out = np.asarray(out)  # a 0-d array in place of a NumPy scalar
-        out[tail] = _SQRT_2_OVER_PI / erfcx(-arr[tail] / _SQRT2)
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    e = erfcx(np.abs(arr) / _SQRT2)
+    with np.errstate(over="ignore"):
+        g = np.exp(-0.5 * arr * arr)
+    # both forms are built in place, so that a call holds three arrays of
+    # its size: the simulator's decoder calls this on every slice
+    den = g * e
+    den *= -0.5
+    den += 1.0
+    g *= _INV_SQRT_2PI
+    g /= den
+    np.divide(_SQRT_2_OVER_PI, e, out=g, where=arr < 0.0)
     if np.ndim(x) == 0:
-        return float(out)
-    return out
+        return float(g[0])
+    return g
 
 
 # Brent's root-finder and bounded minimizer (R. P. Brent, Algorithms for

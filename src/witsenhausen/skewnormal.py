@@ -12,8 +12,8 @@ they are built from only check these closed forms; they are test oracles
 
 Numerical care: the skew integrands contain phi/Phi ratios whose denominator
 underflows in the left tail; every such ratio is routed through mills_ratio
-(log space, and erfcx deep in the left tail), so no integral is silently
-truncated.
+(built on erfcx, so the left tail needs no exp/log pair), and no integral is
+silently truncated.
 """
 from __future__ import annotations
 
@@ -193,7 +193,8 @@ def coord_mmse_at_rho(cp: CoordParams, tol: float = DEFAULT_TOL) -> float:
     t, n = cp.T / cp.Q, cp.N / cp.Q
     if t == 0.0:
         return 0.0
-    sig2 = t * n / (t + n)
+    # n times a ratio <= 1: the product t n goes subnormal at tiny n
+    sig2 = n * (t / (t + n))
     kap2 = t / (2.0 * t + n)
     kap = math.sqrt(kap2)
 

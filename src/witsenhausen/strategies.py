@@ -24,12 +24,10 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    CostPoint,
     CurvePoint,
     EmptyFeasibleSet,
     ProblemParams,
     RegimeNotApplicable,
-    TradeoffCurve,
     UnknownStrategy,
     power_split,
     require_finite,
@@ -203,8 +201,8 @@ def two_point_costs(
     policy: TwoPointPolicy,
     params: ProblemParams,
     tol: float = DEFAULT_TOL,
-) -> CostPoint:
-    """Power and estimation cost of the two-point policy with magnitude a.
+) -> tuple[float, float]:
+    """Power P and estimation cost S of the two-point policy with magnitude a.
 
     P(a) = Q + a(a - 2 sqrt(2Q/pi)); with u = a/sqrt(Q) and kappa = a/sqrt(N),
     S(a) = Q sqrt(2 pi) u^2 phi(kappa) * int phi(t) sech(kappa t) dt.
@@ -213,18 +211,18 @@ def two_point_costs(
     overflow long before the integral becomes negligible, and u^2 can
     overflow where the cost has long underflowed to 0. A magnitude whose
     power is not finite is rejected. `two_point_cost_grid` is the same
-    computation over an array of magnitudes.
+    computation over an array of magnitudes. Returns (P, S).
     """
     a = policy.a
     power = two_point_power(a, params.Q)
     if not math.isfinite(power):
         raise ValueError(f"two-point magnitude a={a} gives a power that is not finite")
     if a == 0.0:
-        return CostPoint(power, 0.0)
+        return power, 0.0
     kappa = a / math.sqrt(params.N)
     integral = gauss_weighted_integral(lambda t: _two_point_integrand(t, kappa), tol)
     prefactor = _two_point_prefactor(a / math.sqrt(params.Q), kappa)
-    return CostPoint(power, params.Q * float(prefactor * integral))
+    return power, params.Q * float(prefactor * integral)
 
 
 def two_point_cost_grid(
@@ -347,8 +345,8 @@ def curve(
     params: ProblemParams,
     P_grid: Sequence[float],
     tol: float = DEFAULT_TOL,
-) -> TradeoffCurve:
-    """Evaluate one strategy family on a power grid.
+) -> tuple[CurvePoint, ...]:
+    """Evaluate one strategy family on a power grid: one CurvePoint per power.
 
     The grid must be finite, nonnegative and strictly increasing. Power levels
     a family cannot realize (coord below its information constraint, two-point
@@ -363,10 +361,8 @@ def curve(
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("power grid must be strictly increasing")
     if strategy == "two-point":
-        points = _two_point_points(grid, params, tol)
-    else:
-        points = tuple(_eval_point(strategy, p, params, tol) for p in grid)
-    return TradeoffCurve(strategy, params, points)
+        return _two_point_points(grid, params, tol)
+    return tuple(_eval_point(strategy, p, params, tol) for p in grid)
 
 
 def _two_point_points(

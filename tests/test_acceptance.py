@@ -159,19 +159,19 @@ def test_criterion_5_two_point_oracle_match():
         # standard-error test meaningful at the pinned sample size.
         cfg = SimConfig(n_samples=1_000_000, seed=1)
         for a in (0.05, a_min_power, math.sqrt(Q), 0.5):
-            cost = two_point_costs(TwoPointPolicy(a), PARAMS)
+            P, S = two_point_costs(TwoPointPolicy(a), PARAMS)
             emp = simulate_two_point(TwoPointPolicy(a), PARAMS, cfg)
-            assert abs(emp.power_mean - cost.P) <= 4 * emp.power_stderr
-            assert abs(emp.mmse_mean - cost.S) <= 4 * emp.mmse_stderr
+            assert abs(emp.power_mean - P) <= 4 * emp.power_stderr
+            assert abs(emp.mmse_mean - S) <= 4 * emp.mmse_stderr
         # analytic minimum power is hit exactly at the vertex
-        vertex = two_point_costs(TwoPointPolicy(a_min_power), PARAMS)
-        assert abs(vertex.P - two_point_min_power(PARAMS)) <= 1e-12
+        vertex_P, _ = two_point_costs(TwoPointPolicy(a_min_power), PARAMS)
+        assert abs(vertex_P - two_point_min_power(PARAMS)) <= 1e-12
         # large-sample backing for the rare-event point
         big = simulate_two_point(
             TwoPointPolicy(0.5), PARAMS, SimConfig(30_000_000, seed=0)
         )
-        closed = two_point_costs(TwoPointPolicy(0.5), PARAMS)
-        assert abs(big.mmse_mean - closed.S) <= 4 * big.mmse_stderr
+        _, closed = two_point_costs(TwoPointPolicy(0.5), PARAMS)
+        assert abs(big.mmse_mean - closed) <= 4 * big.mmse_stderr
 
 
 def test_criterion_6_dirty_paper_closed_forms():
@@ -216,7 +216,7 @@ def test_criterion_8_comparison_figure_reproduction():
             others = [lin, gau, dpc]
             a = two_point_gain_for_power(P, PARAMS)
             if a is not None:
-                others.append(two_point_costs(TwoPointPolicy(a), PARAMS).S)
+                others.append(two_point_costs(TwoPointPolicy(a), PARAMS)[1])
             try:
                 coord_val, _ = mmse_coord(P, PARAMS)
                 others.append(coord_val)
@@ -233,11 +233,10 @@ def test_criterion_8_comparison_figure_reproduction():
 
         # (iii) some weighting of (power, cost) strictly prefers a hybrid
         # point over every two-point operating point
-        locus = []
-        for a in np.linspace(0.0, 3 * math.sqrt(Q), 401):
-            c = two_point_costs(TwoPointPolicy(float(a)), PARAMS)
-            locus.append((c.P, c.S))
-        locus = np.array(locus)
+        locus = np.array([
+            two_point_costs(TwoPointPolicy(float(a)), PARAMS)
+            for a in np.linspace(0.0, 3 * math.sqrt(Q), 401)
+        ])
         coord_arr = np.array(coord_points)
         found = False
         for kappa in np.linspace(0.0, 1.0, 101):

@@ -80,16 +80,20 @@ def test_curve_coord_reports_infeasible_rows(tmp_path):
 
 
 def test_manifest_written_and_complete(tmp_path):
+    # no command that writes a manifest draws random numbers, so no seed
+    keys = {"command", "argv", "Q", "N", "tolerances", "git_describe",
+            "timestamp", "output"}
     out = tmp_path / "lin.csv"
     rc = run(["curve", "--strategy", "linear", "--steps", "11", "--out", str(out)])
     assert rc == 0
     manifest = json.loads((tmp_path / "lin.csv.manifest").read_text())
-    for key in ("command", "argv", "Q", "N", "tolerances", "git_describe",
-                "timestamp", "output"):
-        assert key in manifest
+    assert set(manifest) == keys
     assert manifest["command"] == "curve"
-    # no command that writes a manifest draws random numbers
-    assert "seed" not in manifest
+    # psi takes no variances and records them as null
+    assert run(["psi", "--steps", "5", "--out", str(tmp_path / "psi.csv")]) == 0
+    manifest = json.loads((tmp_path / "psi.csv.manifest").read_text())
+    assert set(manifest) == keys
+    assert manifest["Q"] is None and manifest["N"] is None
 
 
 def _git(*args, cwd):
@@ -489,16 +493,21 @@ def test_gaussian_curve_holds_at_tiny_noise_ratios(tmp_path, ratio):
     assert all(r[5] == "true" and math.isfinite(float(r[1])) for r in rows)
 
 
-@pytest.mark.parametrize("ratio", ["1e-300", "1e-200", "1e160", "1e300"])
-def test_coord_curve_holds_over_the_double_range_of_noise_ratios(tmp_path, ratio):
+@pytest.mark.parametrize(
+    "Q, N",
+    [("1", "1e-300"), ("1", "1e-200"), ("1", "1e160"), ("1", "1e300"), ("1e300", "1e-8")],
+    ids=["1e-300", "1e-200", "1e160", "1e300", "Q1e300-N1e-8"],
+)
+def test_coord_curve_holds_over_the_double_range_of_noise_ratios(tmp_path, Q, N):
     out = tmp_path / "coord.csv"
-    argv = ["curve", "--strategy", "coord", "--Q", "1", "--N", ratio,
+    argv = ["curve", "--strategy", "coord", "--Q", Q, "--N", N,
             "--steps", "3", "--out", str(out)]
     assert run(argv) == 0
     _, rows = read_csv(out)
     feasible = [r for r in rows if r[5] == "true"]
-    assert all(math.isfinite(float(r[1])) and float(r[1]) >= 0.0 for r in feasible)
-    if float(ratio) > 1.0:
+    # the estimation cost never exceeds the noise variance N
+    assert all(0.0 <= float(r[1]) <= float(N) for r in feasible)
+    if float(N) > float(Q):
         assert feasible == []
 
 

@@ -6,12 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from witsenhausen.core import (
-    CostPoint,
     EmpiricalCost,
-    CurvePoint,
     NonPositiveVariance,
-    ProblemParams,
-    TradeoffCurve,
     validate_params,
 )
 
@@ -35,13 +31,6 @@ def test_validate_params_unit():
 def test_validate_params_rejects_nonpositive(Q, N):
     with pytest.raises(NonPositiveVariance):
         validate_params(Q, N)
-
-
-def test_cost_point_rejects_negative():
-    with pytest.raises(ValueError):
-        CostPoint(-1e-3, 0.0)
-    with pytest.raises(ValueError):
-        CostPoint(0.0, -1e-3)
 
 
 class TestCorrelationTriple:
@@ -83,20 +72,6 @@ class TestCorrelationTriple:
         scale = max(1.0, float(np.max(np.abs(k))) ** 3)
         assert np.linalg.det(k) >= -1e-10 * scale
         assert t.det_factor >= 0.0
-
-
-def test_tradeoff_curve_requires_strictly_increasing_powers():
-    p = validate_params(0.1, 0.01)
-    pts = (CurvePoint(0.0, 1.0), CurvePoint(0.0, 0.5))
-    with pytest.raises(ValueError):
-        TradeoffCurve("linear", p, pts)
-
-
-def test_tradeoff_curve_accepts_sorted_powers():
-    p = validate_params(0.1, 0.01)
-    pts = (CurvePoint(0.0, 1.0), CurvePoint(0.05, 0.5), CurvePoint(0.1, 0.0))
-    c = TradeoffCurve("linear", p, pts)
-    assert len(c.points) == 3
 
 
 def test_empirical_cost_validation():

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from witsenhausen import montecarlo
 from witsenhausen.core import EmpiricalCost, validate_params
 from witsenhausen.montecarlo import (
-    RunningMoments,
     SimConfig,
+    _merge,
     _moments,
     simulate_hybrid_conditional,
     simulate_linear,
@@ -50,12 +50,10 @@ def test_running_moments_match_numpy():
     rng = np.random.default_rng(0)
     x = rng.normal(size=10_000)
     mean, var_ddof1 = float(np.mean(x)), float(np.var(x, ddof=1))
-    rm = RunningMoments()
-    for chunk in np.array_split(x, 7):
-        rm.merge(*_moments(chunk))  # overwrites x chunk by chunk
-    assert rm.mean == pytest.approx(mean, abs=1e-12)
-    var = rm.m2 / (rm.n - 1)
-    assert var == pytest.approx(var_ddof1, rel=1e-10)
+    # _moments overwrites x chunk by chunk
+    merged_mean, stderr = _merge(_moments(chunk) for chunk in np.array_split(x, 7))
+    assert merged_mean == pytest.approx(mean, abs=1e-12)
+    assert stderr == pytest.approx(math.sqrt(var_ddof1 / x.size), rel=1e-10)
 
 
 def _three_simulations(params, cfg):
@@ -216,20 +214,20 @@ class TestTwoPoint:
         # magnitudes kept below ~4 noise sigmas so the squared error is not a
         # rare-event expectation at this sample size
         for seed, a in enumerate((0.05, math.sqrt(params.Q), 0.4)):
-            cost = two_point_costs(TwoPointPolicy(a), params)
+            P, S = two_point_costs(TwoPointPolicy(a), params)
             emp = simulate_two_point(
                 TwoPointPolicy(a), params, SimConfig(500_000, seed=20 + seed)
             )
-            assert within(cost.P, emp.power_mean, emp.power_stderr)
-            assert within(cost.S, emp.mmse_mean, emp.mmse_stderr)
+            assert within(P, emp.power_mean, emp.power_stderr)
+            assert within(S, emp.mmse_mean, emp.mmse_stderr)
 
     def test_unit_noise_regression(self):
         # the historical self-consistency point: N = 1, a = sqrt(Q)
         p = validate_params(1.0, 1.0)
         a = 1.0
-        cost = two_point_costs(TwoPointPolicy(a), p)
+        _, S = two_point_costs(TwoPointPolicy(a), p)
         emp = simulate_two_point(TwoPointPolicy(a), p, SimConfig(500_000, seed=11))
-        assert within(cost.S, emp.mmse_mean, emp.mmse_stderr)
+        assert within(S, emp.mmse_mean, emp.mmse_stderr)
 
 
 class TestHybrid:
@@ -335,7 +333,7 @@ def test_four_stderr_coverage_over_seeds(params):
     pol = linear_policy_for_power(0.04, params)
     closed_lin = mmse_linear(0.04, params)
     tp = TwoPointPolicy(0.3)
-    closed_tp = two_point_costs(tp, params).S
+    _, closed_tp = two_point_costs(tp, params)
     cp = CoordParams(0.05, -0.6, params.Q, params.N)
     closed_cp = coord_mmse_at_rho(cp)
     hits = 0

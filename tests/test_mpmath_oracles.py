@@ -49,28 +49,33 @@ def mills_mpmath(x: float) -> float:
         return float(mpmath.npdf(x) / mpmath.ncdf(x))
 
 
-# either side of the switch of form at x = -38
+# either side of x = -38; the body grid stops at x = 37, as from about 37.5 on
+# the value is subnormal
 _MILLS_LEFT_TAIL = (-np.geomspace(38.0 + 1e-9, 1e8, 40)).tolist()
-_MILLS_BODY = np.linspace(-38.0, 37.0, 301).tolist()
+_MILLS_BODY = sorted(
+    (-np.geomspace(1e-6, 38.0, 30)).tolist() + np.linspace(-38.0, 37.0, 301).tolist()
+)
 
 
 def test_mills_matches_mpmath_in_the_left_tail():
-    # the log-space form was off by 9.1e-14 at x = -40, 6.1e-9 at -1e4 and
-    # 0.78 at -1e8; the erfcx form there is within 3.4e-16
+    # one erfcx and one division: the log-space form this replaced was off
+    # by 9.1e-14 at x = -40, 6.1e-9 at -1e4 and 0.78 at -1e8
     values = mills_ratio(np.array(_MILLS_LEFT_TAIL))
     for x, value in zip(_MILLS_LEFT_TAIL, values):
         oracle = mills_mpmath(x)
-        assert abs(value - oracle) <= 1e-14 * oracle, x
+        assert abs(value - oracle) <= 1e-15 * oracle, x
         assert mills_ratio(x) == value
 
 
 def test_mills_matches_mpmath_on_the_log_space_range():
-    # exp(log phi - log Phi) loses about x^2 2^-53 relative accuracy; the
-    # grid stops at x = 37, as from about 37.5 on the value is subnormal
+    # for x < 0 the erfcx form as in the tail; for x >= 0, exp(-x^2/2) carries
+    # the rounding of x^2, about x^2 2^-53 relative
     values = mills_ratio(np.array(_MILLS_BODY))
     for x, value in zip(_MILLS_BODY, values):
         oracle = mills_mpmath(x)
-        assert abs(value - oracle) <= (x * x + 8.0) * 2.0**-51 * oracle, x
+        bound = 1e-15 if x < 0.0 else (x * x + 8.0) * 2.0**-51
+        assert abs(value - oracle) <= bound * oracle, x
+        assert mills_ratio(x) == value
 
 
 @pytest.mark.parametrize("n", [0.2, 1e-2, 1e-4, 1e-8, 1e-9, 1e-10, 1e-16, 1e-17, 1e-100, 1e-150])

@@ -137,21 +137,21 @@ def test_gaussian_never_above_linear(params):
 
 
 def test_two_point_zero_magnitude(params):
-    cost = two_point_costs(TwoPointPolicy(0.0), params)
-    assert cost.P == params.Q
-    assert cost.S == 0.0
+    P, S = two_point_costs(TwoPointPolicy(0.0), params)
+    assert P == params.Q
+    assert S == 0.0
 
 
 def test_two_point_minimum_power(params):
     a = math.sqrt(2 * params.Q / math.pi)
-    cost = two_point_costs(TwoPointPolicy(a), params)
-    assert cost.P == pytest.approx(two_point_min_power(params), abs=1e-12)
-    assert cost.P == pytest.approx(0.0363380, abs=1e-7)
+    P, _ = two_point_costs(TwoPointPolicy(a), params)
+    assert P == pytest.approx(two_point_min_power(params), abs=1e-12)
+    assert P == pytest.approx(0.0363380, abs=1e-7)
 
 
 def test_two_point_mmse_against_trapezoid_oracle(params):
     for a in (0.05, math.sqrt(2 * params.Q / math.pi), math.sqrt(params.Q), 0.5):
-        cost = two_point_costs(TwoPointPolicy(a), params)
+        _, S = two_point_costs(TwoPointPolicy(a), params)
         kappa = a / math.sqrt(params.N)
         t = np.linspace(-14.0, 14.0, 800_001)
         oracle = float(
@@ -161,15 +161,15 @@ def test_two_point_mmse_against_trapezoid_oracle(params):
             * norm_pdf(kappa)
             * trapezoid(norm_pdf(t) / np.cosh(kappa * t), t)
         )
-        assert cost.S == pytest.approx(oracle, abs=1e-10)
+        assert S == pytest.approx(oracle, abs=1e-10)
 
 
 def test_two_point_power_curve_shape(params):
     m = math.sqrt(2 * params.Q / math.pi)
     a_dec = np.linspace(0.0, m, 50)
     a_inc = np.linspace(m, 3 * math.sqrt(params.Q), 50)
-    p_dec = [two_point_costs(TwoPointPolicy(float(a)), params).P for a in a_dec]
-    p_inc = [two_point_costs(TwoPointPolicy(float(a)), params).P for a in a_inc]
+    p_dec = [two_point_costs(TwoPointPolicy(float(a)), params)[0] for a in a_dec]
+    p_inc = [two_point_costs(TwoPointPolicy(float(a)), params)[0] for a in a_inc]
     assert all(b < a for a, b in zip(p_dec, p_dec[1:]))
     assert all(b > a for a, b in zip(p_inc, p_inc[1:]))
 
@@ -177,8 +177,8 @@ def test_two_point_power_curve_shape(params):
 def test_two_point_survives_extreme_gain_over_noise():
     # cosh would overflow at a y / N ~ 700; the log-space path must not
     p = validate_params(0.1, 1e-6)
-    cost = two_point_costs(TwoPointPolicy(0.5), p)
-    assert math.isfinite(cost.S) and cost.S >= 0.0
+    _, S = two_point_costs(TwoPointPolicy(0.5), p)
+    assert math.isfinite(S) and S >= 0.0
 
 
 def test_two_point_cost_grid_equals_the_scalar_costs(params):
@@ -186,8 +186,7 @@ def test_two_point_cost_grid_equals_the_scalar_costs(params):
     a = np.concatenate([[0.0], np.linspace(0.01, 3.0 * math.sqrt(params.Q), 90), [40.0, 1e154]])
     powers, costs = two_point_cost_grid(a, params)
     for x, p, s in zip(a, powers, costs):
-        cost = two_point_costs(TwoPointPolicy(float(x)), params)
-        assert (p, s) == (cost.P, cost.S)
+        assert (p, s) == two_point_costs(TwoPointPolicy(float(x)), params)
     assert costs[0] == 0.0 and costs[-1] == 0.0
     for bad in ([0.1, -0.1], [0.1, 1e200], [math.nan]):
         with pytest.raises(ValueError):
@@ -196,12 +195,12 @@ def test_two_point_cost_grid_equals_the_scalar_costs(params):
 
 def test_two_point_curve_equals_the_scalar_costs(params):
     grid = np.linspace(0.0, 0.3, 31)
-    for P, pt in zip(grid, curve("two-point", params, grid).points):
+    for P, pt in zip(grid, curve("two-point", params, grid)):
         a = two_point_gain_for_power(float(P), params)
         if a is None:
             assert not pt.feasible and pt.S is None
         else:
-            assert pt.S == two_point_costs(TwoPointPolicy(a), params).S
+            assert pt.S == two_point_costs(TwoPointPolicy(a), params)[1]
             assert pt.aux1 == a
 
 
@@ -224,7 +223,7 @@ def test_two_point_power_inversion(params):
     for P in np.linspace(pmin, 3 * params.Q, 17):
         a = two_point_gain_for_power(float(P), params)
         assert a >= math.sqrt(2 * params.Q / math.pi) - 1e-12
-        assert two_point_costs(TwoPointPolicy(a), params).P == pytest.approx(
+        assert two_point_costs(TwoPointPolicy(a), params)[0] == pytest.approx(
             float(P), abs=1e-10
         )
 
@@ -373,8 +372,8 @@ def assert_cost_scales(strategy, log_q, log_ratio, u, k):
     """
     Q, c = 10.0**log_q, 2.0**k
     N = Q * 10.0**log_ratio
-    pt = curve(strategy, validate_params(Q, N), [u * Q]).points[0]
-    scaled = curve(strategy, validate_params(c * Q, c * N), [c * (u * Q)]).points[0]
+    (pt,) = curve(strategy, validate_params(Q, N), [u * Q])
+    (scaled,) = curve(strategy, validate_params(c * Q, c * N), [c * (u * Q)])
     assert scaled.feasible == pt.feasible
     if pt.feasible:
         # abs: below the normal range, floats carry no relative precision
@@ -425,8 +424,8 @@ def test_costs_scale_bit_exactly(strategy, Q, N, k):
     # the powers 0 and >= Q and dpc past its critical power give exact
     # zeros, and every other cost keeps c S in the normal range
     grid = [u * Q for u in (0.0, 0.05, 0.3, 0.55, 0.8, 1.0, 1.5)]
-    base = curve(strategy, validate_params(Q, N), grid).points
-    scaled = curve(strategy, validate_params(c * Q, c * N), [c * P for P in grid]).points
+    base = curve(strategy, validate_params(Q, N), grid)
+    scaled = curve(strategy, validate_params(c * Q, c * N), [c * P for P in grid])
     for pt, sc in zip(base, scaled):
         assert sc.feasible == pt.feasible
         if pt.feasible:
@@ -448,32 +447,31 @@ def test_power_must_be_nonnegative_and_finite(params, family, P):
 
 
 def test_curve_linear_monotone(params):
-    c = curve("linear", params, np.linspace(0.0, params.Q, 50))
-    s = [pt.S for pt in c.points]
+    points = curve("linear", params, np.linspace(0.0, params.Q, 50))
+    s = [pt.S for pt in points]
     assert all(b <= a for a, b in zip(s, s[1:]))
-    assert all(pt.feasible for pt in c.points)
+    assert all(pt.feasible for pt in points)
 
 
 def test_curve_gaussian_affine_segment(params):
     p1, p2 = timeshare_interval(params)
     grid = np.linspace(p1, p2, 20)
-    c = curve("gaussian", params, grid)
-    s = np.array([pt.S for pt in c.points])
+    s = np.array([pt.S for pt in curve("gaussian", params, grid)])
     second_diff = np.diff(s, n=2)
     assert np.max(np.abs(second_diff)) <= 1e-12
 
 
 def test_curve_two_point_marks_unreachable_powers(params):
     pmin = two_point_min_power(params)
-    c = curve("two-point", params, [pmin / 2, pmin * 1.1, params.Q])
-    assert not c.points[0].feasible
-    assert c.points[1].feasible and c.points[2].feasible
+    points = curve("two-point", params, [pmin / 2, pmin * 1.1, params.Q])
+    assert not points[0].feasible
+    assert points[1].feasible and points[2].feasible
 
 
 def test_curve_coord_flags_infeasible_rows(params):
-    c = curve("coord", params, [0.001, 0.005])
-    assert all(not pt.feasible for pt in c.points)
-    assert all(pt.S is None for pt in c.points)
+    points = curve("coord", params, [0.001, 0.005])
+    assert all(not pt.feasible for pt in points)
+    assert all(pt.S is None for pt in points)
 
 
 def test_curve_rejects_unknown_strategy(params):
