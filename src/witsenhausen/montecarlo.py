@@ -3,21 +3,21 @@
 Draws the state and channel noise, applies a scalar control policy together
 with its closed-form optimal decoder, and estimates (power, estimation cost)
 empirically. Everything is seeded and batched: the samples are split into
-batches of the fixed size BATCH (the last one shorter), batch b uses the
-Philox counter-based stream jumped b times from the seed, and batch moments
-are merged in batch order, so the pair (seed, n_samples) gives bit-identical
-estimates regardless of how batches are scheduled.
+batches of the fixed size BATCH (the last one shorter), batch b draws from
+the PCG64DXSM stream jumped b times from the seed, slice by slice in
+CHUNK-long slices, and the slices' moments are merged in batch order and
+then slice order, so the pair (seed, n_samples), with the constants BATCH
+and CHUNK, gives bit-identical estimates regardless of how batches are
+scheduled.
 
 Batches run on a thread pool with one worker per CPU in the process's
-affinity set; the random draws and the large-array arithmetic release the
-GIL. Each worker reduces its batch to (n, mean, m2) of the power and of the
-squared error, and only those numbers reach the merge. A batch holds two
-arrays of its size: the arithmetic, the scaling of the draws included, runs
-over CHUNK-long slices whose temporaries stay in cache; the power and
-squared error are written back over the first two drawn arrays and reduced
-there; and the hybrid scheme's third normal array, its channel noise, is
-drawn one slice at a time. Under tracemalloc a coord run peaks at 2.2
-arrays of a batch with one worker and 4.4 with two.
+affinity set; the random draws and the arithmetic release the GIL. No batch
+holds a whole array: each slice draws its normals into one CHUNK-long
+buffer per array, is scaled in place and mapped to the control u1 and the
+estimation error, whose squares overwrite the first two buffers and are
+reduced there to (n, mean, m2). Only those numbers reach the merge. Under
+tracemalloc a coord run of two 1e6-sample batches peaks at 0.25 arrays of
+a batch with one worker and 0.51 with two, about 15 CHUNK arrays per worker.
 """
 from __future__ import annotations
 
@@ -39,12 +39,12 @@ __all__ = [
     "simulate_hybrid_conditional",
 ]
 
-# Samples per batch: each batch is one Philox stream, so the estimates
-# depend on it, and a batch holds two arrays of this many doubles (16 MB).
+# Samples per batch: each batch is one PCG64DXSM stream and one task of the
+# thread pool, so the estimates depend on it.
 BATCH = 1_000_000
-# Samples per slice of the elementwise arithmetic and of the sliced draw: the
-# slice's temporaries stay in cache, and a batch holds little more than its
-# two whole drawn arrays.
+# Samples per slice of the draws and the arithmetic: a slice's buffers and
+# temporaries stay in cache, and the estimates depend on it too, since each
+# slice is reduced to its own moments.
 CHUNK = 2**14
 
 
@@ -52,8 +52,9 @@ CHUNK = 2**14
 class SimConfig:
     """Sample budget and RNG seed of one simulation run.
 
-    Together they fix the estimates bit for bit: the samples are drawn in
-    batches of BATCH from Philox streams keyed by the seed.
+    Together, with the constants BATCH and CHUNK, they fix the estimates bit
+    for bit: the samples are drawn in batches of BATCH, each from its own
+    PCG64DXSM stream jumped from the seed, one CHUNK-long slice at a time.
     """
 
     n_samples: int
@@ -68,15 +69,15 @@ class SimConfig:
             )
 
 
-def _merge(batches) -> tuple[float, float]:
-    """Mean and standard error of the mean of batches given as `_moments` returns them.
+def _merge(parts) -> tuple[float, float]:
+    """Mean and standard error of the mean of parts given as `_moments` returns them.
 
-    The batches' (n, mean, m2) are folded in order with the Welford/Chan merge
+    The parts' (n, mean, m2) are folded in order with the Welford/Chan merge
     formula, so accumulating 1e8 samples does not lose the small variance to
     cancellation. They must hold at least 2 samples in all.
     """
     n, mean, m2 = 0, 0.0, 0.0
-    for bn, bmean, bm2 in batches:
+    for bn, bmean, bm2 in parts:
         delta = bmean - mean
         total = n + bn
         m2 += bm2 + delta * delta * n * bn / total
@@ -86,7 +87,7 @@ def _merge(batches) -> tuple[float, float]:
 
 
 def _moments(x: np.ndarray) -> tuple[int, float, float]:
-    """(n, mean, m2) of one batch, m2 the sum of squared deviations; overwrites x."""
+    """(n, mean, m2) of one slice, m2 the sum of squared deviations; overwrites x."""
     mean = float(np.mean(x))
     x -= mean
     np.square(x, out=x)
@@ -94,7 +95,7 @@ def _moments(x: np.ndarray) -> tuple[int, float, float]:
 
 
 def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed).jumped(batch_index))
+    return np.random.Generator(np.random.PCG64DXSM(seed).jumped(batch_index))
 
 
 def _batch_sizes(cfg: SimConfig):
@@ -138,33 +139,33 @@ def _require_simulable_power(power: float, Q: float, what: str) -> None:
 def _run(cfg: SimConfig, scales: tuple[float, ...], step) -> EmpiricalCost:
     """Drive the batches of one simulation through `step`.
 
-    Batch b draws one normal array per entry of `scales` (two or three), in
-    that order, from `_batch_rng(seed, b)`. The first two are drawn whole:
-    `step` maps CHUNK-long slices of the scaled draws to the control u1 and
-    the estimation error of each sample, whose squares overwrite those two
-    arrays, which are then reduced in place to (n, mean, m2). A third array
-    is drawn after them one slice at a time into a CHUNK-long buffer, which
-    gives the same values bit for bit, as the generator's stream does not
-    depend on how a draw is split. Batches run on a thread pool and are
-    merged in batch order, so the result does not depend on the worker count.
+    Batch b draws from `_batch_rng(seed, b)` one CHUNK-long slice at a time:
+    each slice draws one normal slice per entry of `scales` (two or three),
+    in that order, into a CHUNK-long buffer per entry, and scales it in
+    place. `step` maps the scaled slices to the control u1 and the
+    estimation error of each sample, whose squares overwrite the first two
+    buffers and are reduced there to (n, mean, m2). A batch returns its
+    slices' moments. Batches run on a thread pool, and all moments are
+    merged in batch order and then slice order, so the result does not
+    depend on the worker count.
     """
     sizes = _batch_sizes(cfg)
 
     def batch(b: int):
         rng = _batch_rng(cfg.seed, b)
         n = sizes[b]
-        kept = [rng.standard_normal(n) for _ in scales[:2]]
-        last = np.empty(min(n, CHUNK)) if len(scales) == 3 else None
+        bufs = [np.empty(min(n, CHUNK)) for _ in scales]
+        stats = []
         for lo in range(0, n, CHUNK):
-            parts = [x[lo : lo + CHUNK] for x in kept]
-            if last is not None:
-                parts.append(rng.standard_normal(out=last[: parts[0].size]))
+            m = min(CHUNK, n - lo)
+            parts = [rng.standard_normal(out=buf[:m]) for buf in bufs]
             for x, scale in zip(parts, scales):
                 x *= scale
             u1, err = step(*parts)
             np.square(u1, out=parts[0])
             np.square(err, out=parts[1])
-        return _moments(kept[0]), _moments(kept[1])
+            stats.append((_moments(parts[0]), _moments(parts[1])))
+        return stats
 
     workers = _worker_count(len(sizes))
     if workers == 1:
@@ -175,8 +176,9 @@ def _run(cfg: SimConfig, scales: tuple[float, ...], step) -> EmpiricalCost:
 
         with ThreadPoolExecutor(workers) as pool:
             stats = list(pool.map(batch, range(len(sizes))))
-    power_mean, power_stderr = _merge(p for p, _ in stats)
-    mmse_mean, mmse_stderr = _merge(s for _, s in stats)
+    slices = [s for batch_stats in stats for s in batch_stats]
+    power_mean, power_stderr = _merge(p for p, _ in slices)
+    mmse_mean, mmse_stderr = _merge(s for _, s in slices)
     return EmpiricalCost(
         power_mean=power_mean,
         power_stderr=power_stderr,

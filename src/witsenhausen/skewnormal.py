@@ -95,12 +95,12 @@ class CoordParams:
 def _psi_integrand(x, alpha):
     """t log2 t with t = 2 Phi(alpha x), evaluated through the log CDF.
 
-    t -> 0 makes t log2 t -> 0; the explicit branch avoids 0 * (-inf) = nan
-    once exp(log Phi) underflows.
+    t -> 0 makes t log2 t -> 0; where t underflows to 0, the log is replaced
+    by 0 so the product is an exact 0.0 rather than 0 * (-inf) = nan.
     """
     l = log_ndtr(alpha * x)
     t = 2.0 * np.exp(l)
-    return np.where(t > 0.0, t * (l + _LN2) / _LN2, 0.0)
+    return t * (np.where(t > 0.0, l, 0.0) + _LN2) / _LN2
 
 
 def entropy_reduction(alpha, tol: float = DEFAULT_TOL):

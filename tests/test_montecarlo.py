@@ -84,17 +84,16 @@ def test_worker_count_does_not_change_the_estimates(params, cfg, monkeypatch):
 
 
 def test_estimates_are_pinned(params, monkeypatch):
-    # the estimates of the sequential, out-of-place simulators that preceded
-    # the chunked in-place arithmetic, bit for bit
+    # the estimates of the PCG64DXSM streams drawn slice by slice, bit for bit
     monkeypatch.setattr(montecarlo, "BATCH", 65_537)
     cfg = SimConfig(100_003, seed=11)
     pinned = (
-        (0.040026709775790696, 0.00017947838608947092,
-         0.0057475043500764345, 2.565842581690818e-05),
-        (0.040488418256528554, 0.00016282305568140972,
-         0.00019387755118891004, 2.1216760477262263e-05),
-        (0.02995682984780293, 0.0001334805315199052,
-         0.0066337061534445805, 3.192689313586488e-05),
+        (0.04008414055495619, 0.00017939421423022737,
+         0.005775229285954894, 2.583832791348658e-05),
+        (0.04045948199899986, 0.00016222744761607504,
+         0.0002725472731658689, 2.5956092852881735e-05),
+        (0.030017141434788792, 0.00013388018635109592,
+         0.006726616214921986, 3.220250116224231e-05),
     )
     assert _three_simulations(params, cfg) == tuple(
         EmpiricalCost(*fields, n_samples=100_003, seed=11) for fields in pinned
@@ -106,19 +105,19 @@ def test_estimates_are_pinned(params, monkeypatch):
     [
         # batches shorter than one CHUNK, and a short remainder batch
         ((SimConfig(50_000, seed=3), 8192),
-         (0.029881088051393202, 0.00018789863398951243,
-          0.006630727684965131, 4.556691507276207e-05)),
+         (0.03025212653564557, 0.00019199967134730863,
+          0.00658696241301337, 4.490851709056915e-05)),
         # one batch of two full slices and a partial last one
         ((SimConfig(40_000, seed=5), 40_000),
-         (0.029705924012155372, 0.0002107255208930355,
-          0.00662914004346949, 5.047173007461091e-05)),
+         (0.029967115692623565, 0.00021302413987258376,
+          0.006727729988048963, 5.0714471739190445e-05)),
     ],
 )
 def test_sliced_noise_draw_keeps_the_hybrid_estimates(
     params, cfg, pinned, monkeypatch
 ):
-    # the estimates of the simulator that drew the channel noise as one whole
-    # array after the other two, bit for bit
+    # the hybrid simulator's three draws, streamed one slice of each at a
+    # time, bit for bit
     cfg, batch = cfg
     monkeypatch.setattr(montecarlo, "BATCH", batch)
     cp = CoordParams(0.03, -0.5, params.Q, params.N)
@@ -127,22 +126,50 @@ def test_sliced_noise_draw_keeps_the_hybrid_estimates(
     )
 
 
+def test_merged_slice_moments_match_numpy(monkeypatch):
+    # the moments of every slice of a multi-batch run, merged, against NumPy
+    # over the same draws taken from each batch's stream in the same order
+    batch, n, scales = 40_000, 100_003, (1.5, 0.5)
+    monkeypatch.setattr(montecarlo, "BATCH", batch)
+    emp = montecarlo._run(
+        SimConfig(n, seed=4), scales, lambda x0, z: (x0 + 1.0, x0 - z)
+    )
+    x0, z = [], []
+    for b, lo in enumerate(range(0, n, batch)):
+        rng = montecarlo._batch_rng(4, b)
+        size = min(batch, n - lo)
+        for start in range(0, size, montecarlo.CHUNK):
+            m = min(montecarlo.CHUNK, size - start)
+            x0.append(scales[0] * rng.standard_normal(m))
+            z.append(scales[1] * rng.standard_normal(m))
+    x0, z = np.concatenate(x0), np.concatenate(z)
+    for x, mean, stderr in (((x0 + 1.0) ** 2, emp.power_mean, emp.power_stderr),
+                            ((x0 - z) ** 2, emp.mmse_mean, emp.mmse_stderr)):
+        assert mean == pytest.approx(float(np.mean(x)), abs=1e-12)
+        assert stderr == pytest.approx(
+            math.sqrt(float(np.var(x, ddof=1)) / n), rel=1e-10
+        )
+
+
 def test_simulation_memory_is_a_few_arrays_per_worker(params, monkeypatch):
-    # tracemalloc sees NumPy's buffers; a coord batch keeps the two drawn
-    # arrays that the power and the squared error overwrite, and draws its
-    # channel noise slice by slice, so with one worker it peaks at 2.2
-    # arrays of a batch (3.2 when all three draws were held whole)
-    batch = montecarlo.BATCH
+    # tracemalloc sees NumPy's buffers; a coord batch holds no whole array,
+    # only its three CHUNK-long draw buffers and the decoder's temporaries
+    # of one slice (about 15 CHUNK arrays per worker), so the peak does not
+    # grow with the batch size
     cp = CoordParams(0.03, -0.5, params.Q, params.N)
-    for workers in (1, 2):
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda n_batches: workers)
-        tracemalloc.start()
-        try:
-            simulate_hybrid_conditional(cp, params, SimConfig(2 * batch, seed=1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= workers * 2.5 * batch * 8, workers
+    for batch in (montecarlo.BATCH, 2 * montecarlo.BATCH):
+        monkeypatch.setattr(montecarlo, "BATCH", batch)
+        for workers in (1, 2):
+            monkeypatch.setattr(
+                montecarlo, "_worker_count", lambda n_batches: workers
+            )
+            tracemalloc.start()
+            try:
+                simulate_hybrid_conditional(cp, params, SimConfig(2 * batch, seed=1))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= workers * 24 * montecarlo.CHUNK * 8, (batch, workers)
 
 
 def test_deterministic_replay(params, monkeypatch):
