@@ -27,14 +27,13 @@ import time
 
 import numpy as np
 
-from . import montecarlo, skewnormal, strategies
+from . import montecarlo, numerics, skewnormal, strategies
 from .core import (
     CurvePoint,
     NonPositiveVariance,
     WitsenhausenError,
     validate_params,
 )
-from .numerics import DEFAULT_TOL
 
 __all__ = ["main"]
 
@@ -75,7 +74,7 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
         writer.writerows(rows)
 
 
-def _manifest(args, argv: list[str], tol: float, out: str) -> None:
+def _manifest(args, argv: list[str], out: str) -> None:
     """Write the reproducibility record of a run next to its CSV, as out + ".manifest"."""
     manifest = {
         "command": args.command,
@@ -83,8 +82,8 @@ def _manifest(args, argv: list[str], tol: float, out: str) -> None:
         "Q": getattr(args, "Q", None),
         "N": getattr(args, "N", None),
         "tolerances": {
-            "quadrature_abs_tol": tol,
-            "quadrature_rel_tol": tol,
+            "quadrature_abs_tol": numerics.QUAD_TOL,
+            "quadrature_rel_tol": numerics.QUAD_TOL,
             "coord_peak_rho_xtol": skewnormal.PEAK_RHO_TOL,
             "coord_edge_rho_xtol": skewnormal.EDGE_RHO_TOL,
             "lin_dpc_rho_xtol": strategies.LIN_DPC_RHO_TOL,
@@ -108,16 +107,6 @@ def _gnuplot_script(out: str, columns: list[str]) -> None:
     ]
     with open(out + ".gnuplot", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _tol(args) -> float:
-    """The --tol value, the quadratures' absolute and relative error bound.
-
-    One that is not finite or not positive is a usage error.
-    """
-    if not (math.isfinite(args.tol) and args.tol > 0.0):
-        raise ValueError(f"--tol must be positive and finite, got {args.tol}")
-    return args.tol
 
 
 def _grid(
@@ -162,7 +151,6 @@ _CURVE_HEADER = ["P", "S", "strategy", "aux1", "aux2", "feasible"]
 
 def cmd_curve(args, argv: list[str]) -> int:
     params = validate_params(args.Q, args.N)
-    tol = _tol(args)
     sweep_a = args.a_min is not None or args.a_max is not None
     if sweep_a and args.strategy != "two-point":
         raise ValueError("--a-min/--a-max only apply to the two-point strategy")
@@ -171,17 +159,17 @@ def cmd_curve(args, argv: list[str]) -> int:
         a_min = args.a_min if args.a_min is not None else 0.0
         a_max = args.a_max if args.a_max is not None else 3.0 * math.sqrt(params.Q)
         grid = _grid(a_min, a_max, args.steps, "a")
-        powers, costs = strategies.two_point_cost_grid(grid, params, tol)
+        powers, costs = strategies.two_point_cost_grid(grid, params)
         rows = [
             [_fmt(p), _fmt(s), "two-point", _fmt(a), "", "true"]
             for p, s, a in zip(powers, costs, grid)
         ]
     else:
-        points = strategies.curve(args.strategy, params, _power_grid(args, params), tol)
+        points = strategies.curve(args.strategy, params, _power_grid(args, params))
         rows = [_point_row(pt, args.strategy) for pt in points]
 
     _write_csv(args.out, _CURVE_HEADER, rows)
-    _manifest(args, argv, tol, args.out)
+    _manifest(args, argv, args.out)
     if args.gnuplot:
         _gnuplot_script(args.out, ["S"])
     return 0
@@ -192,15 +180,14 @@ _COMPARE_COLUMNS = [s.replace("-", "_") for s in strategies.STRATEGIES]
 
 def cmd_compare(args, argv: list[str]) -> int:
     params = validate_params(args.Q, args.N)
-    tol = _tol(args)
     grid = _power_grid(args, params)
-    curves = [strategies.curve(s, params, grid, tol) for s in strategies.STRATEGIES]
+    curves = [strategies.curve(s, params, grid) for s in strategies.STRATEGIES]
     rows = [
         [_fmt(pts[0].P)] + [_fmt(pt.S) if pt.feasible else "" for pt in pts]
         for pts in zip(*curves)
     ]
     _write_csv(args.out, ["P"] + _COMPARE_COLUMNS, rows)
-    _manifest(args, argv, tol, args.out)
+    _manifest(args, argv, args.out)
     if args.gnuplot:
         _gnuplot_script(args.out, _COMPARE_COLUMNS)
     return 0
@@ -208,7 +195,6 @@ def cmd_compare(args, argv: list[str]) -> int:
 
 def cmd_simulate(args, argv: list[str]) -> int:
     params = validate_params(args.Q, args.N)
-    tol = _tol(args)
     sim_cfg = montecarlo.SimConfig(n_samples=args.n, seed=args.seed)
 
     if args.strategy == "linear":
@@ -223,7 +209,7 @@ def cmd_simulate(args, argv: list[str]) -> int:
         if args.a is None:
             raise ValueError("two-point simulation needs --a")
         policy = strategies.TwoPointPolicy(args.a)
-        closed_p, closed_s = strategies.two_point_costs(policy, params, tol)
+        closed_p, closed_s = strategies.two_point_costs(policy, params)
         emp = montecarlo.simulate_two_point(policy, params, sim_cfg)
         label = f"two-point a={args.a}"
     else:
@@ -231,7 +217,7 @@ def cmd_simulate(args, argv: list[str]) -> int:
             raise ValueError("coord simulation needs --P and --rho")
         cp = skewnormal.CoordParams(args.P, args.rho, params.Q, params.N)
         closed_p = args.P
-        closed_s = skewnormal.coord_mmse_at_rho(cp, tol)
+        closed_s = skewnormal.coord_mmse_at_rho(cp)
         emp = montecarlo.simulate_hybrid_conditional(cp, params, sim_cfg)
         label = f"coord P={args.P} rho={args.rho}"
 
@@ -265,12 +251,11 @@ def cmd_simulate(args, argv: list[str]) -> int:
 
 
 def cmd_psi(args, argv: list[str]) -> int:
-    tol = _tol(args)
     grid = _grid(args.alpha_min, args.alpha_max, args.steps, "alpha", nonnegative=False)
-    psi = skewnormal.entropy_reduction(grid, tol)
+    psi = skewnormal.entropy_reduction(grid)
     rows = [[_fmt(a), _fmt(v)] for a, v in zip(grid, psi)]
     _write_csv(args.out, ["alpha", "psi"], rows)
-    _manifest(args, argv, tol, args.out)
+    _manifest(args, argv, args.out)
     if args.gnuplot:
         _gnuplot_script(args.out, ["psi"])
     return 0
@@ -282,10 +267,6 @@ def _add_common(
     if variances:
         p.add_argument("--Q", type=float, default=0.1, help="state variance (default 0.1)")
         p.add_argument("--N", type=float, default=0.01, help="noise variance (default 0.01)")
-    p.add_argument(
-        "--tol", type=float, default=DEFAULT_TOL,
-        help=f"quadrature tolerance, absolute and relative (default {DEFAULT_TOL:g})",
-    )
     if output:
         p.add_argument("--out", required=True, help="output CSV path")
         p.add_argument(

@@ -8,12 +8,13 @@ solvers). The two solvers are ports of SciPy's `brentq` and bounded
 `minimize_scalar` that give the same iterates bit for bit, so that starting
 the package does not pay the ~0.3 s import of SciPy's optimize package.
 
-The quadratures have one setting, `tol`, which bounds each integral's error
-estimate both absolutely and relative to its value. Their truncation radius
-and subdivision budget are fixed: every integrand here decays at least like
-exp(-c x^2) on a scale of order one, so cutting the real line at 12 units
-discards tail mass below 1e-31, and an integral that still misses its
-tolerance after 200 bisections raises NonConvergence.
+The quadratures have no settings. Their error bound, QUAD_TOL = 1e-10,
+applies to each integral's error estimate both absolutely and relative to
+its value, and is fixed like their truncation radius and subdivision budget:
+every integrand here decays at least like exp(-c x^2) on a scale of order
+one, so cutting the real line at 12 units discards tail mass below 1e-31,
+and an integral that still misses its bound after 200 bisections raises
+NonConvergence.
 
 All functions are pure.
 """
@@ -28,7 +29,7 @@ from scipy.special import erfcx
 from .core import NoBracket, NonConvergence
 
 __all__ = [
-    "DEFAULT_TOL",
+    "QUAD_TOL",
     "gauss_weighted_integral",
     "gauss_weighted_integrals",
     "integral_real_line",
@@ -121,13 +122,12 @@ _XK1 = _XK + 1.0
 # Integrals per engine call when a grid is integrated: bounds the panel and
 # node arrays of one refinement round at the speed of a full-grid batch.
 _BATCH = 64
-# Bisections allowed per integral, and the half-width of the integration
-# domain [-_RADIUS, _RADIUS] that stands in for the real line.
+# Bisections allowed per integral, the half-width of the integration domain
+# [-_RADIUS, _RADIUS] that stands in for the real line, and the error bound
+# of every integral, absolute and relative.
 _MAX_SUBDIVISIONS = 200
 _RADIUS = 12.0
-
-# Default quadrature tolerance, absolute and relative.
-DEFAULT_TOL = 1e-10
+QUAD_TOL = 1e-10
 
 
 def _eval_panels(f, a: np.ndarray, b: np.ndarray, theta: np.ndarray):
@@ -146,7 +146,7 @@ def _eval_panels(f, a: np.ndarray, b: np.ndarray, theta: np.ndarray):
     return ik, np.abs(ik - h * sums[:, 1])
 
 
-def _adaptive(f, theta, tol: float) -> np.ndarray:
+def _adaptive(f, theta) -> np.ndarray:
     """Adaptive Gauss-Kronrod subdivision of [-_RADIUS, _RADIUS] for a batch of integrals.
 
     Integral k is the integral of f(x, theta[k]); f is called with a node
@@ -155,8 +155,8 @@ def _adaptive(f, theta, tol: float) -> np.ndarray:
     least the mean of its integral's panels, at most _MAX_SUBDIVISIONS
     panels per integral in total, the worst first, and evaluates the new
     halves of all unfinished integrals in one integrand call. An integral
-    stops once its error sum is at most max(tol, tol |value|) and leaves the
-    batch.
+    stops once its error sum is at most max(QUAD_TOL, QUAD_TOL |value|) and
+    leaves the batch.
 
     The panels sit in flat arrays with an owner index. Every step keeps
     each integral's panels in the order a batch of one would have them, and
@@ -179,7 +179,7 @@ def _adaptive(f, theta, tol: float) -> np.ndarray:
     while True:
         total = np.bincount(owner, ik, m)
         err_sum = np.bincount(owner, err, m)
-        bound = np.maximum(tol, tol * np.abs(total))
+        bound = np.maximum(QUAD_TOL, QUAD_TOL * np.abs(total))
         done = err_sum <= bound
         finished = done & active
         if finished.any():
@@ -225,9 +225,7 @@ def _adaptive(f, theta, tol: float) -> np.ndarray:
         count += chosen
 
 
-def gauss_weighted_integral(
-    f: Callable[[np.ndarray], np.ndarray], tol: float = DEFAULT_TOL
-) -> float:
+def gauss_weighted_integral(f: Callable[[np.ndarray], np.ndarray]) -> float:
     """Integral of f(x) * phi(x) over the real line, phi the standard normal density.
 
     f is called with an array of nodes and returns one value per node. It
@@ -238,13 +236,11 @@ def gauss_weighted_integral(
     def weighted(x, _theta):
         return np.asarray(f(x), dtype=float) * norm_pdf(x)
 
-    return float(_adaptive(weighted, None, tol)[0])
+    return float(_adaptive(weighted, None)[0])
 
 
 def gauss_weighted_integrals(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    theta,
-    tol: float = DEFAULT_TOL,
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray], theta
 ) -> np.ndarray:
     """The integrals of f(x, theta_k) * phi(x) over the real line, one per theta_k.
 
@@ -260,13 +256,11 @@ def gauss_weighted_integrals(
 
     out = np.empty(theta.size)
     for lo in range(0, theta.size, _BATCH):
-        out[lo : lo + _BATCH] = _adaptive(weighted, theta[lo : lo + _BATCH], tol)
+        out[lo : lo + _BATCH] = _adaptive(weighted, theta[lo : lo + _BATCH])
     return out
 
 
-def integral_real_line(
-    f: Callable[[np.ndarray], np.ndarray], tol: float = DEFAULT_TOL
-) -> float:
+def integral_real_line(f: Callable[[np.ndarray], np.ndarray]) -> float:
     """Integral of f over the real line for integrands with Gaussian-type decay.
 
     f is called with an array of nodes and must return one value per node;
@@ -274,7 +268,7 @@ def integral_real_line(
     outside a bounded set, with a decay scale of order one so the truncation
     radius of 12 applies; callers standardize their variables accordingly.
     """
-    return float(_adaptive(lambda x, _theta: f(x), None, tol)[0])
+    return float(_adaptive(lambda x, _theta: f(x), None)[0])
 
 
 def mills_ratio(x):

@@ -29,7 +29,6 @@ from .core import EmptyFeasibleSet, ProblemParams, power_split, require_finite
 # checks this binding.
 from .numerics import (
     _GOLDEN_MEAN,
-    DEFAULT_TOL,
     find_root,
     gauss_weighted_integral,  # noqa: F401
     gauss_weighted_integrals,
@@ -103,7 +102,7 @@ def _psi_integrand(x, alpha):
     return t * (np.where(t > 0.0, l, 0.0) + _LN2) / _LN2
 
 
-def entropy_reduction(alpha, tol: float = DEFAULT_TOL):
+def entropy_reduction(alpha):
     """Entropy deficit Psi(alpha) of a skew normal with skewness alpha, in bits.
 
     Psi(alpha) = int 2 Phi(alpha x) log2(2 Phi(alpha x)) phi(x) dx. Even in
@@ -120,7 +119,7 @@ def entropy_reduction(alpha, tol: float = DEFAULT_TOL):
         # about 5% of the size-2 call that coord_ic_margin makes
         grid = np.sort(mag[todo])
         grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
-        psi = gauss_weighted_integrals(_psi_integrand, grid, tol)
+        psi = gauss_weighted_integrals(_psi_integrand, grid)
         out[todo] = psi[np.searchsorted(grid, mag[todo])]
     return float(out) if out.ndim == 0 else out
 
@@ -144,7 +143,7 @@ def ic_feasible(ic_bits: float) -> bool:
     return ic_bits >= -_IC_TOL
 
 
-def coord_ic_margin(cp: CoordParams, tol: float = DEFAULT_TOL) -> float:
+def coord_ic_margin(cp: CoordParams) -> float:
     """Information-constraint margin of the hybrid scheme, in bits.
 
     0.5 log2(1 + P(1-rho^2)/N) - Psi(sqrt(T/N)) + Psi(delta) - 1, where the
@@ -161,7 +160,7 @@ def coord_ic_margin(cp: CoordParams, tol: float = DEFAULT_TOL) -> float:
     if p_res == 0.0:
         return -1.0
     cap = 0.5 * math.log2(1.0 + p_res / n)
-    psi1, psi2 = entropy_reduction(np.array([math.sqrt(cp.T / cp.N), d2]), tol)
+    psi1, psi2 = entropy_reduction(np.array([math.sqrt(cp.T / cp.N), d2]))
     return float(cap - psi1 + psi2 - 1.0)
 
 
@@ -181,7 +180,7 @@ def skew_cond_mean(y1, T: float, N: float):
     return val
 
 
-def coord_mmse_at_rho(cp: CoordParams, tol: float = DEFAULT_TOL) -> float:
+def coord_mmse_at_rho(cp: CoordParams) -> float:
     """Estimation cost of the hybrid scheme at a fixed correlation, in power units.
 
     Closed-form single integral
@@ -202,11 +201,11 @@ def coord_mmse_at_rho(cp: CoordParams, tol: float = DEFAULT_TOL) -> float:
         w = np.asarray(w, dtype=float)
         return mills_ratio(kap * w) * np.exp(-0.5 * w * w * (1.0 - kap2))
 
-    g = integral_real_line(f, tol)
+    g = integral_real_line(f)
     return cp.Q * (sig2 * (1.0 - (1.0 / math.pi) * math.sqrt(n / (2.0 * t + n)) * g))
 
 
-def _margin_in_rho(p: float, n: float, tol: float):
+def _margin_in_rho(p: float, n: float):
     """The information-constraint margin at power p as a function of rho, in units of Q.
 
     The margin is >= -1 wherever it is finite (d2 >= d1, so Psi(d2) >= Psi(d1));
@@ -219,7 +218,7 @@ def _margin_in_rho(p: float, n: float, tol: float):
 
     def margin(rho: float) -> float:
         if rho not in memo:
-            memo[rho] = max(coord_ic_margin(CoordParams(p, rho, 1.0, n), tol), -1.0)
+            memo[rho] = max(coord_ic_margin(CoordParams(p, rho, 1.0, n)), -1.0)
         return memo[rho]
 
     return margin
@@ -231,9 +230,7 @@ def _peak_margin(margin) -> tuple[float, float]:
     return rho, -neg
 
 
-def mmse_coord(
-    P: float, params: ProblemParams, tol: float = DEFAULT_TOL
-) -> tuple[float, float]:
+def mmse_coord(P: float, params: ProblemParams) -> tuple[float, float]:
     """Minimal hybrid-scheme estimation cost at power P, and its correlation.
 
     coord_mmse_at_rho depends on rho only through T = P + Q + 2 rho sqrt(PQ),
@@ -261,7 +258,7 @@ def mmse_coord(
     if p == 0.0:
         raise EmptyFeasibleSet("coord infeasible at P=0: the IC margin is -1 for every rho")
 
-    margin = _margin_in_rho(p, n, tol)
+    margin = _margin_in_rho(p, n)
     rho_hi = _PROBE_RHO
     if margin(rho_hi) <= 0.0:
         rho_hi, peak = _peak_margin(margin)
@@ -281,10 +278,10 @@ def mmse_coord(
     while not ic_feasible(margin(rho)):
         rho = min(rho + step, rho_hi)
         step *= 2.0
-    return params.Q * coord_mmse_at_rho(CoordParams(p, rho, 1.0, n), tol), rho
+    return params.Q * coord_mmse_at_rho(CoordParams(p, rho, 1.0, n)), rho
 
 
-def coord_min_power(params: ProblemParams, tol: float = DEFAULT_TOL) -> float:
+def coord_min_power(params: ProblemParams) -> float:
     """Smallest power at which the hybrid scheme is feasible.
 
     The root in P of the peak information-constraint margin over rho, the
@@ -296,7 +293,7 @@ def coord_min_power(params: ProblemParams, tol: float = DEFAULT_TOL) -> float:
     def peak(p: float) -> float:
         if p == 0.0:
             return -1.0
-        return _peak_margin(_margin_in_rho(p, params.n, tol))[1]
+        return _peak_margin(_margin_in_rho(p, params.n))[1]
 
     top = peak(1.0)
     if not ic_feasible(top):

@@ -33,7 +33,6 @@ from .core import (
     require_finite,
 )
 from .numerics import (
-    DEFAULT_TOL,
     find_root,
     gauss_weighted_integral,
     gauss_weighted_integrals,
@@ -197,11 +196,7 @@ def _two_point_prefactor(a, kappa):
         return np.exp(2.0 * np.log(a) - 0.5 * kappa * kappa)
 
 
-def two_point_costs(
-    policy: TwoPointPolicy,
-    params: ProblemParams,
-    tol: float = DEFAULT_TOL,
-) -> tuple[float, float]:
+def two_point_costs(policy: TwoPointPolicy, params: ProblemParams) -> tuple[float, float]:
     """Power P and estimation cost S of the two-point policy with magnitude a.
 
     P(a) = Q + a(a - 2 sqrt(2Q/pi)); with u = a/sqrt(Q) and kappa = a/sqrt(N),
@@ -220,14 +215,12 @@ def two_point_costs(
     if a == 0.0:
         return power, 0.0
     kappa = a / math.sqrt(params.N)
-    integral = gauss_weighted_integral(lambda t: _two_point_integrand(t, kappa), tol)
+    integral = gauss_weighted_integral(lambda t: _two_point_integrand(t, kappa))
     prefactor = _two_point_prefactor(a / math.sqrt(params.Q), kappa)
     return power, params.Q * float(prefactor * integral)
 
 
-def two_point_cost_grid(
-    a, params: ProblemParams, tol: float = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def two_point_cost_grid(a, params: ProblemParams) -> tuple[np.ndarray, np.ndarray]:
     """Powers and estimation costs of the two-point policy at an array of magnitudes.
 
     The array form of `two_point_costs`: its sech integrals are one batched
@@ -244,7 +237,7 @@ def two_point_cost_grid(
     cost = np.zeros(a.shape)
     pos = a > 0.0
     kappa = a[pos] / math.sqrt(params.N)
-    integral = gauss_weighted_integrals(_two_point_integrand, kappa, tol)
+    integral = gauss_weighted_integrals(_two_point_integrand, kappa)
     u = a[pos] / math.sqrt(params.Q)
     cost[pos] = params.Q * (_two_point_prefactor(u, kappa) * integral)
     return power, cost
@@ -341,10 +334,7 @@ def mmse_lin_dpc(P: float, params: ProblemParams) -> tuple[float, float]:
 
 
 def curve(
-    strategy: str,
-    params: ProblemParams,
-    P_grid: Sequence[float],
-    tol: float = DEFAULT_TOL,
+    strategy: str, params: ProblemParams, P_grid: Sequence[float]
 ) -> tuple[CurvePoint, ...]:
     """Evaluate one strategy family on a power grid: one CurvePoint per power.
 
@@ -361,16 +351,14 @@ def curve(
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("power grid must be strictly increasing")
     if strategy == "two-point":
-        return _two_point_points(grid, params, tol)
-    return tuple(_eval_point(strategy, p, params, tol) for p in grid)
+        return _two_point_points(grid, params)
+    return tuple(_eval_point(strategy, p, params) for p in grid)
 
 
-def _two_point_points(
-    grid: list[float], params: ProblemParams, tol: float
-) -> tuple[CurvePoint, ...]:
+def _two_point_points(grid: list[float], params: ProblemParams) -> tuple[CurvePoint, ...]:
     """The two-point curve: the magnitudes of all reachable powers in one batch."""
     gains = [two_point_gain_for_power(P, params) for P in grid]
-    _, costs = two_point_cost_grid([a for a in gains if a is not None], params, tol)
+    _, costs = two_point_cost_grid([a for a in gains if a is not None], params)
     cost = iter(costs)
     return tuple(
         CurvePoint(P, None, False, note="below two-point minimum power")
@@ -380,9 +368,7 @@ def _two_point_points(
     )
 
 
-def _eval_point(
-    strategy: str, P: float, params: ProblemParams, tol: float
-) -> CurvePoint:
+def _eval_point(strategy: str, P: float, params: ProblemParams) -> CurvePoint:
     if strategy == "linear":
         pol = linear_policy_for_power(P, params)
         return CurvePoint(P, mmse_linear(P, params), True, pol.a, pol.b)
@@ -398,7 +384,7 @@ def _eval_point(
         return CurvePoint(P, val, True, rho)
     if strategy == "coord":
         try:
-            val, rho = skewnormal.mmse_coord(P, params, tol)
+            val, rho = skewnormal.mmse_coord(P, params)
         except EmptyFeasibleSet:
             return CurvePoint(P, None, False, note="information constraint infeasible")
         return CurvePoint(P, val, True, rho)

@@ -12,7 +12,7 @@ import math
 import numpy as np
 from scipy.special import ndtr as norm_cdf
 
-from witsenhausen.numerics import DEFAULT_TOL, gauss_weighted_integral, mills_ratio
+from witsenhausen.numerics import gauss_weighted_integral, mills_ratio
 from witsenhausen.skewnormal import CoordParams, _skew_scales, entropy_reduction
 
 from gaussian_oracles import DegenerateInput
@@ -24,9 +24,7 @@ def _scales(cp: CoordParams) -> tuple[float, float, float]:
     return math.sqrt(cp.Q) * s, cp.Q * p_res, d2
 
 
-def sign_conditioned_entropies(
-    cp: CoordParams, tol: float = DEFAULT_TOL
-) -> tuple[float, float, float]:
+def sign_conditioned_entropies(cp: CoordParams) -> tuple[float, float, float]:
     """The three conditional entropies of the hybrid scheme given the sign, in bits.
 
     Returns (h(state, precoder | sign), h(output | sign), h(output, precoder | sign)).
@@ -43,11 +41,11 @@ def sign_conditioned_entropies(
         (2.0 * math.pi * math.e) ** 2 * cp.Q * p_res
     ) - 1.0
     h_out = 0.5 * math.log2(2.0 * math.pi * math.e * (t + n)) - entropy_reduction(
-        math.sqrt(t / n), tol
+        math.sqrt(t / n)
     )
     h_out_prec = 0.5 * math.log2(
         (2.0 * math.pi * math.e) ** 2 * (t + n) * n * p_res / (p_res + n)
-    ) - entropy_reduction(d2, tol)
+    ) - entropy_reduction(d2)
     return h_state_prec, h_out, h_out_prec
 
 

@@ -295,6 +295,10 @@ UNREAD_OPTIONS = [
     ["psi", "--seed", "1"],
     ["psi", "--Q", "1"],
     ["psi", "--N", "1"],
+    # the quadratures have no settings
+    ["curve", "--strategy", "linear", "--tol", "1e-10"],
+    ["compare", "--tol", "1e-10"],
+    ["psi", "--tol", "1e-10"],
 ]
 
 
@@ -304,28 +308,19 @@ def test_options_a_command_does_not_read_are_rejected(tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_simulate_has_no_tolerance_option(capsys):
+    argv = ["simulate", "--strategy", "linear", "--P", "0.04", "--n", "10000",
+            "--tol", "1e-10"]
+    assert run(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
 NON_FINITE = [
     ["simulate", "--strategy", "linear", "--P", "nan"],
     ["simulate", "--strategy", "linear", "--P", "inf"],
     ["simulate", "--strategy", "two-point", "--a", "nan"],
     ["simulate", "--strategy", "two-point", "--a", "inf"],
     ["simulate", "--strategy", "coord", "--P", "0.03", "--rho", "nan"],
-    ["simulate", "--strategy", "linear", "--P", "0.04", "--tol", "nan"],
-    ["psi", "--tol", "nan"],
-    ["psi", "--tol", "inf"],
-    ["curve", "--strategy", "two-point", "--tol", "nan"],
-    # a tolerance must also be positive; linear simulation and curve run no
-    # quadrature, and still check it
-    *(
-        argv + ["--tol", tol]
-        for argv in (
-            ["simulate", "--strategy", "linear", "--P", "0.04"],
-            ["curve", "--strategy", "linear"],
-            ["compare"],
-            ["psi"],
-        )
-        for tol in ("0", "-1")
-    ),
 ]
 
 
@@ -524,12 +519,15 @@ def test_starting_the_cli_does_not_import_scipy_optimize():
     assert proc.stdout.strip() == "False"
 
 
-def test_quadrature_failure_in_a_grid_exits_3_without_output(tmp_path, capsys):
-    # no integral of the batch can meet a tolerance of 1e-300; the first one
-    # to spend its budget is named, and no row is written
+def test_quadrature_failure_in_a_grid_exits_3_without_output(
+    tmp_path, capsys, monkeypatch
+):
+    # no integral of the batch can meet an error bound of 1e-300; the first
+    # one to spend its budget is named, and no row is written
+    monkeypatch.setattr(numerics, "QUAD_TOL", 1e-300)
     out = tmp_path / "psi.csv"
     argv = ["psi", "--alpha-min", "1", "--alpha-max", "3", "--steps", "3",
-            "--tol", "1e-300", "--out", str(out)]
+            "--out", str(out)]
     assert run(argv) == 3
     err = capsys.readouterr().err
     assert "NonConvergence" in err and "after 200 subdivisions at parameter 1.0" in err

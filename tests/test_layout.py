@@ -93,3 +93,21 @@ def test_the_entry_points_exist():
         for name in _bound_names(node)
     }
     assert {CLI_ENTRY, *LIBRARY_ONLY} <= defined
+
+
+# The 1-D solvers' callers need different x-tolerances; the quadratures'
+# error bound is the constant numerics.QUAD_TOL, not a parameter.
+TOL_TAKERS = {"numerics.find_root", "numerics.minimize_1d"}
+
+
+def test_only_the_solvers_take_a_tolerance():
+    takers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                if any(p is not None and p.arg == "tol" for p in params):
+                    takers.add(f"{path.stem}.{getattr(node, 'name', '<lambda>')}")
+    extra = sorted(takers - TOL_TAKERS)
+    assert not extra, "functions with a `tol` parameter: " + ", ".join(extra)

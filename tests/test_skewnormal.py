@@ -12,7 +12,7 @@ from witsenhausen import numerics, skewnormal
 from scipy.special import ndtr as norm_cdf
 
 from witsenhausen.core import EmptyFeasibleSet, validate_params
-from witsenhausen.numerics import DEFAULT_TOL, norm_pdf
+from witsenhausen.numerics import norm_pdf
 from witsenhausen.skewnormal import (
     EDGE_RHO_TOL,
     CoordParams,
@@ -425,7 +425,7 @@ def _peak_route_rho(P: float, params):
     The bounded peak search, then the edge root on [-1, rho_peak], stepped
     right as mmse_coord steps it.
     """
-    margin = skewnormal._margin_in_rho(P / params.Q, params.N / params.Q, DEFAULT_TOL)
+    margin = skewnormal._margin_in_rho(P / params.Q, params.N / params.Q)
     rho_peak, peak = skewnormal._peak_margin(margin)
     if not ic_feasible(peak):
         return None
@@ -465,9 +465,9 @@ def test_mmse_coord_evaluates_each_margin_once(params, monkeypatch):
     rhos, solver_rhos = [], set()
     real_margin = skewnormal.coord_ic_margin
 
-    def counted(cp, tol=DEFAULT_TOL):
+    def counted(cp):
         rhos.append(cp.rho)
-        return real_margin(cp, tol)
+        return real_margin(cp)
 
     def recording(name):
         real = getattr(numerics, name)
