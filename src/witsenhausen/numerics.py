@@ -5,8 +5,9 @@ truncated domain for a batch of integrals, one vectorized integrand call per
 refinement round), a numerically stable Gaussian tail ratio, a bracketing
 root-finder and a bounded 1-D minimizer (Brent's methods, the package's only
 solvers). The two solvers are ports of SciPy's `brentq` and bounded
-`minimize_scalar` that give the same iterates bit for bit, so that starting
-the package does not pay the ~0.3 s import of SciPy's optimize package.
+`minimize_scalar` that give the same iterates bit for bit, and mills_ratio
+imports SciPy's erfcx at its first call, so that starting the package loads
+no SciPy module: importing scipy.special alone takes about 0.3-0.4 s.
 
 The quadratures have no settings. Their error bound, QUAD_TOL = 1e-10,
 applies to each integral's error estimate both absolutely and relative to
@@ -24,7 +25,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.special import erfcx
 
 from .core import NoBracket, NonConvergence
 
@@ -282,6 +282,9 @@ def mills_ratio(x):
     precision, and it underflows to 0.0 near x = 38.6. Accepts scalars or
     arrays.
     """
+    # imported here, so that starting the CLI does not load SciPy
+    from scipy.special import erfcx
+
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     e = erfcx(np.abs(arr) / _SQRT2)
     with np.errstate(over="ignore"):

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .core import EmptyFeasibleSet, ProblemParams, power_split, require_finite
 # gauss_weighted_integral is unused here but stays bound: the benchmark's
@@ -97,6 +96,9 @@ def _psi_integrand(x, alpha):
     t -> 0 makes t log2 t -> 0; where t underflows to 0, the log is replaced
     by 0 so the product is an exact 0.0 rather than 0 * (-inf) = nan.
     """
+    # imported here, so that starting the CLI does not load SciPy
+    from scipy.special import log_ndtr
+
     l = log_ndtr(alpha * x)
     t = 2.0 * np.exp(l)
     return t * (np.where(t > 0.0, l, 0.0) + _LN2) / _LN2

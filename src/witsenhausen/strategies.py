@@ -26,6 +26,8 @@ import numpy as np
 from .core import (
     CurvePoint,
     EmptyFeasibleSet,
+    NoBracket,
+    NonConvergence,
     ProblemParams,
     RegimeNotApplicable,
     UnknownStrategy,
@@ -355,10 +357,26 @@ def curve(
     return tuple(_eval_point(strategy, p, params) for p in grid)
 
 
+def _failed_at(
+    exc: NonConvergence | NoBracket, strategy: str, powers: Sequence[float]
+) -> NonConvergence | NoBracket:
+    """The same failure with the strategy and its powers prefixed to the message.
+
+    It keeps its class, so the CLI still reports a numerical failure (exit 3);
+    one power is named as P=x, a batch as P=first..last.
+    """
+    at = f"P={powers[0]!r}" + (f"..{powers[-1]!r}" if len(powers) > 1 else "")
+    return type(exc)(f"{strategy} at {at}: {exc}")
+
+
 def _two_point_points(grid: list[float], params: ProblemParams) -> tuple[CurvePoint, ...]:
     """The two-point curve: the magnitudes of all reachable powers in one batch."""
     gains = [two_point_gain_for_power(P, params) for P in grid]
-    _, costs = two_point_cost_grid([a for a in gains if a is not None], params)
+    try:
+        _, costs = two_point_cost_grid([a for a in gains if a is not None], params)
+    except (NonConvergence, NoBracket) as exc:
+        reachable = [P for P, a in zip(grid, gains) if a is not None]
+        raise _failed_at(exc, "two-point", reachable) from exc
     cost = iter(costs)
     return tuple(
         CurvePoint(P, None, False, note="below two-point minimum power")
@@ -379,13 +397,19 @@ def _eval_point(strategy: str, P: float, params: ProblemParams) -> CurvePoint:
         return CurvePoint(P, mmse_gaussian(P, params), True, rho1, rho2)
     if strategy == "dpc":
         return CurvePoint(P, mmse_dpc(P, params), True, dpc_alpha(P, params))
+    # only these two families run a solver or a quadrature per power
     if strategy == "lin-dpc":
-        val, rho = mmse_lin_dpc(P, params)
+        try:
+            val, rho = mmse_lin_dpc(P, params)
+        except (NonConvergence, NoBracket) as exc:
+            raise _failed_at(exc, strategy, (P,)) from exc
         return CurvePoint(P, val, True, rho)
     if strategy == "coord":
         try:
             val, rho = skewnormal.mmse_coord(P, params)
         except EmptyFeasibleSet:
             return CurvePoint(P, None, False, note="information constraint infeasible")
+        except (NonConvergence, NoBracket) as exc:
+            raise _failed_at(exc, strategy, (P,)) from exc
         return CurvePoint(P, val, True, rho)
     raise UnknownStrategy(strategy)

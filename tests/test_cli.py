@@ -12,6 +12,7 @@ import pytest
 import witsenhausen
 from witsenhausen import numerics, skewnormal, strategies
 from witsenhausen.cli import main
+from witsenhausen.core import NoBracket, NonConvergence
 
 
 def run(argv):
@@ -506,17 +507,54 @@ def test_coord_curve_holds_over_the_double_range_of_noise_ratios(tmp_path, Q, N)
         assert feasible == []
 
 
-def test_starting_the_cli_does_not_import_scipy_optimize():
-    # that import alone adds about 0.3 s to every run's start-up
+def _fresh_python(code, *args):
+    """Run `code` in a new interpreter that imports this package; its stdout."""
     src = os.path.dirname(os.path.dirname(witsenhausen.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = "import sys, witsenhausen.cli; print('scipy.optimize' in sys.modules)"
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        [sys.executable, "-c", code, *args], env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout
+
+
+def test_closed_form_commands_run_without_scipy(tmp_path):
+    # importing scipy.special adds about 0.4 s to every run's start-up; these
+    # commands call no SciPy function, so they must run where none can load
+    out = str(tmp_path / "out.csv")
+    commands = [
+        ["curve", "--strategy", s, "--steps", "5", "--out", out]
+        for s in ("linear", "gaussian", "two-point", "dpc", "lin-dpc")
+    ] + [
+        ["curve", "--strategy", "two-point", "--a-min", "0", "--steps", "5", "--out", out],
+        ["simulate", "--strategy", "linear", "--P", "0.05", "--n", "2000"],
+        ["simulate", "--strategy", "two-point", "--a", "0.3", "--n", "2000"],
+    ]
+    code = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None  # any import of SciPy now raises ImportError\n"
+        "from witsenhausen.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps(codes))\n"
+    )
+    stdout = _fresh_python(code, json.dumps(commands))
+    assert json.loads(stdout.splitlines()[-1]) == [0] * len(commands)
+
+
+def test_scipy_special_loads_at_the_first_psi_call(tmp_path):
+    # the CLI starts without SciPy; Psi's integrand still calls log_ndtr, so
+    # the import is paid by the first command that evaluates Psi
+    code = (
+        "import sys\n"
+        "from witsenhausen.cli import main\n"
+        "loaded = lambda: sorted(k for k in sys.modules if k.split('.')[0] == 'scipy')\n"
+        "print(loaded())\n"
+        "rc = main(['psi', '--steps', '3', '--out', sys.argv[1]])\n"
+        "print(rc, 'scipy.special' in loaded())\n"
+    )
+    stdout = _fresh_python(code, str(tmp_path / "psi.csv"))
+    assert stdout.splitlines() == ["[]", "0 True"]
 
 
 def test_quadrature_failure_in_a_grid_exits_3_without_output(
@@ -531,6 +569,30 @@ def test_quadrature_failure_in_a_grid_exits_3_without_output(
     assert run(argv) == 3
     err = capsys.readouterr().err
     assert "NonConvergence" in err and "after 200 subdivisions at parameter 1.0" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("exc", [NonConvergence, NoBracket])
+@pytest.mark.parametrize(
+    "strategy, module, solver, at",
+    [
+        ("coord", skewnormal, "find_root", "P=0.05"),
+        ("lin-dpc", strategies, "minimize_1d", "P=0.05"),
+        ("two-point", strategies, "gauss_weighted_integrals", "P=0.05..0.1"),
+    ],
+    ids=["coord", "lin-dpc", "two-point"],
+)
+def test_solver_failure_in_a_curve_names_the_strategy_and_power(
+    tmp_path, capsys, monkeypatch, exc, strategy, module, solver, at
+):
+    def fail(*args):
+        raise exc("budget spent")
+
+    monkeypatch.setattr(module, solver, fail)
+    argv = ["curve", "--strategy", strategy, "--steps", "3", "--out", str(tmp_path / "c.csv")]
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert f"numerical failure in curve ({exc.__name__}): {strategy} at {at}: budget spent" in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -111,3 +111,36 @@ def test_only_the_solvers_take_a_tolerance():
                     takers.add(f"{path.stem}.{getattr(node, 'name', '<lambda>')}")
     extra = sorted(takers - TOL_TAKERS)
     assert not extra, "functions with a `tol` parameter: " + ", ".join(extra)
+
+
+def _import_time_modules(tree: ast.Module) -> list[str]:
+    """Modules that import statements outside every function body name.
+
+    Those statements run when the module is imported; an import inside a
+    function runs at the function's first call.
+    """
+    names, todo = [], list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+        todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_no_module_imports_scipy_when_it_is_loaded():
+    # scipy.special alone adds about 0.4 s to the start-up of every command;
+    # the functions that call SciPy import it themselves
+    loaders = [
+        path.stem
+        for path in sorted(PACKAGE.glob("*.py"))
+        if any(
+            name.split(".")[0] == "scipy"
+            for name in _import_time_modules(ast.parse(path.read_text(encoding="utf-8")))
+        )
+    ]
+    assert not loaders, "modules that import SciPy at module level: " + ", ".join(loaders)
