@@ -21,13 +21,14 @@ import functools
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import time
 
 import numpy as np
 
-from . import montecarlo, numerics, skewnormal, strategies
+from . import __version__, montecarlo, numerics, skewnormal, strategies
 from .core import (
     CurvePoint,
     NonPositiveVariance,
@@ -89,7 +90,13 @@ def _manifest(args, argv: list[str], out: str) -> None:
             "lin_dpc_rho_xtol": strategies.LIN_DPC_RHO_TOL,
         },
         "git_describe": _git_describe(),
+        "package_version": __version__,
+        "python_version": platform.python_version(),
+        "numpy_version": np.__version__,
+        # null where the command never loaded SciPy
+        "scipy_version": getattr(sys.modules.get("scipy"), "__version__", None),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "elapsed_s": time.perf_counter() - args.started,
         "output": out,
     }
     with open(out + ".manifest", "w", encoding="utf-8", newline="\n") as fh:
@@ -346,6 +353,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(_attach_negative_values(argv))
+    args.started = time.perf_counter()
     try:
         return args.func(args, argv)
     except (NonPositiveVariance, ValueError) as exc:

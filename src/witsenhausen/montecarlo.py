@@ -12,12 +12,14 @@ scheduled.
 
 Batches run on a thread pool with one worker per CPU in the process's
 affinity set; the random draws and the arithmetic release the GIL. No batch
-holds a whole array: each slice draws its normals into one CHUNK-long
-buffer per array, is scaled in place and mapped to the control u1 and the
-estimation error, whose squares overwrite the first two buffers and are
-reduced there to (n, mean, m2). Only those numbers reach the merge. Under
-tracemalloc a coord run of two 1e6-sample batches peaks at 0.25 arrays of
-a batch with one worker and 0.51 with two, about 15 CHUNK arrays per worker.
+holds a whole array: a batch allocates one CHUNK-long buffer per drawn array
+and one scratch buffer, once. Each slice draws its normals into the first
+ones and is scaled in place; the simulator then computes the control u1 and
+the estimation error in place in these buffers with `out=` ufunc calls,
+their squares overwrite them, and they are reduced there to (n, mean, m2).
+Only those numbers reach the merge. Under tracemalloc a coord run of two
+1e6-sample batches peaks at 0.83 MB with one worker and 1.64 MB with two,
+about 6.3 CHUNK arrays per worker (3.2 for the linear and two-point runs).
 """
 from __future__ import annotations
 
@@ -115,6 +117,17 @@ def _worker_count(n_batches: int) -> int:
     return min(n_batches, cpus)
 
 
+def _signs(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write np.where(x >= 0.0, 1.0, -1.0) into out, in two unmasked passes.
+
+    x + 0.0 is x, except that -0.0 becomes +0.0, so its sign is that of
+    x >= 0. (A ufunc's `where=` mask runs several times slower over the
+    random sign pattern of a slice.)
+    """
+    np.add(x, 0.0, out=out)
+    return np.copysign(1.0, out, out=out)
+
+
 def _require_simulable_power(power: float, Q: float, what: str) -> None:
     """Reject a run whose squares do not fit in the moments.
 
@@ -142,29 +155,31 @@ def _run(cfg: SimConfig, scales: tuple[float, ...], step) -> EmpiricalCost:
     Batch b draws from `_batch_rng(seed, b)` one CHUNK-long slice at a time:
     each slice draws one normal slice per entry of `scales` (two or three),
     in that order, into a CHUNK-long buffer per entry, and scales it in
-    place. `step` maps the scaled slices to the control u1 and the
-    estimation error of each sample, whose squares overwrite the first two
-    buffers and are reduced there to (n, mean, m2). A batch returns its
-    slices' moments. Batches run on a thread pool, and all moments are
-    merged in batch order and then slice order, so the result does not
-    depend on the worker count.
+    place. `step(*slices, tmp)` gets those slices and one more CHUNK-long
+    scratch slice `tmp`. It computes the control u1 and the estimation error
+    of each sample in place in these slices, and returns the two slices that
+    hold them. Their squares overwrite them and are reduced there to
+    (n, mean, m2). A batch returns its slices' moments. Batches run on a
+    thread pool, and all moments are merged in batch order and then slice
+    order, so the result does not depend on the worker count.
     """
     sizes = _batch_sizes(cfg)
 
     def batch(b: int):
         rng = _batch_rng(cfg.seed, b)
         n = sizes[b]
-        bufs = [np.empty(min(n, CHUNK)) for _ in scales]
+        bufs = [np.empty(min(n, CHUNK)) for _ in range(len(scales) + 1)]
         stats = []
         for lo in range(0, n, CHUNK):
             m = min(CHUNK, n - lo)
-            parts = [rng.standard_normal(out=buf[:m]) for buf in bufs]
+            parts = [buf[:m] for buf in bufs]
             for x, scale in zip(parts, scales):
+                rng.standard_normal(out=x)
                 x *= scale
             u1, err = step(*parts)
-            np.square(u1, out=parts[0])
-            np.square(err, out=parts[1])
-            stats.append((_moments(parts[0]), _moments(parts[1])))
+            np.square(u1, out=u1)
+            np.square(err, out=err)
+            stats.append((_moments(u1), _moments(err)))
         return stats
 
     workers = _worker_count(len(sizes))
@@ -206,15 +221,19 @@ def simulate_linear(
     gain = g / (g + N)
     offset = b * (N / (g + N))
 
-    def step(x0, z):
+    def step(x0, z, ax):
         # x1 = (x0 + a x0) + b, not x0 + u1: at a = -1 it is b exactly, and
         # so is the estimate, whose gain is then 0 and offset b, so the
         # error is exactly 0 like the closed form's
-        ax = a * x0
-        u1 = ax + b
-        x1 = x0 + ax + b
-        y = x1 + z
-        return u1, x1 - (y * gain + offset)
+        np.multiply(x0, a, out=ax)
+        x0 += ax
+        x0 += b  # x1
+        ax += b  # u1
+        z += x0  # y
+        z *= gain
+        z += offset
+        np.subtract(x0, z, out=z)
+        return ax, z
 
     return _run(cfg, (math.sqrt(Q), math.sqrt(N)), step)
 
@@ -231,9 +250,14 @@ def simulate_two_point(
     a = policy.a
     _require_simulable_power(two_point_power(a, Q), Q, f"two-point magnitude a={a}")
 
-    def step(x0, z):
-        x1 = a * np.where(x0 >= 0.0, 1.0, -1.0)
-        return x1 - x0, x1 - two_point_decoder(x1 + z, a, N)
+    def step(x0, z, x1):
+        _signs(x0, out=x1)
+        x1 *= a
+        z += x1  # y
+        two_point_decoder(z, a, N, out=z)
+        np.subtract(x1, z, out=z)
+        np.subtract(x1, x0, out=x0)  # u1
+        return x0, z
 
     return _run(cfg, (math.sqrt(Q), math.sqrt(N)), step)
 
@@ -256,12 +280,16 @@ def simulate_hybrid_conditional(
         raise ValueError("interim-state variance must be positive")
     lin_gain = cp.rho * math.sqrt(cp.P / Q)
 
-    def step(x0, resid, z):
-        u1 = lin_gain * x0 + resid
-        x1 = x0 + u1
-        y = x1 + z
-        w2 = np.where(x1 >= 0.0, 1.0, -1.0)
+    def step(x0, resid, z, u1):
+        np.multiply(x0, lin_gain, out=u1)
+        u1 += resid
+        x0 += u1  # x1
+        z += x0  # y
         # mirror the negative-sign half onto the positive-sign decoder
-        return u1, x1 - w2 * skew_cond_mean(w2 * y, T, N)
+        z *= _signs(x0, out=resid)
+        est = skew_cond_mean(z, T, N, out=resid)
+        est *= _signs(x0, out=z)
+        np.subtract(x0, est, out=est)
+        return u1, est
 
     return _run(cfg, (math.sqrt(Q), math.sqrt(p_res), math.sqrt(N)), step)

@@ -17,7 +17,7 @@ one, so cutting the real line at 12 units discards tail mass below 1e-31,
 and an integral that still misses its bound after 200 bisections raises
 NonConvergence.
 
-All functions are pure.
+All functions are pure, apart from filling an `out` array passed to them.
 """
 from __future__ import annotations
 
@@ -271,7 +271,7 @@ def integral_real_line(f: Callable[[np.ndarray], np.ndarray]) -> float:
     return float(_adaptive(lambda x, _theta: f(x), None)[0])
 
 
-def mills_ratio(x):
+def mills_ratio(x, out=None):
     """Gaussian hazard-type ratio phi(x) / Phi(x), stable over the whole line.
 
     With E = erfcx(|x|/sqrt(2)) and g = exp(-x^2/2), Phi(x) = g E / 2 for
@@ -280,23 +280,30 @@ def mills_ratio(x):
     g / (sqrt(2 pi) (1 - g E / 2)) for x >= 0, within (x^2 + 8) 2^-51 up to
     x = 37; from about 37.5 on the value is subnormal and loses relative
     precision, and it underflows to 0.0 near x = 38.6. Accepts scalars or
-    arrays.
+    arrays. `out`, an array of the shape of x, receives the ratios (NumPy's
+    out convention; it may be x itself).
     """
     # imported here, so that starting the CLI does not load SciPy
     from scipy.special import erfcx
 
     arr = np.atleast_1d(np.asarray(x, dtype=float))
-    e = erfcx(np.abs(arr) / _SQRT2)
+    # everything read from arr is read before out is written, so out may be
+    # arr; a call holds two arrays of its size besides arr and out: the
+    # simulator's decoder calls this on every slice
+    neg = arr < 0.0
+    e = np.abs(arr)
+    e /= _SQRT2
+    erfcx(e, out=e)
+    den = np.multiply(arr, -0.5)
     with np.errstate(over="ignore"):
-        g = np.exp(-0.5 * arr * arr)
-    # both forms are built in place, so that a call holds three arrays of
-    # its size: the simulator's decoder calls this on every slice
-    den = g * e
+        den *= arr
+    g = np.exp(den, out=out)
+    np.multiply(g, e, out=den)
     den *= -0.5
     den += 1.0
     g *= _INV_SQRT_2PI
     g /= den
-    np.divide(_SQRT_2_OVER_PI, e, out=g, where=arr < 0.0)
+    np.divide(_SQRT_2_OVER_PI, e, out=g, where=neg)
     if np.ndim(x) == 0:
         return float(g[0])
     return g

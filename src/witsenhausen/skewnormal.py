@@ -166,19 +166,33 @@ def coord_ic_margin(cp: CoordParams) -> float:
     return float(cap - psi1 + psi2 - 1.0)
 
 
-def skew_cond_mean(y1, T: float, N: float):
+def skew_cond_mean(y1, T: float, N: float, out=None):
     """Conditional mean of the interim state given output y1 and a positive sign.
 
     mu + sigma m(mu/sigma) with mu = y1 T/(T+N) and sigma^2 = TN/(T+N): the
     mean of the conditional Gaussian truncated to the positive half-line.
+    Accepts a scalar or an array of outputs y1; `out`, an array of the shape
+    of y1, receives the means (NumPy's out convention; it may be y1 itself).
     """
     if T <= 0.0 or N <= 0.0:
         raise ValueError("T and N must be positive")
-    sig = math.sqrt(T * N / (T + N))
-    mu = np.asarray(y1, dtype=float) * (T / (T + N))
-    val = mu + sig * mills_ratio(mu / sig)
+    gain = T / (T + N)
+    # N times a ratio <= 1, as in coord_mmse_at_rho: the product T N
+    # overflows where every square of a simulation still fits
+    sig = math.sqrt(N * gain)
     if np.ndim(y1) == 0:
-        return float(val)
+        return float(skew_cond_mean(np.array([y1], dtype=float), T, N)[0])
+    y1 = np.asarray(y1, dtype=float)
+    if out is not None and np.may_share_memory(out, y1):
+        y1 = y1.copy()  # y1 is read again after out is written
+    # mu/sigma is built in out, and mu again at the end, so that the
+    # simulator's decoder holds no more than out and mills_ratio's two
+    # temporaries beside y1
+    val = np.multiply(y1, gain, out=out)
+    val /= sig
+    mills_ratio(val, out=val)
+    val *= sig
+    val += y1 * gain
     return val
 
 

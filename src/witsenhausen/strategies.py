@@ -245,14 +245,21 @@ def two_point_cost_grid(a, params: ProblemParams) -> tuple[np.ndarray, np.ndarra
     return power, cost
 
 
-def two_point_decoder(y, a: float, N: float):
+def two_point_decoder(y, a: float, N: float, out=None):
     """Conditional-mean decoder of the two-point scheme: a tanh(a y / N).
 
-    Accepts a scalar or an array of outputs y.
+    Accepts a scalar or an array of outputs y; `out`, an array of the shape
+    of y, receives the estimates (NumPy's out convention; it may be y itself).
     """
     if N <= 0.0:
         raise ValueError("N must be positive")
-    return a * np.tanh(a * y / N)
+    if np.ndim(y) == 0:
+        return float(two_point_decoder(np.array([y], dtype=float), a, N)[0])
+    est = np.multiply(a, y, out=out)
+    est /= N
+    np.tanh(est, out=est)
+    est *= a
+    return est
 
 
 def two_point_gain_for_power(P: float, params: ProblemParams) -> float | None:

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -83,18 +84,27 @@ def test_curve_coord_reports_infeasible_rows(tmp_path):
 def test_manifest_written_and_complete(tmp_path):
     # no command that writes a manifest draws random numbers, so no seed
     keys = {"command", "argv", "Q", "N", "tolerances", "git_describe",
-            "timestamp", "output"}
+            "package_version", "python_version", "numpy_version",
+            "scipy_version", "timestamp", "elapsed_s", "output"}
     out = tmp_path / "lin.csv"
     rc = run(["curve", "--strategy", "linear", "--steps", "11", "--out", str(out)])
     assert rc == 0
     manifest = json.loads((tmp_path / "lin.csv.manifest").read_text())
     assert set(manifest) == keys
     assert manifest["command"] == "curve"
+    assert manifest["package_version"] == witsenhausen.__version__
+    assert manifest["python_version"] == platform.python_version()
+    assert manifest["numpy_version"] == np.__version__
+    assert manifest["elapsed_s"] > 0.0
     # psi takes no variances and records them as null
     assert run(["psi", "--steps", "5", "--out", str(tmp_path / "psi.csv")]) == 0
     manifest = json.loads((tmp_path / "psi.csv.manifest").read_text())
     assert set(manifest) == keys
     assert manifest["Q"] is None and manifest["N"] is None
+    # psi evaluates Psi with SciPy's log_ndtr
+    import scipy
+
+    assert manifest["scipy_version"] == scipy.__version__
 
 
 def _git(*args, cwd):
@@ -252,6 +262,16 @@ def test_simulate_coord_pass(capsys):
          "--n", "200000", "--seed", "5"]
     )
     assert rc == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("strategy", [["linear"], ["coord", "--rho", "0"]],
+                         ids=["linear", "coord"])
+def test_simulate_passes_where_T_times_N_overflows(strategy, capsys):
+    # T N ~ 1.5e310 overflows, while every square the moments take fits
+    argv = ["simulate", "--strategy", *strategy, "--Q", "1e150", "--N", "1e160",
+            "--P", "5e149", "--n", "20000", "--seed", "1"]
+    assert run(argv) == 0
     assert "PASS" in capsys.readouterr().out
 
 
@@ -540,6 +560,8 @@ def test_closed_form_commands_run_without_scipy(tmp_path):
     )
     stdout = _fresh_python(code, json.dumps(commands))
     assert json.loads(stdout.splitlines()[-1]) == [0] * len(commands)
+    # the manifest of the last curve records that SciPy was not loaded
+    assert json.loads(open(out + ".manifest").read())["scipy_version"] is None
 
 
 def test_scipy_special_loads_at_the_first_psi_call(tmp_path):

@@ -131,9 +131,14 @@ def test_merged_slice_moments_match_numpy(monkeypatch):
     # over the same draws taken from each batch's stream in the same order
     batch, n, scales = 40_000, 100_003, (1.5, 0.5)
     monkeypatch.setattr(montecarlo, "BATCH", batch)
-    emp = montecarlo._run(
-        SimConfig(n, seed=4), scales, lambda x0, z: (x0 + 1.0, x0 - z)
-    )
+
+    def step(x0, z, tmp):
+        # u1 = x0 + 1 and err = x0 - z, in place in the slices
+        np.subtract(x0, z, out=z)
+        x0 += 1.0
+        return x0, z
+
+    emp = montecarlo._run(SimConfig(n, seed=4), scales, step)
     x0, z = [], []
     for b, lo in enumerate(range(0, n, batch)):
         rng = montecarlo._batch_rng(4, b)
@@ -152,24 +157,49 @@ def test_merged_slice_moments_match_numpy(monkeypatch):
 
 
 def test_simulation_memory_is_a_few_arrays_per_worker(params, monkeypatch):
-    # tracemalloc sees NumPy's buffers; a coord batch holds no whole array,
-    # only its three CHUNK-long draw buffers and the decoder's temporaries
-    # of one slice (about 15 CHUNK arrays per worker), so the peak does not
-    # grow with the batch size
+    # tracemalloc sees NumPy's buffers; a batch holds no whole array, only
+    # its CHUNK-long draw and scratch buffers and the coord decoder's
+    # temporaries of one slice (about 6.3 CHUNK arrays per worker for coord,
+    # 3.2 for the others), so the peak does not grow with the batch size
     cp = CoordParams(0.03, -0.5, params.Q, params.N)
-    for batch in (montecarlo.BATCH, 2 * montecarlo.BATCH):
-        monkeypatch.setattr(montecarlo, "BATCH", batch)
-        for workers in (1, 2):
-            monkeypatch.setattr(
-                montecarlo, "_worker_count", lambda n_batches: workers
-            )
-            tracemalloc.start()
-            try:
-                simulate_hybrid_conditional(cp, params, SimConfig(2 * batch, seed=1))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= workers * 24 * montecarlo.CHUNK * 8, (batch, workers)
+    simulations = {
+        "linear": lambda cfg: simulate_linear(
+            linear_policy_for_power(0.04, params), params, cfg
+        ),
+        "two-point": lambda cfg: simulate_two_point(
+            TwoPointPolicy(math.sqrt(params.Q)), params, cfg
+        ),
+        "coord": lambda cfg: simulate_hybrid_conditional(cp, params, cfg),
+    }
+    base = montecarlo.BATCH
+    for name, simulate in simulations.items():
+        # untraced: the first run's imports and one-time set-up
+        monkeypatch.setattr(montecarlo, "BATCH", 1000)
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda n_batches: 2)
+        simulate(SimConfig(2000, seed=1))
+        for batch in (base, 2 * base):
+            monkeypatch.setattr(montecarlo, "BATCH", batch)
+            for workers in (1, 2):
+                monkeypatch.setattr(
+                    montecarlo, "_worker_count", lambda n_batches: workers
+                )
+                tracemalloc.start()
+                try:
+                    simulate(SimConfig(2 * batch, seed=1))
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                arrays = peak / (workers * montecarlo.CHUNK * 8)
+                assert arrays <= 8.0, (name, batch, workers, arrays)
+
+
+def test_signs_match_where():
+    # -0.0 counts as >= 0, as in np.where(x >= 0.0, 1.0, -1.0)
+    x = np.array([-0.0, 0.0, -5e-324, 5e-324, -2.5, 3.0, -math.inf, math.inf])
+    out = np.empty_like(x)
+    assert montecarlo._signs(x, out=out) is out
+    assert np.array_equal(out, np.where(x >= 0.0, 1.0, -1.0))
+    assert not np.signbit(out[:2]).any()
 
 
 def test_deterministic_replay(params, monkeypatch):

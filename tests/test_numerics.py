@@ -258,6 +258,18 @@ def test_mills_vectorized_matches_scalar():
         assert mills_ratio(float(x)) == v
 
 
+def test_mills_out_buffer_gets_the_same_values():
+    xs = np.array([-1e8, -30.0, -3.0, -0.0, 0.0, 2.5, 10.0, 38.0])
+    fresh = mills_ratio(xs)
+    out = np.empty_like(xs)
+    assert mills_ratio(xs, out=out) is out
+    assert np.array_equal(out, fresh)
+    # in place: the input itself receives the ratios
+    ys = xs.copy()
+    assert mills_ratio(ys, out=ys) is ys
+    assert np.array_equal(ys, fresh)
+
+
 # --------------------------------------------------------------- find_root
 
 

@@ -316,6 +316,29 @@ def test_skew_mean_at_zero_output():
     assert skew_cond_mean(0.0, T, N) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [-300, -120, -1, 1, 120, 256, 300, 450])
+def test_skew_mean_scales_with_the_variances(k):
+    # 4^k times the variances and 2^k times the outputs give 2^k times the
+    # means, bit for bit, also where the product T N overflows (k >= 256) or
+    # underflows (k = -300): sigma^2 is formed as N (T/(T+N))
+    T, N = 1.5, 0.75
+    c, root_c = 4.0**k, 2.0**k
+    if k >= 256:
+        assert math.isinf((c * T) * (c * N))
+    y = np.array([-40.0, -3.0, -0.4, -0.0, 0.0, 0.25, 2.0, 30.0])
+    base = skew_cond_mean(y, T, N)
+    scaled = root_c * y
+    assert np.array_equal(skew_cond_mean(scaled, c * T, c * N), root_c * base)
+    for v, b in zip(scaled, base):
+        assert skew_cond_mean(float(v), c * T, c * N) == root_c * b
+    # an out buffer, or the outputs themselves, receive the same means
+    out = np.empty_like(scaled)
+    assert skew_cond_mean(scaled, c * T, c * N, out=out) is out
+    assert np.array_equal(out, root_c * base)
+    assert skew_cond_mean(scaled, c * T, c * N, out=scaled) is scaled
+    assert np.array_equal(scaled, root_c * base)
+
+
 # ------------------------------------------------------------- coord MMSE
 
 

@@ -215,6 +215,12 @@ def test_two_point_decoder_properties():
         assert two_point_decoder(-y, 0.3, 0.01) == -two_point_decoder(y, 0.3, 0.01)
     with pytest.raises(ValueError):
         two_point_decoder(0.1, 0.3, 0.0)
+    # an out buffer, or the outputs themselves, receive the same estimates
+    fresh = two_point_decoder(ys, 0.3, 0.01)
+    out = np.empty_like(ys)
+    assert two_point_decoder(ys, 0.3, 0.01, out=out) is out
+    assert np.array_equal(out, fresh)
+    assert np.array_equal(two_point_decoder(ys, 0.3, 0.01, out=ys), fresh)
 
 
 def test_two_point_power_inversion(params):
