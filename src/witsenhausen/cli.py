@@ -9,9 +9,9 @@ Outputs are CSV (UTF-8, LF, header row, '.' decimals, full-precision
 round-trippable numbers) plus a JSON run manifest next to each CSV. Plotting
 is left to external tools; --gnuplot writes a companion script.
 
-Exit codes: 0 ok, 1 simulation verdict FAIL, 2 usage error, 3 numerical
-failure: a domain error of the solvers or quadratures, or an arithmetic
-overflow.
+Exit codes: 0 ok, 1 simulation verdict FAIL, 2 usage error (ValueError), 3
+numerical failure: a domain error of the solvers or quadratures, or an
+arithmetic overflow.
 """
 from __future__ import annotations
 
@@ -29,12 +29,7 @@ import time
 import numpy as np
 
 from . import __version__, montecarlo, numerics, skewnormal, strategies
-from .core import (
-    CurvePoint,
-    NonPositiveVariance,
-    WitsenhausenError,
-    validate_params,
-)
+from .core import CurvePoint, WitsenhausenError, validate_params
 
 __all__ = ["main"]
 
@@ -149,7 +144,7 @@ def _point_row(pt: CurvePoint, strategy: str) -> list[str]:
         strategy,
         _fmt(pt.aux1),
         _fmt(pt.aux2),
-        "true" if pt.feasible else "false",
+        "false" if pt.S is None else "true",
     ]
 
 
@@ -190,7 +185,7 @@ def cmd_compare(args, argv: list[str]) -> int:
     grid = _power_grid(args, params)
     curves = [strategies.curve(s, params, grid) for s in strategies.STRATEGIES]
     rows = [
-        [_fmt(pts[0].P)] + [_fmt(pt.S) if pt.feasible else "" for pt in pts]
+        [_fmt(pts[0].P)] + [_fmt(pt.S) for pt in pts]
         for pts in zip(*curves)
     ]
     _write_csv(args.out, ["P"] + _COMPARE_COLUMNS, rows)
@@ -356,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
     args.started = time.perf_counter()
     try:
         return args.func(args, argv)
-    except (NonPositiveVariance, ValueError) as exc:
+    except ValueError as exc:
         print(f"invalid arguments for {args.command}: {exc}", file=sys.stderr)
         return 2
     except (WitsenhausenError, ArithmeticError) as exc:

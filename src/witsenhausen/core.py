@@ -1,4 +1,4 @@
-"""Shared domain types, parameter validation and error hierarchy.
+"""Shared domain types, parameter validation and the numerical errors.
 
 Holds only what the strategy families, the simulators and the CLI use. The
 correlation triple of the jointly Gaussian policy, and the errors of the
@@ -18,12 +18,8 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "WitsenhausenError",
-    "NonPositiveVariance",
     "NonConvergence",
-    "NoBracket",
     "EmptyFeasibleSet",
-    "RegimeNotApplicable",
-    "UnknownStrategy",
     "ProblemParams",
     "CurvePoint",
     "EmpiricalCost",
@@ -34,31 +30,15 @@ __all__ = [
 
 
 class WitsenhausenError(Exception):
-    """Base class for all domain errors raised by this package."""
-
-
-class NonPositiveVariance(WitsenhausenError):
-    """A variance parameter that must be strictly positive and finite is not."""
+    """Base class of the numerical failures this package raises; bad input raises ValueError."""
 
 
 class NonConvergence(WitsenhausenError):
-    """A quadrature or a 1-D solver did not reach its tolerance, or met a NaN."""
-
-
-class NoBracket(WitsenhausenError):
-    """Root finding was called on an interval that does not bracket a sign change."""
+    """A quadrature or a 1-D solver did not reach its tolerance, met a NaN or had no bracket."""
 
 
 class EmptyFeasibleSet(WitsenhausenError):
     """A constrained minimization found no feasible point."""
-
-
-class RegimeNotApplicable(WitsenhausenError):
-    """A closed form was requested outside the parameter regime where it holds."""
-
-
-class UnknownStrategy(WitsenhausenError):
-    """Strategy identifier not recognized."""
 
 
 @dataclass(frozen=True)
@@ -76,7 +56,7 @@ class ProblemParams:
     def __post_init__(self) -> None:
         if not (0.0 < self.Q < math.inf and 0.0 < self.N < math.inf
                 and 0.0 < self.N / self.Q < math.inf):
-            raise NonPositiveVariance(
+            raise ValueError(
                 "both variances and the ratio N/Q must be positive and finite, "
                 f"got Q={self.Q}, N={self.N}"
             )
@@ -93,7 +73,7 @@ class ProblemParams:
 def validate_params(Q: float, N: float) -> ProblemParams:
     """Validate (Q, N) and return the problem parameters.
 
-    Raises NonPositiveVariance unless Q, N and N/Q are positive and finite.
+    Raises ValueError unless Q, N and N/Q are positive and finite.
     """
     return ProblemParams(float(Q), float(N))
 
@@ -122,11 +102,13 @@ def power_split(P: float, Q: float, rho: float) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """One sample of a trade-off curve with per-point optimizer metadata."""
+    """One sample of a trade-off curve with per-point optimizer metadata.
+
+    S is None at a power the family cannot realize, and note says why.
+    """
 
     P: float
     S: float | None
-    feasible: bool = True
     aux1: float | None = None
     aux2: float | None = None
     note: str = ""

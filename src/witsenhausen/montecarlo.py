@@ -64,6 +64,8 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         require_finite(n_samples=self.n_samples, seed=self.seed)
+        if self.seed < 0:
+            raise ValueError(f"seed={self.seed} must be nonnegative")
         if self.n_samples < 1000:
             raise ValueError(
                 f"n_samples={self.n_samples} too small: standard errors are "

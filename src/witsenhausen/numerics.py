@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import NoBracket, NonConvergence
+from .core import NonConvergence
 
 __all__ = [
     "QUAD_TOL",
@@ -337,8 +337,9 @@ def find_root(
     """Root of f on [lo, hi]; requires a sign change (or a zero endpoint).
 
     Brent's method to an x-tolerance of tol + 8.9e-16 |x|. f is evaluated
-    once at each endpoint, then once per iteration. A NaN value of f, or no
-    convergence within 100 iterations, raises NonConvergence.
+    once at each endpoint, then once per iteration. End values of the same
+    sign, a NaN value of f, or no convergence within 100 iterations raise
+    NonConvergence.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -349,7 +350,7 @@ def find_root(
         return hi
     # by sign rather than by product, which underflows to 0 for tiny values
     if (flo < 0.0) == (fhi < 0.0):
-        raise NoBracket(f"f({lo})={flo:.6g} and f({hi})={fhi:.6g} have the same sign")
+        raise NonConvergence(f"f({lo})={flo:.6g} and f({hi})={fhi:.6g} have the same sign")
     xpre, xcur, fpre, fcur = float(lo), float(hi), flo, fhi
     xblk = fblk = spre = scur = 0.0
     for _ in range(_ROOT_MAXITER):

@@ -1,6 +1,6 @@
 """The strategy families as cost-curve evaluators.
 
-Five families are exposed through a common sweep interface:
+Six families are exposed through a common sweep interface:
 
 * ``linear``    - best affine control, closed form
 * ``gaussian``  - optimum over jointly Gaussian auxiliaries (time sharing
@@ -26,11 +26,8 @@ import numpy as np
 from .core import (
     CurvePoint,
     EmptyFeasibleSet,
-    NoBracket,
     NonConvergence,
     ProblemParams,
-    RegimeNotApplicable,
-    UnknownStrategy,
     power_split,
     require_finite,
 )
@@ -125,7 +122,7 @@ def timeshare_interval(params: ProblemParams) -> tuple[float, float]:
     """
     n = params.n
     if 4.0 * n >= 1.0:
-        raise RegimeNotApplicable(f"requires Q > 4N, got Q={params.Q}, N={params.N}")
+        raise ValueError(f"requires Q > 4N, got Q={params.Q}, N={params.N}")
     p_hi = 0.5 * (1.0 - 2.0 * n + math.sqrt(1.0 - 4.0 * n))
     return params.Q * (n * n / p_hi), params.Q * p_hi
 
@@ -349,11 +346,11 @@ def curve(
 
     The grid must be finite, nonnegative and strictly increasing. Power levels
     a family cannot realize (coord below its information constraint, two-point
-    below its minimum power, gaussian/coord above Q) yield infeasible points
-    with the reason recorded, not a failure.
+    below its minimum power, gaussian/coord above Q) yield points with S None
+    and the reason in their note, not a failure.
     """
     if strategy not in STRATEGIES:
-        raise UnknownStrategy(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
+        raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     grid = [float(p) for p in P_grid]
     if not all(0.0 <= p < math.inf for p in grid):
         raise ValueError("power grid must be finite and nonnegative")
@@ -365,15 +362,15 @@ def curve(
 
 
 def _failed_at(
-    exc: NonConvergence | NoBracket, strategy: str, powers: Sequence[float]
-) -> NonConvergence | NoBracket:
+    exc: NonConvergence, strategy: str, powers: Sequence[float]
+) -> NonConvergence:
     """The same failure with the strategy and its powers prefixed to the message.
 
-    It keeps its class, so the CLI still reports a numerical failure (exit 3);
-    one power is named as P=x, a batch as P=first..last.
+    The CLI still reports it as a numerical failure (exit 3); one power is
+    named as P=x, a batch as P=first..last.
     """
     at = f"P={powers[0]!r}" + (f"..{powers[-1]!r}" if len(powers) > 1 else "")
-    return type(exc)(f"{strategy} at {at}: {exc}")
+    return NonConvergence(f"{strategy} at {at}: {exc}")
 
 
 def _two_point_points(grid: list[float], params: ProblemParams) -> tuple[CurvePoint, ...]:
@@ -381,14 +378,14 @@ def _two_point_points(grid: list[float], params: ProblemParams) -> tuple[CurvePo
     gains = [two_point_gain_for_power(P, params) for P in grid]
     try:
         _, costs = two_point_cost_grid([a for a in gains if a is not None], params)
-    except (NonConvergence, NoBracket) as exc:
+    except NonConvergence as exc:
         reachable = [P for P, a in zip(grid, gains) if a is not None]
         raise _failed_at(exc, "two-point", reachable) from exc
     cost = iter(costs)
     return tuple(
-        CurvePoint(P, None, False, note="below two-point minimum power")
+        CurvePoint(P, None, note="below two-point minimum power")
         if a is None
-        else CurvePoint(P, float(next(cost)), True, a)
+        else CurvePoint(P, float(next(cost)), a)
         for P, a in zip(grid, gains)
     )
 
@@ -396,27 +393,25 @@ def _two_point_points(grid: list[float], params: ProblemParams) -> tuple[CurvePo
 def _eval_point(strategy: str, P: float, params: ProblemParams) -> CurvePoint:
     if strategy == "linear":
         pol = linear_policy_for_power(P, params)
-        return CurvePoint(P, mmse_linear(P, params), True, pol.a, pol.b)
+        return CurvePoint(P, mmse_linear(P, params), pol.a, pol.b)
     if strategy in ("gaussian", "coord") and P > params.Q:
-        return CurvePoint(P, None, False, note="requires P <= Q")
+        return CurvePoint(P, None, note="requires P <= Q")
     if strategy == "gaussian":
         rho1, rho2 = optimal_rho_pair(P, params)
-        return CurvePoint(P, mmse_gaussian(P, params), True, rho1, rho2)
+        return CurvePoint(P, mmse_gaussian(P, params), rho1, rho2)
     if strategy == "dpc":
-        return CurvePoint(P, mmse_dpc(P, params), True, dpc_alpha(P, params))
+        return CurvePoint(P, mmse_dpc(P, params), dpc_alpha(P, params))
     # only these two families run a solver or a quadrature per power
     if strategy == "lin-dpc":
         try:
             val, rho = mmse_lin_dpc(P, params)
-        except (NonConvergence, NoBracket) as exc:
+        except NonConvergence as exc:
             raise _failed_at(exc, strategy, (P,)) from exc
-        return CurvePoint(P, val, True, rho)
-    if strategy == "coord":
-        try:
-            val, rho = skewnormal.mmse_coord(P, params)
-        except EmptyFeasibleSet:
-            return CurvePoint(P, None, False, note="information constraint infeasible")
-        except (NonConvergence, NoBracket) as exc:
-            raise _failed_at(exc, strategy, (P,)) from exc
-        return CurvePoint(P, val, True, rho)
-    raise UnknownStrategy(strategy)
+        return CurvePoint(P, val, rho)
+    try:
+        val, rho = skewnormal.mmse_coord(P, params)
+    except EmptyFeasibleSet:
+        return CurvePoint(P, None, note="information constraint infeasible")
+    except NonConvergence as exc:
+        raise _failed_at(exc, strategy, (P,)) from exc
+    return CurvePoint(P, val, rho)

@@ -5,14 +5,17 @@ through coord_ic_margin and the estimation cost through coord_mmse_at_rho,
 and these routes exist to check them. The sign-conditioned entropies, the
 conditional variance and the covariances of the scheme's Gaussian pairs
 are the proofs' building blocks; the two quadratures are a second route to
-the cost and to the term its closed form drops.
+the cost and to the term its closed form drops. They integrate with
+SciPy's QUADPACK over the real line, with integrands built from math.erfc
+and math.exp, so they share no code with the package's quadrature engine
+or its Mills ratio.
 """
 import math
 
 import numpy as np
-from scipy.special import ndtr as norm_cdf
+from scipy.integrate import quad
 
-from witsenhausen.numerics import gauss_weighted_integral, mills_ratio
+from witsenhausen.numerics import mills_ratio
 from witsenhausen.skewnormal import CoordParams, _skew_scales, entropy_reduction
 
 from gaussian_oracles import DegenerateInput
@@ -97,24 +100,44 @@ def cov_interim_output_precoder(cp: CoordParams) -> np.ndarray:
     )
 
 
+def _phi(x: float) -> float:
+    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
+def _Phi(x: float) -> float:
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def _real_line(f) -> float:
+    """Integral of the scalar function f over the real line by scipy.integrate.quad."""
+    return quad(f, -math.inf, math.inf, epsabs=1e-14, epsrel=1e-13)[0]
+
+
 def mmse_via_conditional_density(cp: CoordParams) -> float:
     """Estimation cost as the conditional variance averaged over the output density.
 
-    Independent route used to cross-check coord_mmse_at_rho: integrates
-    skew_cond_variance against the skew-normal output density
-    2 Phi(sqrt(T/N) s) phi(s) after standardizing the output by sqrt(T+N).
+    Independent route used to cross-check coord_mmse_at_rho: integrates the
+    conditional variance (TN/(T+N)) (1 - u m(u) - m(u)^2), m = phi/Phi, of the
+    output standardized by sqrt(T+N) to s, with u = sqrt(T/N) s, against the
+    skew-normal density 2 Phi(u) phi(s). Where Phi(u) underflows to 0 the
+    density, and with it the integrand, is 0.
     """
     t, n = cp.T, cp.N
     if t == 0.0:
         return 0.0
-    sy = math.sqrt(t + n)
+    sig2 = t * n / (t + n)
     d1 = math.sqrt(t / n)
 
     def f(s):
-        s = np.asarray(s, dtype=float)
-        return skew_cond_variance(sy * s, t, n) * 2.0 * norm_cdf(d1 * s)
+        u = d1 * s
+        cdf = _Phi(u)
+        if cdf == 0.0:
+            return 0.0
+        m = _phi(u) / cdf
+        var = min(max(sig2 * (1.0 - u * m - m * m), 0.0), sig2)
+        return var * 2.0 * cdf * _phi(s)
 
-    return gauss_weighted_integral(f)
+    return _real_line(f)
 
 
 def dropped_odd_term(cp: CoordParams) -> float:
@@ -129,7 +152,10 @@ def dropped_odd_term(cp: CoordParams) -> float:
     d1 = math.sqrt(t / n)
 
     def f(s):
-        u = d1 * np.asarray(s, dtype=float)
-        return u * mills_ratio(u) * 2.0 * norm_cdf(u)
+        u = d1 * s
+        cdf = _Phi(u)
+        if cdf == 0.0:
+            return 0.0
+        return u * (_phi(u) / cdf) * 2.0 * cdf * _phi(s)
 
-    return gauss_weighted_integral(f)
+    return _real_line(f)

@@ -13,7 +13,7 @@ import pytest
 import witsenhausen
 from witsenhausen import numerics, skewnormal, strategies
 from witsenhausen.cli import main
-from witsenhausen.core import NoBracket, NonConvergence
+from witsenhausen.core import EmptyFeasibleSet, NonConvergence
 
 
 def run(argv):
@@ -277,6 +277,14 @@ def test_simulate_passes_where_T_times_N_overflows(strategy, capsys):
 
 def test_simulate_refuses_tiny_sample_count():
     assert run(["simulate", "--strategy", "linear", "--P", "0.04", "--n", "10"]) == 2
+
+
+def test_simulate_rejects_a_negative_seed_before_it_runs(capsys):
+    argv = ["simulate", "--strategy", "linear", "--P", "0.04", "--n", "1000", "--seed", "-1"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert "seed" in captured.err
+    assert captured.out == ""
 
 
 def test_simulate_requires_policy_arguments():
@@ -594,7 +602,7 @@ def test_quadrature_failure_in_a_grid_exits_3_without_output(
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("exc", [NonConvergence, NoBracket])
+@pytest.mark.parametrize("exc", [NonConvergence])
 @pytest.mark.parametrize(
     "strategy, module, solver, at",
     [
@@ -640,6 +648,22 @@ def test_overflow_is_a_numerical_failure(tmp_path, capsys, monkeypatch, argv):
     captured = capsys.readouterr()
     assert f"numerical failure in {argv[0]} (OverflowError)" in captured.err
     assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [(ValueError, 2), (NonConvergence, 3), (EmptyFeasibleSet, 3), (ZeroDivisionError, 3)],
+)
+def test_exit_code_follows_the_exception_type(tmp_path, capsys, monkeypatch, exc, code):
+    def fail(*args):
+        raise exc("raised on purpose")
+
+    monkeypatch.setattr(strategies, "curve", fail)
+    argv = ["curve", "--strategy", "linear", "--steps", "3", "--out", str(tmp_path / "c.csv")]
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("invalid arguments" if code == 2 else "numerical failure")
     assert list(tmp_path.iterdir()) == []
 
 

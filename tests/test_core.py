@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from witsenhausen.core import (
-    EmpiricalCost,
-    NonPositiveVariance,
-    validate_params,
-)
+from witsenhausen.core import EmpiricalCost, validate_params
 
 from gaussian_oracles import CorrelationTriple
 
@@ -29,7 +25,7 @@ def test_validate_params_unit():
     [(0.0, 0.01), (0.1, 0.0), (-1.0, 1.0), (1.0, -0.1), (math.inf, 0.01), (0.1, math.inf)],
 )
 def test_validate_params_rejects_nonpositive(Q, N):
-    with pytest.raises(NonPositiveVariance):
+    with pytest.raises(ValueError, match="positive and finite"):
         validate_params(Q, N)
 
 

@@ -8,7 +8,7 @@ from scipy.optimize import brentq, minimize_scalar
 from scipy.special import log_ndtr
 
 from witsenhausen import numerics, skewnormal, strategies
-from witsenhausen.core import EmptyFeasibleSet, NoBracket, NonConvergence
+from witsenhausen.core import EmptyFeasibleSet, NonConvergence
 from witsenhausen.numerics import (
     find_root,
     gauss_weighted_integral,
@@ -287,10 +287,10 @@ def test_find_root_dpc_cubic_matches_bisection():
 
 
 def test_find_root_requires_bracket():
-    with pytest.raises(NoBracket):
+    with pytest.raises(NonConvergence, match="same sign"):
         find_root(lambda x: x * x, 1.0, 2.0)
     # the product of the end values underflows to 0; their signs still agree
-    with pytest.raises(NoBracket):
+    with pytest.raises(NonConvergence, match="same sign"):
         find_root(lambda x: 1e-200 * (1.0 + x), 0.0, 1.0)
 
 

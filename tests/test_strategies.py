@@ -7,12 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from witsenhausen.core import (
-    EmptyFeasibleSet,
-    RegimeNotApplicable,
-    UnknownStrategy,
-    validate_params,
-)
+from witsenhausen.core import EmptyFeasibleSet, validate_params
 from scipy.integrate import trapezoid
 
 from witsenhausen.numerics import norm_pdf
@@ -86,9 +81,9 @@ def test_timeshare_interval_study_point(params):
 
 
 def test_timeshare_interval_regime_boundary():
-    with pytest.raises(RegimeNotApplicable):
+    with pytest.raises(ValueError, match="requires Q > 4N"):
         timeshare_interval(validate_params(0.04, 0.01))
-    with pytest.raises(RegimeNotApplicable):
+    with pytest.raises(ValueError, match="requires Q > 4N"):
         timeshare_interval(validate_params(1.0, 1.0))
 
 
@@ -198,7 +193,7 @@ def test_two_point_curve_equals_the_scalar_costs(params):
     for P, pt in zip(grid, curve("two-point", params, grid)):
         a = two_point_gain_for_power(float(P), params)
         if a is None:
-            assert not pt.feasible and pt.S is None
+            assert pt.S is None
         else:
             assert pt.S == two_point_costs(TwoPointPolicy(a), params)[1]
             assert pt.aux1 == a
@@ -380,8 +375,8 @@ def assert_cost_scales(strategy, log_q, log_ratio, u, k):
     N = Q * 10.0**log_ratio
     (pt,) = curve(strategy, validate_params(Q, N), [u * Q])
     (scaled,) = curve(strategy, validate_params(c * Q, c * N), [c * (u * Q)])
-    assert scaled.feasible == pt.feasible
-    if pt.feasible:
+    assert (scaled.S is None) == (pt.S is None)
+    if pt.S is not None:
         # abs: below the normal range, floats carry no relative precision
         assert scaled.S / c == pytest.approx(pt.S, rel=1e-10, abs=1e-300)
 
@@ -433,8 +428,8 @@ def test_costs_scale_bit_exactly(strategy, Q, N, k):
     base = curve(strategy, validate_params(Q, N), grid)
     scaled = curve(strategy, validate_params(c * Q, c * N), [c * P for P in grid])
     for pt, sc in zip(base, scaled):
-        assert sc.feasible == pt.feasible
-        if pt.feasible:
+        assert (sc.S is None) == (pt.S is None)
+        if pt.S is not None:
             assert sc.S == c * pt.S
             assert sc.S == 0.0 or sc.S >= sys.float_info.min
 
@@ -456,7 +451,7 @@ def test_curve_linear_monotone(params):
     points = curve("linear", params, np.linspace(0.0, params.Q, 50))
     s = [pt.S for pt in points]
     assert all(b <= a for a, b in zip(s, s[1:]))
-    assert all(pt.feasible for pt in points)
+    assert all(pt.S is not None for pt in points)
 
 
 def test_curve_gaussian_affine_segment(params):
@@ -470,18 +465,17 @@ def test_curve_gaussian_affine_segment(params):
 def test_curve_two_point_marks_unreachable_powers(params):
     pmin = two_point_min_power(params)
     points = curve("two-point", params, [pmin / 2, pmin * 1.1, params.Q])
-    assert not points[0].feasible
-    assert points[1].feasible and points[2].feasible
+    assert points[0].S is None
+    assert points[1].S is not None and points[2].S is not None
 
 
 def test_curve_coord_flags_infeasible_rows(params):
     points = curve("coord", params, [0.001, 0.005])
-    assert all(not pt.feasible for pt in points)
     assert all(pt.S is None for pt in points)
 
 
 def test_curve_rejects_unknown_strategy(params):
-    with pytest.raises(UnknownStrategy):
+    with pytest.raises(ValueError, match="unknown strategy"):
         curve("secret", params, [0.0, 0.1])
 
 
