@@ -7,25 +7,31 @@ batches of the fixed size BATCH (the last one shorter), batch b draws from
 the PCG64DXSM stream jumped b times from the seed, slice by slice in
 CHUNK-long slices, and the slices' moments are merged in batch order and
 then slice order, so the pair (seed, n_samples), with the constants BATCH
-and CHUNK, gives bit-identical estimates regardless of how batches are
-scheduled.
+and CHUNK, gives bit-identical estimates regardless of which worker runs
+which slice.
 
-Batches run on a thread pool with one worker per CPU in the process's
-affinity set; the random draws and the arithmetic release the GIL. No batch
-holds a whole array: a batch allocates one CHUNK-long buffer per drawn array
-and one scratch buffer, once. Each slice draws its normals into the first
-ones and is scaled in place; the simulator then computes the control u1 and
-the estimation error in place in these buffers with `out=` ufunc calls,
-their squares overwrite them, and they are reduced there to (n, mean, m2).
-Only those numbers reach the merge. Under tracemalloc a coord run of two
-1e6-sample batches peaks at 0.83 MB with one worker and 1.64 MB with two,
-about 6.3 CHUNK arrays per worker (3.2 for the linear and two-point runs).
+Slices run on a thread pool with one worker per CPU in the process's
+affinity set, and at most one per batch; the random draws and the
+arithmetic release the GIL. A worker draws a slice's normals under its
+batch's lock, so each batch's stream is still drawn in slice order, and
+runs the rest of the slice outside the lock. Once no batch is left to
+start, the workers share the slices of the batches still running, so no
+core idles on the last batch. No worker holds a whole array: a worker
+allocates one CHUNK-long buffer per drawn array and one scratch buffer,
+once. Each slice draws its normals into the first ones and is scaled in
+place; the simulator then computes the control u1 and the estimation error
+in place in these buffers with `out=` ufunc calls, their squares overwrite
+them, and they are reduced there to (n, mean, m2). Only those numbers reach
+the merge. Under tracemalloc a coord run of two 1e6-sample batches peaks at
+0.85 MB with one worker and 1.64 MB with two, about 6.3 CHUNK arrays per
+worker (3.2 for the linear and two-point runs).
 """
 from __future__ import annotations
 
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +47,8 @@ __all__ = [
     "simulate_hybrid_conditional",
 ]
 
-# Samples per batch: each batch is one PCG64DXSM stream and one task of the
-# thread pool, so the estimates depend on it.
+# Samples per batch: each batch is one PCG64DXSM stream, so the estimates
+# depend on it.
 BATCH = 1_000_000
 # Samples per slice of the draws and the arithmetic: a slice's buffers and
 # temporaries stay in cache, and the estimates depend on it too, since each
@@ -152,7 +158,7 @@ def _require_simulable_power(power: float, Q: float, what: str) -> None:
 
 
 def _run(cfg: SimConfig, scales: tuple[float, ...], step) -> EmpiricalCost:
-    """Drive the batches of one simulation through `step`.
+    """Drive the slices of one simulation through `step`.
 
     Batch b draws from `_batch_rng(seed, b)` one CHUNK-long slice at a time:
     each slice draws one normal slice per entry of `scales` (two or three),
@@ -161,38 +167,78 @@ def _run(cfg: SimConfig, scales: tuple[float, ...], step) -> EmpiricalCost:
     scratch slice `tmp`. It computes the control u1 and the estimation error
     of each sample in place in these slices, and returns the two slices that
     hold them. Their squares overwrite them and are reduced there to
-    (n, mean, m2). A batch returns its slices' moments. Batches run on a
-    thread pool, and all moments are merged in batch order and then slice
-    order, so the result does not depend on the worker count.
+    (n, mean, m2).
+
+    The slice is the unit of work of the thread pool. A worker takes a batch
+    that has not started, or once none is left the batch with the most
+    slices left, so that every worker helps with the last batch. It draws
+    each slice of that batch under the batch's lock, which keeps the stream
+    in slice order, and runs the rest of the slice outside it. Each slice's
+    moments are stored under its batch and slice index and merged in batch
+    order and then slice order, so the result does not depend on the worker
+    count or on which worker ran which slice.
     """
     sizes = _batch_sizes(cfg)
+    n_batches = len(sizes)
+    rngs = [_batch_rng(cfg.seed, b) for b in range(n_batches)]
+    locks = [threading.Lock() for _ in range(n_batches)]
+    n_slices = [-(-n // CHUNK) for n in sizes]
+    drawn = [0] * n_batches  # slices drawn so far, per batch
+    stats = [[None] * k for k in n_slices]
+    pick = threading.Lock()
+    started = 0
 
-    def batch(b: int):
-        rng = _batch_rng(cfg.seed, b)
-        n = sizes[b]
-        bufs = [np.empty(min(n, CHUNK)) for _ in range(len(scales) + 1)]
-        stats = []
-        for lo in range(0, n, CHUNK):
-            m = min(CHUNK, n - lo)
+    def choose():
+        """A batch that has not started, else the one with the most slices left."""
+        nonlocal started
+        with pick:
+            if started < n_batches:
+                started += 1
+                return started - 1
+        # a snapshot: draw() finds out under the batch's lock if it has run out
+        left = [k - d for k, d in zip(n_slices, drawn)]
+        b = max(range(n_batches), key=left.__getitem__)
+        return b if left[b] else None
+
+    def draw(b: int, bufs):
+        """Draw batch b's next slice into bufs: (its index, its slices), or None."""
+        with locks[b]:
+            i = drawn[b]
+            if i == n_slices[b]:
+                return None
+            drawn[b] = i + 1
+            m = min(CHUNK, sizes[b] - i * CHUNK)
             parts = [buf[:m] for buf in bufs]
+            for x in parts[: len(scales)]:
+                rngs[b].standard_normal(out=x)
+        return i, parts
+
+    def work() -> None:
+        bufs = [np.empty(min(sizes[0], CHUNK)) for _ in range(len(scales) + 1)]
+        b = choose()
+        while b is not None:
+            slice_ = draw(b, bufs)
+            if slice_ is None:
+                b = choose()
+                continue
+            i, parts = slice_
             for x, scale in zip(parts, scales):
-                rng.standard_normal(out=x)
                 x *= scale
             u1, err = step(*parts)
             np.square(u1, out=u1)
             np.square(err, out=err)
-            stats.append((_moments(u1), _moments(err)))
-        return stats
+            stats[b][i] = (_moments(u1), _moments(err))
 
-    workers = _worker_count(len(sizes))
+    workers = _worker_count(n_batches)
     if workers == 1:
-        stats = [batch(b) for b in range(len(sizes))]
+        work()
     else:
         # imported here, so that starting the CLI does not load it
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(workers) as pool:
-            stats = list(pool.map(batch, range(len(sizes))))
+            for future in [pool.submit(work) for _ in range(workers)]:
+                future.result()
     slices = [s for batch_stats in stats for s in batch_stats]
     power_mean, power_stderr = _merge(p for p, _ in slices)
     mmse_mean, mmse_stderr = _merge(s for _, s in slices)

@@ -569,7 +569,8 @@ def test_closed_form_commands_run_without_scipy(tmp_path):
     stdout = _fresh_python(code, json.dumps(commands))
     assert json.loads(stdout.splitlines()[-1]) == [0] * len(commands)
     # the manifest of the last curve records that SciPy was not loaded
-    assert json.loads(open(out + ".manifest").read())["scipy_version"] is None
+    with open(out + ".manifest") as f:
+        assert json.load(f)["scipy_version"] is None
 
 
 def test_scipy_special_loads_at_the_first_psi_call(tmp_path):

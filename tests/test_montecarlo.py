@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -69,9 +70,12 @@ def _three_simulations(params, cfg):
 @pytest.mark.parametrize(
     "cfg",
     # (config, batch size): several batches plus a remainder; batches shorter
-    # than one CHUNK, and batches of several CHUNKs with a partial last one
+    # than one CHUNK, and batches of several CHUNKs with a partial last one;
+    # and the benchmark's shape in small, 5 batches of 3 slices, whose last
+    # batch the 2 workers share
     [(SimConfig(50_000, seed=3), 8192),
-     (SimConfig(100_003, seed=11), 65_537)],
+     (SimConfig(100_003, seed=11), 65_537),
+     (SimConfig(5 * 3 * montecarlo.CHUNK, seed=5), 3 * montecarlo.CHUNK)],
 )
 def test_worker_count_does_not_change_the_estimates(params, cfg, monkeypatch):
     cfg, batch = cfg
@@ -81,6 +85,23 @@ def test_worker_count_does_not_change_the_estimates(params, cfg, monkeypatch):
     monkeypatch.setattr(montecarlo, "_worker_count", lambda n_batches: 2)
     two = _three_simulations(params, cfg)
     assert one == two
+
+
+def test_worker_failure_reaches_the_caller(monkeypatch):
+    # batches of 40 000, 40 000 and 20 003 samples: only the last slice of
+    # the last batch holds 20 003 - CHUNK samples
+    monkeypatch.setattr(montecarlo, "BATCH", 40_000)
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda n_batches: 2)
+
+    def step(x0, z, tmp):
+        if x0.size == 20_003 - montecarlo.CHUNK:
+            raise ZeroDivisionError("failing slice")
+        return x0, z
+
+    threads = threading.active_count()
+    with pytest.raises(ZeroDivisionError, match="failing slice"):
+        montecarlo._run(SimConfig(100_003, seed=4), (1.0, 1.0), step)
+    assert threading.active_count() == threads
 
 
 def test_estimates_are_pinned(params, monkeypatch):

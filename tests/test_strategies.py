@@ -144,6 +144,17 @@ def test_two_point_minimum_power(params):
     assert P == pytest.approx(0.0363380, abs=1e-7)
 
 
+def test_two_point_matches_witsenhausens_benchmark():
+    # Witsenhausen's benchmark k = 0.2, sigma = 5 is (Q, N) = (25, 1) here,
+    # with total cost J = k^2 P + S. His two-point policy at a = sigma has the
+    # published J = 0.4042 (SIAM J. Control 6(1), 1968): our value,
+    # 0.404253..., matches it to four decimals by truncation (it rounds to
+    # 0.4043).
+    P, S = two_point_costs(TwoPointPolicy(5.0), validate_params(25.0, 1.0))
+    J = 0.04 * P + S
+    assert 0.4042 <= J < 0.4043
+
+
 def test_two_point_mmse_against_trapezoid_oracle(params):
     for a in (0.05, math.sqrt(2 * params.Q / math.pi), math.sqrt(params.Q), 0.5):
         _, S = two_point_costs(TwoPointPolicy(a), params)
