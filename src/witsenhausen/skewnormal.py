@@ -10,6 +10,10 @@ sign-conditioned entropies, the conditional variance and the covariances
 they are built from only check these closed forms; they are test oracles
 (tests/skew_oracles.py).
 
+Psi is read from two Chebyshev series for |alpha| <= 500, generated from
+30-digit mpmath by scripts/tables.py, and integrated by the batched
+quadrature above 500.
+
 Numerical care: the skew integrands contain phi/Phi ratios whose denominator
 underflows in the left tail; every such ratio is routed through mills_ratio
 (built on erfcx, so the left tail needs no exp/log pair), and no integral is
@@ -22,7 +26,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EmptyFeasibleSet, ProblemParams, power_split, require_finite
+from .core import (
+    EmptyFeasibleSet,
+    NonConvergence,
+    ProblemParams,
+    power_split,
+    require_finite,
+)
 # gauss_weighted_integral is unused here but stays bound: the benchmark's
 # tracer (perfbench/tracer.py) wraps it in every module, and its self-test
 # checks this binding.
@@ -90,6 +100,93 @@ class CoordParams:
         object.__setattr__(self, "T", power_split(self.P, self.Q, self.rho)[2])
 
 
+# Chebyshev coefficients of h1 and h2 on [0, 1], of sum_k c_k T_k(2e - 1)
+# with c_0 halved: Psi = e h1(e) at e = alpha^2 for |alpha| <= 1, and
+# Psi = 1 - h2(e)/|alpha| at e = 1/alpha^2 above. Generated from 30-digit
+# mpmath by scripts/tables.py, which also checks them (--check).
+_H1 = (
+    0.3567195400619627,
+    -0.08857054970913567,
+    0.011973242962989312,
+    -0.0016796951792593779,
+    0.00024030356728066638,
+    -3.479404958862678e-05,
+    5.085115722181197e-06,
+    -7.507775352336508e-07,
+    1.1242337007921735e-07,
+    -1.7186258854791606e-08,
+    2.7022715327274436e-09,
+    -4.391871709196305e-10,
+    7.362489436154367e-11,
+    -1.2568782238307847e-11,
+    2.1308333657969844e-12,
+    -3.446378452143523e-13,
+    4.9574200529267827e-14,
+    -5.286345986494351e-15,
+    3.052804345404589e-17,
+    1.8637329843029463e-16,
+    -6.05943225987036e-17,
+    9.879115967278364e-18,
+    8.518222640916121e-19,
+    -1.4165810085423581e-18,
+    6.916869210730072e-19,
+    -2.4565457580135514e-19,
+    6.788864119097617e-20,
+)
+_H2 = (
+    0.8589191266882533,
+    -0.15592784884748073,
+    0.021084776646496935,
+    -0.0031540315622707793,
+    0.000493628051514075,
+    -7.921996724881639e-05,
+    1.2914370057961144e-05,
+    -2.127595542564071e-06,
+    3.531435935421679e-07,
+    -5.893985857529753e-08,
+    9.878480097792816e-09,
+    -1.661093771656261e-09,
+    2.800477079495842e-10,
+    -4.731396126271938e-11,
+    8.007618410468762e-12,
+    -1.3572143687183217e-12,
+    2.3031683442868017e-13,
+    -3.9125166335311436e-14,
+    6.6523676817760494e-15,
+    -1.1319668517032182e-15,
+    1.9274607159170542e-16,
+    -3.283944605859889e-17,
+    5.5980190716946995e-18,
+    -9.547184540719357e-19,
+    1.62887197766247e-19,
+    -2.7778711009404036e-20,
+    4.608419744813848e-21,
+)
+
+# Psi comes from the series up to this magnitude and from the quadrature
+# above it, where the quadrature still misses the transition of width
+# 1/alpha at x = 0 (wrong from about 520 on; ROADMAP item 1)
+_SERIES_MAX = 500.0
+
+
+def _clenshaw(coeffs: tuple[float, ...], t: float) -> float:
+    """sum_k coeffs[k] T_k(t) on Python floats; NumPy's chebval costs ~95 us a call."""
+    t2 = t + t
+    b1 = b2 = 0.0
+    for c in coeffs[:0:-1]:
+        b1, b2 = c + t2 * b1 - b2, b1
+    return coeffs[0] + t * b1 - b2
+
+
+def _psi_series(a: float) -> float:
+    """Psi at a magnitude 0 <= a <= _SERIES_MAX from the two series; exactly 0.0 at 0."""
+    if a <= 1.0:
+        e = a * a
+        return e * _clenshaw(_H1, e + e - 1.0)
+    e = 1.0 / (a * a)
+    return 1.0 - _clenshaw(_H2, e + e - 1.0) / a
+
+
 def _psi_integrand(x, alpha):
     """t log2 t with t = 2 Phi(alpha x), evaluated through the log CDF.
 
@@ -110,19 +207,23 @@ def entropy_reduction(alpha):
     Psi(alpha) = int 2 Phi(alpha x) log2(2 Phi(alpha x)) phi(x) dx. Even in
     alpha, Psi(0) = 0, and Psi -> 1 as |alpha| -> inf. Accepts a scalar or
     an array: Psi is evaluated at |alpha|, so Psi(-alpha) == Psi(alpha)
-    exactly, 0 and +-inf give exactly 0.0 and 1.0, and the remaining
-    distinct magnitudes are integrated once each in one batched quadrature.
+    exactly, and 0 and +-inf give exactly 0.0 and 1.0. Magnitudes up to 500
+    are read from two Chebyshev series, within 1e-15 of 30-digit mpmath;
+    the distinct magnitudes above 500 are integrated once each, in one
+    batched quadrature.
     """
     mag = np.abs(np.asarray(alpha, dtype=float))
-    out = np.where(mag == 0.0, 0.0, 1.0)
-    todo = (mag != 0.0) & (mag != math.inf)
-    if todo.any():
+    out = np.array(
+        [_psi_series(a) if a <= _SERIES_MAX else 1.0 for a in mag.ravel().tolist()]
+    ).reshape(mag.shape)
+    far = ~(mag <= _SERIES_MAX) & (mag != math.inf)
+    if far.any():
         # the distinct magnitudes without np.unique, whose fixed cost is
-        # about 5% of the size-2 call that coord_ic_margin makes
-        grid = np.sort(mag[todo])
+        # about 5% of a size-2 quadrature
+        grid = np.sort(mag[far])
         grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
         psi = gauss_weighted_integrals(_psi_integrand, grid)
-        out[todo] = psi[np.searchsorted(grid, mag[todo])]
+        out[far] = psi[np.searchsorted(grid, mag[far])]
     return float(out) if out.ndim == 0 else out
 
 
@@ -152,7 +253,7 @@ def coord_ic_margin(cp: CoordParams) -> float:
     trailing 1 is the one bit carried by the sign variable. The scheme is
     achievable iff the margin is >= 0. Returns -inf at the fully degenerate
     point where the interim state vanishes, and exactly -1.0, with no
-    quadrature, where no residual power is left (rho = +-1 or P = 0): there
+    Psi evaluation, where no residual power is left (rho = +-1 or P = 0): there
     the capacity term is 0 and delta = sqrt(T/N), so the Psi terms cancel.
     """
     n = cp.N / cp.Q
@@ -228,13 +329,18 @@ def _margin_in_rho(p: float, n: float):
     its one -inf, where the interim state vanishes (P = Q, rho = -1), is
     clamped to -1 so that it can end a root-finder's bracket. Each rho is
     evaluated once: the solvers revisit points (the root-finder's upper end is
-    the peak search's best point), and a revisit is read from the memo.
+    the peak search's best point), and a revisit is read from the memo. A
+    NonConvergence of its Psi quadrature is raised again naming rho.
     """
     memo: dict[float, float] = {}
 
     def margin(rho: float) -> float:
         if rho not in memo:
-            memo[rho] = max(coord_ic_margin(CoordParams(p, rho, 1.0, n)), -1.0)
+            try:
+                value = coord_ic_margin(CoordParams(p, rho, 1.0, n))
+            except NonConvergence as exc:
+                raise NonConvergence(f"IC margin at rho={rho!r}: {exc}") from exc
+            memo[rho] = max(value, -1.0)
         return memo[rho]
 
     return margin
@@ -262,8 +368,8 @@ def mmse_coord(P: float, params: ProblemParams) -> tuple[float, float]:
     the margin on [-1, rho_hi] then gives the edge rho*: it stops at the first
     point whose margin is within the feasibility slack of 0, and its result
     is stepped right (never past rho_hi) if rounding left it infeasible.
-    Each margin is evaluated once per call, and at rho = -1 it costs no
-    quadrature.
+    Each margin is evaluated once per call, and at rho = -1 it evaluates
+    no Psi.
     Returns (coord_mmse_at_rho at rho*, rho*). Raises EmptyFeasibleSet when
     no correlation lets the channel carry the one-bit sign; at P = 0 this is
     immediate, since with no residual power the margin is -1 for every rho.

@@ -101,7 +101,8 @@ def test_manifest_written_and_complete(tmp_path):
     manifest = json.loads((tmp_path / "psi.csv.manifest").read_text())
     assert set(manifest) == keys
     assert manifest["Q"] is None and manifest["N"] is None
-    # psi evaluates Psi with SciPy's log_ndtr
+    # the manifest names every SciPy that is loaded, and the test modules
+    # load it into this process
     import scipy
 
     assert manifest["scipy_version"] == scipy.__version__
@@ -556,6 +557,7 @@ def test_closed_form_commands_run_without_scipy(tmp_path):
         for s in ("linear", "gaussian", "two-point", "dpc", "lin-dpc")
     ] + [
         ["curve", "--strategy", "two-point", "--a-min", "0", "--steps", "5", "--out", out],
+        ["psi", "--steps", "3", "--out", out],
         ["simulate", "--strategy", "linear", "--P", "0.05", "--n", "2000"],
         ["simulate", "--strategy", "two-point", "--a", "0.3", "--n", "2000"],
     ]
@@ -568,14 +570,15 @@ def test_closed_form_commands_run_without_scipy(tmp_path):
     )
     stdout = _fresh_python(code, json.dumps(commands))
     assert json.loads(stdout.splitlines()[-1]) == [0] * len(commands)
-    # the manifest of the last curve records that SciPy was not loaded
+    # the manifest of the last table records that SciPy was not loaded
     with open(out + ".manifest") as f:
         assert json.load(f)["scipy_version"] is None
 
 
 def test_scipy_special_loads_at_the_first_psi_call(tmp_path):
-    # the CLI starts without SciPy; Psi's integrand still calls log_ndtr, so
-    # the import is paid by the first command that evaluates Psi
+    # the CLI starts without SciPy, and Psi up to |alpha| = 500 is a series;
+    # only the quadrature above 500 calls log_ndtr, so the first psi call
+    # that reaches past 500 pays the import
     code = (
         "import sys\n"
         "from witsenhausen.cli import main\n"
@@ -583,9 +586,11 @@ def test_scipy_special_loads_at_the_first_psi_call(tmp_path):
         "print(loaded())\n"
         "rc = main(['psi', '--steps', '3', '--out', sys.argv[1]])\n"
         "print(rc, 'scipy.special' in loaded())\n"
+        "rc = main(['psi', '--alpha-max', '1e3', '--steps', '3', '--out', sys.argv[1]])\n"
+        "print(rc, 'scipy.special' in loaded())\n"
     )
     stdout = _fresh_python(code, str(tmp_path / "psi.csv"))
-    assert stdout.splitlines() == ["[]", "0 True"]
+    assert stdout.splitlines() == ["[]", "0 False", "0 True"]
 
 
 def test_quadrature_failure_in_a_grid_exits_3_without_output(
@@ -594,12 +599,31 @@ def test_quadrature_failure_in_a_grid_exits_3_without_output(
     # no integral of the batch can meet an error bound of 1e-300; the first
     # one to spend its budget is named, and no row is written
     monkeypatch.setattr(numerics, "QUAD_TOL", 1e-300)
-    out = tmp_path / "psi.csv"
-    argv = ["psi", "--alpha-min", "1", "--alpha-max", "3", "--steps", "3",
-            "--out", str(out)]
+    out = tmp_path / "two-point.csv"
+    argv = ["curve", "--strategy", "two-point", "--a-min", "1", "--a-max", "3",
+            "--steps", "3", "--out", str(out)]
     assert run(argv) == 3
     err = capsys.readouterr().err
-    assert "NonConvergence" in err and "after 200 subdivisions at parameter 1.0" in err
+    # the parameter is kappa = a/sqrt(N) of the first magnitude
+    assert "NonConvergence" in err and "after 200 subdivisions at parameter 10.0" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_quadrature_failure_in_a_coord_margin_names_the_power_and_rho(
+    tmp_path, capsys, monkeypatch
+):
+    # at (1, 1e-4) the margins need Psi above |alpha| = 500, which is still
+    # integrated; below p-max 0.3 no two-point power is reachable, so the
+    # coord margin is the first quadrature to fail
+    monkeypatch.setattr(numerics, "QUAD_TOL", 1e-300)
+    argv = ["compare", "--Q", "1", "--N", "1e-4", "--p-max", "0.3", "--steps", "3",
+            "--out", str(tmp_path / "c.csv")]
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert (
+        "numerical failure in compare (NonConvergence): coord at P=0.15: "
+        f"IC margin at rho={skewnormal._PROBE_RHO!r}: quadrature error" in err
+    )
     assert list(tmp_path.iterdir()) == []
 
 

@@ -3,6 +3,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from witsenhausen import skewnormal
 from witsenhausen.core import validate_params
 from witsenhausen.numerics import mills_ratio
 from witsenhausen.skewnormal import entropy_reduction
@@ -28,8 +29,8 @@ def psi_mpmath(alpha: float) -> float:
 
 @pytest.mark.parametrize("alpha", np.geomspace(1e-3, 500.0, 10).tolist(), ids="{:.3g}".format)
 def test_psi_matches_mpmath(alpha):
-    # absolute only: Psi ~ alpha^2 near 0, where the quadrature's absolute
-    # tolerance of 1e-10 is the binding one
+    # absolute only, as Psi ~ alpha^2 near 0; this range is read from the
+    # series (test_psi_series_match_mpmath checks them at 1e-15)
     assert abs(entropy_reduction(alpha) - psi_mpmath(alpha)) <= 1e-14
 
 
@@ -41,6 +42,27 @@ def test_psi_matches_mpmath(alpha):
 @pytest.mark.parametrize("alpha", [600.0, 1e4])
 def test_psi_matches_mpmath_at_large_skewness(alpha):
     assert abs(entropy_reduction(alpha) - psi_mpmath(alpha)) <= 1e-14
+
+
+# three points per series: h1 on |alpha| <= 1, and h2 also beyond the switch
+# to the quadrature at 500, where entropy_reduction does not read it yet
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0, 1e3, 1e5, 1e8], ids="{:g}".format)
+def test_psi_series_match_mpmath(alpha):
+    assert abs(skewnormal._psi_series(alpha) - psi_mpmath(alpha)) <= 1e-15
+
+
+def test_psi_is_continuous_at_the_switch_to_the_quadrature():
+    edge = skewnormal._SERIES_MAX
+    assert abs(entropy_reduction(edge) - entropy_reduction(np.nextafter(edge, np.inf))) <= 1e-14
+
+
+def test_psi_exact_values_and_evenness_on_both_sides_of_the_switch():
+    edge = skewnormal._SERIES_MAX
+    mags = np.array([0.0, 1.0, 3.0, edge, np.nextafter(edge, np.inf), 600.0, 1e4, np.inf])
+    vals = entropy_reduction(mags)
+    assert entropy_reduction(-mags).tolist() == vals.tolist()
+    assert vals[0] == 0.0 and vals[-1] == 1.0
+    assert entropy_reduction(-0.0) == 0.0 and entropy_reduction(-np.inf) == 1.0
 
 
 def mills_mpmath(x: float) -> float:

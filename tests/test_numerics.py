@@ -115,21 +115,32 @@ def _count_psi_calls(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("alpha", [0.3, 1.0, 3.0, 6.3, 30.0, 300.0])
 def test_psi_matches_trapezoid_oracle_in_few_integrand_calls(alpha, monkeypatch):
+    # up to |alpha| = 500 Psi is read from its series, with no quadrature
     calls = _count_psi_calls(monkeypatch)
     assert skewnormal.entropy_reduction(alpha) == pytest.approx(psi_trapezoid(alpha), abs=1e-12)
+    assert calls == []
+
+
+@pytest.mark.parametrize("alpha", [520.0, 600.0, 1e4, 1e8])
+def test_psi_quadrature_above_the_series_takes_few_integrand_calls(alpha, monkeypatch):
     # every panel of a refinement round is evaluated in one integrand call
-    assert len(calls) <= 12
+    calls = _count_psi_calls(monkeypatch)
+    skewnormal.entropy_reduction(alpha)
+    assert 0 < len(calls) <= 12
 
 
 def test_psi_grid_takes_few_integrand_calls(monkeypatch):
-    # the 801-point table of `psi`: its distinct nonzero magnitudes (667, as
-    # np.linspace is not exactly symmetric) in slices of numerics._BATCH,
-    # each slice at most the 12 rounds of one integral; 4180 calls one by one
+    # the 801-point table of `psi` runs no quadrature; a table that reaches
+    # past |alpha| = 500 integrates its distinct magnitudes above 500 (380
+    # here, as np.linspace is not exactly symmetric) in slices of
+    # numerics._BATCH, each slice at most the 12 rounds of one integral
     calls = _count_psi_calls(monkeypatch)
-    grid = np.linspace(-10.0, 10.0, 801)
+    skewnormal.entropy_reduction(np.linspace(-10.0, 10.0, 801))
+    assert calls == []
+    grid = np.linspace(-1e4, 1e4, 801)
     skewnormal.entropy_reduction(grid)
-    distinct = np.unique(np.abs(grid[grid != 0.0])).size
-    assert len(calls) <= 12 * math.ceil(distinct / numerics._BATCH)
+    distinct = np.unique(np.abs(grid[np.abs(grid) > skewnormal._SERIES_MAX])).size
+    assert 0 < len(calls) <= 12 * math.ceil(distinct / numerics._BATCH)
 
 
 # ------------------------------------------------------ integral_real_line
