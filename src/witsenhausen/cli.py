@@ -162,13 +162,10 @@ def cmd_curve(args, argv: list[str]) -> int:
         a_max = args.a_max if args.a_max is not None else 3.0 * math.sqrt(params.Q)
         grid = _grid(a_min, a_max, args.steps, "a")
         powers, costs = strategies.two_point_cost_grid(grid, params)
-        rows = [
-            [_fmt(p), _fmt(s), "two-point", _fmt(a), "", "true"]
-            for p, s, a in zip(powers, costs, grid)
-        ]
+        points = [CurvePoint(p, s, a) for p, s, a in zip(powers, costs, grid)]
     else:
         points = strategies.curve(args.strategy, params, _power_grid(args, params))
-        rows = [_point_row(pt, args.strategy) for pt in points]
+    rows = [_point_row(pt, args.strategy) for pt in points]
 
     _write_csv(args.out, _CURVE_HEADER, rows)
     _manifest(args, argv, args.out)

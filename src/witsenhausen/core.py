@@ -116,17 +116,16 @@ class CurvePoint:
 
 @dataclass(frozen=True)
 class EmpiricalCost:
-    """Monte-Carlo estimate of (power, estimation cost) with standard errors."""
+    """Monte-Carlo estimate of (power, estimation cost) with standard errors.
+
+    The sample count and the seed are the caller's `SimConfig`.
+    """
 
     power_mean: float
     power_stderr: float
     mmse_mean: float
     mmse_stderr: float
-    n_samples: int
-    seed: int
 
     def __post_init__(self) -> None:
         if self.power_stderr < 0.0 or self.mmse_stderr < 0.0:
             raise ValueError("standard errors must be nonnegative")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")

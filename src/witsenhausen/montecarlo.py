@@ -247,8 +247,6 @@ def _run(cfg: SimConfig, scales: tuple[float, ...], step) -> EmpiricalCost:
         power_stderr=power_stderr,
         mmse_mean=mmse_mean,
         mmse_stderr=mmse_stderr,
-        n_samples=cfg.n_samples,
-        seed=cfg.seed,
     )
 
 
@@ -319,9 +317,14 @@ def simulate_hybrid_conditional(
     decoder the true sign of the interim state (the single-letter expression
     is defined under exactly this conditioning) and decodes with the
     skew-normal conditional mean. A power P too large or too small to
-    simulate is rejected.
+    simulate is rejected, and so is a `cp` whose (Q, N) is not `params`'.
     """
     Q, N = params.Q, params.N
+    if (cp.Q, cp.N) != (Q, N):
+        raise ValueError(
+            f"cp has (Q, N) = ({cp.Q}, {cp.N}), params ({Q}, {N}): "
+            "they must be one problem"
+        )
     _require_simulable_power(cp.P, Q, f"coord power P={cp.P}")
     _, p_res, T = power_split(cp.P, Q, cp.rho)
     if T <= 0.0:

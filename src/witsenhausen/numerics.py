@@ -14,8 +14,8 @@ applies to each integral's error estimate both absolutely and relative to
 its value, and is fixed like their truncation radius and subdivision budget:
 every integrand here decays at least like exp(-c x^2) on a scale of order
 one, so cutting the real line at 12 units discards tail mass below 1e-31,
-and an integral that still misses its bound after 200 bisections raises
-NonConvergence.
+and an integral that still misses its bound after the refinement round that
+takes it to 200 bisections or more raises NonConvergence.
 
 All functions are pure, apart from filling an `out` array passed to them.
 """
@@ -122,8 +122,8 @@ _XK1 = _XK + 1.0
 # Integrals per engine call when a grid is integrated: bounds the panel and
 # node arrays of one refinement round at the speed of a full-grid batch.
 _BATCH = 64
-# Bisections allowed per integral, the half-width of the integration domain
-# [-_RADIUS, _RADIUS] that stands in for the real line, and the error bound
+# Bisections from which on an unfinished integral fails, the half-width of
+# the integration domain [-_RADIUS, _RADIUS] that stands in for the real line, and the error bound
 # of every integral, absolute and relative.
 _MAX_SUBDIVISIONS = 200
 _RADIUS = 12.0
@@ -152,18 +152,18 @@ def _adaptive(f, theta) -> np.ndarray:
     Integral k is the integral of f(x, theta[k]); f is called with a node
     array and an equally long array of parameters. Each integral starts from
     8 equal panels. Each round bisects every panel whose error estimate is at
-    least the mean of its integral's panels, at most _MAX_SUBDIVISIONS
-    panels per integral in total, the worst first, and evaluates the new
-    halves of all unfinished integrals in one integrand call. An integral
-    stops once its error sum is at most max(QUAD_TOL, QUAD_TOL |value|) and
-    leaves the batch.
+    least the mean of its integral's panels and evaluates the new halves of
+    all unfinished integrals in one integrand call. An integral stops once
+    its error sum is at most max(QUAD_TOL, QUAD_TOL |value|) and leaves the
+    batch; one still unfinished after a round that took it to
+    _MAX_SUBDIVISIONS bisections or more fails.
 
     The panels sit in flat arrays with an owner index. Every step keeps
     each integral's panels in the order a batch of one would have them, and
     np.bincount sums them in that order, so an integral's value does not
     depend on its batch-mates, bit for bit. `theta=None` is one integral
     without a parameter. Raises NonConvergence for the first integral that
-    runs out of budget or reaches a NaN error estimate; no value is returned.
+    fails or reaches a NaN error estimate; no value is returned.
     """
     named = theta is not None
     theta = np.zeros(1) if theta is None else np.asarray(theta, dtype=float)
@@ -202,14 +202,6 @@ def _adaptive(f, theta) -> np.ndarray:
                 )
         split = err >= (err_sum / count)[owner]
         chosen = np.bincount(owner[split], minlength=m)
-        if (splits + chosen).max() > _MAX_SUBDIVISIONS:
-            budget = _MAX_SUBDIVISIONS - splits
-            for j in np.flatnonzero(chosen > budget):
-                mine = np.flatnonzero(owner == j)
-                worst = np.zeros(mine.size, dtype=bool)
-                worst[np.argsort(err[mine])[-budget[j]:]] = True
-                split[mine] = worst
-                chosen[j] = budget[j]
         keep = ~split
         sa, sb, so = a[split], b[split], owner[split]
         mid = 0.5 * (sa + sb)

@@ -11,8 +11,8 @@ they are built from only check these closed forms; they are test oracles
 (tests/skew_oracles.py).
 
 Psi is read from two Chebyshev series for |alpha| <= 500, generated from
-30-digit mpmath by scripts/tables.py, and integrated by the batched
-quadrature above 500.
+30-digit mpmath by scripts/tables.py, and integrated by one quadrature per
+magnitude above 500.
 
 Numerical care: the skew integrands contain phi/Phi ratios whose denominator
 underflows in the left tail; every such ratio is routed through mills_ratio
@@ -33,14 +33,10 @@ from .core import (
     power_split,
     require_finite,
 )
-# gauss_weighted_integral is unused here but stays bound: the benchmark's
-# tracer (perfbench/tracer.py) wraps it in every module, and its self-test
-# checks this binding.
 from .numerics import (
     _GOLDEN_MEAN,
     find_root,
-    gauss_weighted_integral,  # noqa: F401
-    gauss_weighted_integrals,
+    gauss_weighted_integral,
     integral_real_line,
     mills_ratio,
     minimize_1d,
@@ -201,29 +197,37 @@ def _psi_integrand(x, alpha):
     return t * (np.where(t > 0.0, l, 0.0) + _LN2) / _LN2
 
 
+def _psi(a: float) -> float:
+    """Psi at a magnitude a >= 0: the series up to _SERIES_MAX, else one quadrature.
+
+    A NaN magnitude raises ValueError, and a NonConvergence of the
+    quadrature is raised again naming the magnitude.
+    """
+    if a <= _SERIES_MAX:
+        return _psi_series(a)
+    if a == math.inf:
+        return 1.0
+    if math.isnan(a):
+        raise ValueError("alpha must not be NaN")
+    try:
+        return gauss_weighted_integral(lambda x: _psi_integrand(x, a))
+    except NonConvergence as exc:
+        raise NonConvergence(f"Psi at alpha={a!r}: {exc}") from exc
+
+
 def entropy_reduction(alpha):
     """Entropy deficit Psi(alpha) of a skew normal with skewness alpha, in bits.
 
     Psi(alpha) = int 2 Phi(alpha x) log2(2 Phi(alpha x)) phi(x) dx. Even in
     alpha, Psi(0) = 0, and Psi -> 1 as |alpha| -> inf. Accepts a scalar or
     an array: Psi is evaluated at |alpha|, so Psi(-alpha) == Psi(alpha)
-    exactly, and 0 and +-inf give exactly 0.0 and 1.0. Magnitudes up to 500
-    are read from two Chebyshev series, within 1e-15 of 30-digit mpmath;
-    the distinct magnitudes above 500 are integrated once each, in one
-    batched quadrature.
+    exactly, and 0 and +-inf give exactly 0.0 and 1.0; NaN raises
+    ValueError. Magnitudes up to 500 are read from two Chebyshev series,
+    within 1e-15 of 30-digit mpmath; each magnitude above 500 is one
+    quadrature.
     """
     mag = np.abs(np.asarray(alpha, dtype=float))
-    out = np.array(
-        [_psi_series(a) if a <= _SERIES_MAX else 1.0 for a in mag.ravel().tolist()]
-    ).reshape(mag.shape)
-    far = ~(mag <= _SERIES_MAX) & (mag != math.inf)
-    if far.any():
-        # the distinct magnitudes without np.unique, whose fixed cost is
-        # about 5% of a size-2 quadrature
-        grid = np.sort(mag[far])
-        grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
-        psi = gauss_weighted_integrals(_psi_integrand, grid)
-        out[far] = psi[np.searchsorted(grid, mag[far])]
+    out = np.array([_psi(a) for a in mag.ravel().tolist()]).reshape(mag.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -274,9 +278,10 @@ def skew_cond_mean(y1, T: float, N: float, out=None):
     mean of the conditional Gaussian truncated to the positive half-line.
     Accepts a scalar or an array of outputs y1; `out`, an array of the shape
     of y1, receives the means (NumPy's out convention; it may be y1 itself).
+    Raises ValueError unless T and N are positive and finite.
     """
-    if T <= 0.0 or N <= 0.0:
-        raise ValueError("T and N must be positive")
+    if not (0.0 < T < math.inf and 0.0 < N < math.inf):
+        raise ValueError(f"T and N must be positive and finite, got T={T}, N={N}")
     gain = T / (T + N)
     # N times a ratio <= 1, as in coord_mmse_at_rho: the product T N
     # overflows where every square of a simulation still fits

@@ -247,9 +247,10 @@ def two_point_decoder(y, a: float, N: float, out=None):
 
     Accepts a scalar or an array of outputs y; `out`, an array of the shape
     of y, receives the estimates (NumPy's out convention; it may be y itself).
+    Raises ValueError unless a is finite and N positive and finite.
     """
-    if N <= 0.0:
-        raise ValueError("N must be positive")
+    if not (math.isfinite(a) and 0.0 < N < math.inf):
+        raise ValueError(f"a must be finite and N positive and finite, got a={a}, N={N}")
     if np.ndim(y) == 0:
         return float(two_point_decoder(np.array([y], dtype=float), a, N)[0])
     est = np.multiply(a, y, out=out)

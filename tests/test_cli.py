@@ -597,7 +597,8 @@ def test_quadrature_failure_in_a_grid_exits_3_without_output(
     tmp_path, capsys, monkeypatch
 ):
     # no integral of the batch can meet an error bound of 1e-300; the first
-    # one to spend its budget is named, and no row is written
+    # one still unfinished after the round that takes it past its 200
+    # bisections is named, and no row is written
     monkeypatch.setattr(numerics, "QUAD_TOL", 1e-300)
     out = tmp_path / "two-point.csv"
     argv = ["curve", "--strategy", "two-point", "--a-min", "1", "--a-max", "3",
@@ -605,7 +606,7 @@ def test_quadrature_failure_in_a_grid_exits_3_without_output(
     assert run(argv) == 3
     err = capsys.readouterr().err
     # the parameter is kappa = a/sqrt(N) of the first magnitude
-    assert "NonConvergence" in err and "after 200 subdivisions at parameter 10.0" in err
+    assert "NonConvergence" in err and "after 228 subdivisions at parameter 10.0" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -614,7 +615,8 @@ def test_quadrature_failure_in_a_coord_margin_names_the_power_and_rho(
 ):
     # at (1, 1e-4) the margins need Psi above |alpha| = 500, which is still
     # integrated; below p-max 0.3 no two-point power is reachable, so the
-    # coord margin is the first quadrature to fail
+    # coord margin is the first quadrature to fail, and its message names
+    # the strategy, P, rho and the Psi argument
     monkeypatch.setattr(numerics, "QUAD_TOL", 1e-300)
     argv = ["compare", "--Q", "1", "--N", "1e-4", "--p-max", "0.3", "--steps", "3",
             "--out", str(tmp_path / "c.csv")]
@@ -622,7 +624,8 @@ def test_quadrature_failure_in_a_coord_margin_names_the_power_and_rho(
     err = capsys.readouterr().err
     assert (
         "numerical failure in compare (NonConvergence): coord at P=0.15: "
-        f"IC margin at rho={skewnormal._PROBE_RHO!r}: quadrature error" in err
+        f"IC margin at rho={skewnormal._PROBE_RHO!r}: Psi at alpha=4007.756631707094: "
+        "quadrature error" in err
     )
     assert list(tmp_path.iterdir()) == []
 

@@ -72,6 +72,6 @@ class TestCorrelationTriple:
 
 def test_empirical_cost_validation():
     with pytest.raises(ValueError):
-        EmpiricalCost(0.1, -1.0, 0.1, 0.0, 1000, 0)
+        EmpiricalCost(0.1, -1.0, 0.1, 0.0)
     with pytest.raises(ValueError):
-        EmpiricalCost(0.1, 0.0, 0.1, 0.0, 0, 0)
+        EmpiricalCost(0.1, 0.0, 0.1, -1.0)

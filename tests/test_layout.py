@@ -7,7 +7,10 @@ the documented library-only entry points below. Code that only the tests
 call belongs in the tests' oracle modules.
 """
 import ast
+import math
 import pathlib
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "witsenhausen"
@@ -93,6 +96,27 @@ def test_the_entry_points_exist():
         for name in _bound_names(node)
     }
     assert {CLI_ENTRY, *LIBRARY_ONLY} <= defined
+
+
+def test_the_readme_library_snippet_gives_its_documented_values():
+    # the snippet runs as written; each bare expression's value is the one
+    # its comment documents, to the digits shown there
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    values = []
+    for stmt in ast.parse(code).body:
+        if isinstance(stmt, ast.Expr):
+            values.append(eval(compile(ast.Expression(stmt.value), "README", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
+    gaussian, (coord_s, coord_rho), coord_p_min, verdict = values
+    assert gaussian == pytest.approx(0.005, rel=1e-12)
+    assert 0.006523 <= coord_s < 0.006524
+    assert -0.5579 < coord_rho <= -0.5578
+    assert 0.022750 <= coord_p_min < 0.022751 < 0.1 * (1.0 - 2.0 / math.pi)
+    assert verdict is True
+    assert len(namespace["points"]) == 4
 
 
 # The 1-D solvers' callers need different x-tolerances; the quadratures'

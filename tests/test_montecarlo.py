@@ -117,7 +117,7 @@ def test_estimates_are_pinned(params, monkeypatch):
          0.006726616214921986, 3.220250116224231e-05),
     )
     assert _three_simulations(params, cfg) == tuple(
-        EmpiricalCost(*fields, n_samples=100_003, seed=11) for fields in pinned
+        EmpiricalCost(*fields) for fields in pinned
     )
 
 
@@ -142,9 +142,7 @@ def test_sliced_noise_draw_keeps_the_hybrid_estimates(
     cfg, batch = cfg
     monkeypatch.setattr(montecarlo, "BATCH", batch)
     cp = CoordParams(0.03, -0.5, params.Q, params.N)
-    assert simulate_hybrid_conditional(cp, params, cfg) == EmpiricalCost(
-        *pinned, n_samples=cfg.n_samples, seed=cfg.seed
-    )
+    assert simulate_hybrid_conditional(cp, params, cfg) == EmpiricalCost(*pinned)
 
 
 def test_merged_slice_moments_match_numpy(monkeypatch):
@@ -342,6 +340,14 @@ class TestHybrid:
                 params,
                 SimConfig(10_000, seed=1),
             )
+
+    def test_rejects_an_operating_point_of_another_problem(self, params):
+        # mixing the two simulates neither problem: with params at Q = 1 this
+        # cp's simulated mmse was 0.0091, against its closed form 0.00668
+        cp = CoordParams(0.03, -0.5, params.Q, params.N)
+        for other in (validate_params(1.0, params.N), validate_params(params.Q, 0.02)):
+            with pytest.raises(ValueError, match="must be one problem"):
+                simulate_hybrid_conditional(cp, other, SimConfig(10_000, seed=1))
 
 
 @given(

@@ -131,16 +131,15 @@ def test_psi_quadrature_above_the_series_takes_few_integrand_calls(alpha, monkey
 
 def test_psi_grid_takes_few_integrand_calls(monkeypatch):
     # the 801-point table of `psi` runs no quadrature; a table that reaches
-    # past |alpha| = 500 integrates its distinct magnitudes above 500 (380
-    # here, as np.linspace is not exactly symmetric) in slices of
-    # numerics._BATCH, each slice at most the 12 rounds of one integral
+    # past |alpha| = 500 integrates each magnitude above 500 on its own, in
+    # at most the 12 rounds of one integral
     calls = _count_psi_calls(monkeypatch)
     skewnormal.entropy_reduction(np.linspace(-10.0, 10.0, 801))
     assert calls == []
     grid = np.linspace(-1e4, 1e4, 801)
     skewnormal.entropy_reduction(grid)
-    distinct = np.unique(np.abs(grid[np.abs(grid) > skewnormal._SERIES_MAX])).size
-    assert 0 < len(calls) <= 12 * math.ceil(distinct / numerics._BATCH)
+    far = int(np.count_nonzero(np.abs(grid) > skewnormal._SERIES_MAX))
+    assert 0 < len(calls) <= 12 * far
 
 
 # ------------------------------------------------------ integral_real_line
@@ -176,8 +175,24 @@ def test_nonconvergence_is_reported(monkeypatch):
         r"after 2 subdivisions",
     ):
         integral_real_line(rough)
-    # 8 initial panels, then the 2 allowed bisections: 4 halves of 15 nodes
+    # 8 initial panels, then one round of 2 bisections, which reaches the
+    # budget and leaves the integral unfinished: 4 halves of 15 nodes
     assert sum(nodes) == 15 * (8 + 2 * 2)
+
+
+def test_an_integral_may_finish_in_the_round_that_passes_the_budget(monkeypatch):
+    # cos(x) phi(x) takes two rounds of 2 bisections each; the second round
+    # runs whole past a budget of 3 and its value is the unbudgeted one
+    def f(x):
+        return np.cos(x) * norm_pdf(x)
+
+    value = integral_real_line(f)
+    assert value == pytest.approx(math.exp(-0.5), abs=1e-10)
+    monkeypatch.setattr(numerics, "_MAX_SUBDIVISIONS", 3)
+    assert integral_real_line(f) == value
+    monkeypatch.setattr(numerics, "_MAX_SUBDIVISIONS", 2)
+    with pytest.raises(NonConvergence, match="after 2 subdivisions"):
+        integral_real_line(f)
 
 
 def test_nan_integrand_is_reported():
@@ -209,7 +224,8 @@ def test_batched_integrals_do_not_depend_on_their_batch_mates():
 
 
 def test_batched_nonconvergence_names_the_failing_integral(monkeypatch):
-    # theta = 50 needs far more than 2 bisections; the others converge at once
+    # theta = 50 needs far more than the 2 bisections of its first round; the
+    # others converge at once
     monkeypatch.setattr(numerics, "_MAX_SUBDIVISIONS", 2)
     nodes = []
 

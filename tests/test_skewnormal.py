@@ -24,7 +24,7 @@ from witsenhausen.skewnormal import (
     mmse_coord,
     skew_cond_mean,
 )
-from witsenhausen.strategies import two_point_min_power
+from witsenhausen.strategies import two_point_decoder, two_point_min_power
 
 from gaussian_oracles import DegenerateInput
 from grid_search import minimize_1d
@@ -337,6 +337,27 @@ def test_skew_mean_scales_with_the_variances(k):
     assert np.array_equal(out, root_c * base)
     assert skew_cond_mean(scaled, c * T, c * N, out=scaled) is scaled
     assert np.array_equal(scaled, root_c * base)
+
+
+@pytest.mark.parametrize(
+    "kernel, args",
+    [
+        (skew_cond_mean, (0.5, math.nan, 0.01)),
+        (skew_cond_mean, (0.5, 0.1, math.inf)),
+        (skew_cond_mean, (np.array([0.5]), 0.1, math.nan)),
+        (two_point_decoder, (0.5, 0.3, math.nan)),
+        (two_point_decoder, (np.array([0.5]), math.nan, 0.01)),
+        (two_point_decoder, (0.5, math.inf, 0.01)),
+        (entropy_reduction, (math.nan,)),
+        (entropy_reduction, (np.array([600.0, math.nan, math.inf]),)),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_non_finite_kernel_input_is_a_usage_error(kernel, args):
+    # NaN or an infinite parameter is bad input (exit 2), not a NaN output
+    # or a failed quadrature; +-inf stays a valid alpha of Psi
+    with pytest.raises(ValueError, match="finite|NaN"):
+        kernel(*args)
 
 
 # ------------------------------------------------------------- coord MMSE
