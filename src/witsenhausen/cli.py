@@ -39,7 +39,8 @@ def _git_describe() -> str:
     """`git describe` of the checkout that holds this package, not of the CWD.
 
     Read once per process: the code that runs was loaded once, so its state
-    is the one at the first read.
+    is the one at the first read. A git that is missing, fails or hangs
+    past 5 s gives "unknown".
     """
     try:
         out = subprocess.run(
@@ -51,7 +52,7 @@ def _git_describe() -> str:
         )
         if out.returncode == 0:
             return out.stdout.strip()
-    except OSError:
+    except (OSError, subprocess.TimeoutExpired):
         pass
     return "unknown"
 

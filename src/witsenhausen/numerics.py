@@ -5,7 +5,8 @@ truncated domain for a batch of integrals, one vectorized integrand call per
 refinement round), a numerically stable Gaussian tail ratio, a bracketing
 root-finder and a bounded 1-D minimizer (Brent's methods, the package's only
 solvers). The two solvers are ports of SciPy's `brentq` and bounded
-`minimize_scalar` that give the same iterates bit for bit, and mills_ratio
+`minimize_scalar` that give the same iterates bit for bit (the minimizer
+can also stop at its first value below a given one), and mills_ratio
 imports SciPy's erfcx at its first call, so that starting the package loads
 no SciPy module: importing scipy.special alone takes about 0.3-0.4 s.
 
@@ -388,16 +389,23 @@ def find_root(
 
 
 def minimize_1d(
-    f: Callable[[float], float], lo: float, hi: float, tol: float
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
+    tol: float,
+    stop: float = -math.inf,
 ) -> tuple[float, float]:
     """(x, f(x)) at a minimum of f on [lo, hi], by Brent's bounded search.
 
-    `tol` is the absolute x-tolerance (SciPy's default is 1e-5); the search
-    also stops at a relative x-tolerance of about 1.5e-8. f must be finite
-    on [lo, hi] and is assumed unimodal there: the search finds one local
-    minimum and never samples the endpoints, so a caller whose minimum may sit
-    at an endpoint compares against f(lo) and f(hi) itself. A NaN value of
-    f, or no convergence within 500 evaluations, raises NonConvergence.
+    A port of SciPy's bounded search plus an optional early stop: the search
+    returns (x, f(x)) at the first point it evaluates whose value is below
+    `stop`, and runs exactly as SciPy's where no value is. `tol` is the
+    absolute x-tolerance (SciPy's default is 1e-5); the search also stops at
+    a relative x-tolerance of about 1.5e-8. f must be finite on [lo, hi] and
+    is assumed unimodal there: the search finds one local minimum and never
+    samples the endpoints, so a caller whose minimum may sit at an endpoint
+    compares against f(lo) and f(hi) itself. A NaN value of f, or no
+    convergence within 500 evaluations, raises NonConvergence.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -406,6 +414,8 @@ def minimize_1d(
     nfc = xf = fulc
     rat = e = 0.0
     fx = _value(f, xf, "minimize_1d")
+    if fx < stop:
+        return float(xf), fx
     num = 1
     ffulc = fnfc = fx
     xm = 0.5 * (a + b)
@@ -443,6 +453,8 @@ def minimize_1d(
             rat = _GOLDEN_MEAN * e
         x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
         fu = _value(f, x, "minimize_1d")
+        if fu < stop:
+            return float(x), fu
         num += 1
         if fu <= fx:
             if x >= xf:

@@ -34,7 +34,6 @@ from .core import (
     require_finite,
 )
 from .numerics import (
-    _GOLDEN_MEAN,
     find_root,
     gauss_weighted_integral,
     integral_real_line,
@@ -60,15 +59,11 @@ _LN2 = math.log(2.0)
 _IC_TOL = 1e-12
 
 # x-tolerances in rho of the coord optimizer: the bounded search for the peak
-# IC margin only has to land inside the feasible interval, while the edge
-# root-find sets rho* and with it S.
+# IC margin stops at its first positive margin and otherwise only has to
+# land inside the feasible interval, while the edge root-find sets rho* and
+# with it S.
 PEAK_RHO_TOL = 1e-5
 EDGE_RHO_TOL = 1e-12
-
-# The first point of minimize_1d's bounded search on [-1, 1], formed by the
-# same floating-point operations, so that a margin probed here is the one
-# the search reads back from the memo.
-_PROBE_RHO = -1.0 + 2.0 * _GOLDEN_MEAN
 
 
 @dataclass(frozen=True)
@@ -224,8 +219,10 @@ def entropy_reduction(alpha):
     exactly, and 0 and +-inf give exactly 0.0 and 1.0; NaN raises
     ValueError. Magnitudes up to 500 are read from two Chebyshev series,
     within 1e-15 of 30-digit mpmath; each magnitude above 500 is one
-    quadrature.
+    quadrature. A float gives a float without passing through NumPy.
     """
+    if isinstance(alpha, float):
+        return _psi(math.fabs(alpha))
     mag = np.abs(np.asarray(alpha, dtype=float))
     out = np.array([_psi(a) for a in mag.ravel().tolist()]).reshape(mag.shape)
     return float(out) if out.ndim == 0 else out
@@ -267,8 +264,7 @@ def coord_ic_margin(cp: CoordParams) -> float:
     if p_res == 0.0:
         return -1.0
     cap = 0.5 * math.log2(1.0 + p_res / n)
-    psi1, psi2 = entropy_reduction(np.array([math.sqrt(cp.T / cp.N), d2]))
-    return float(cap - psi1 + psi2 - 1.0)
+    return cap - entropy_reduction(math.sqrt(cp.T / cp.N)) + entropy_reduction(d2) - 1.0
 
 
 def skew_cond_mean(y1, T: float, N: float, out=None):
@@ -365,16 +361,15 @@ def mmse_coord(P: float, params: ProblemParams) -> tuple[float, float]:
     a nonnegative information-constraint margin form one interval. The
     optimum is therefore the left edge of that interval, and any rho_hi with
     a positive margin brackets it in [-1, rho_hi], since the margin at -1 is
-    -1. The margin is first probed at rho0 = -1 + 2 g (g the golden mean),
-    the point a bounded search on [-1, 1] starts from. If it is positive,
-    rho_hi = rho0 and no peak search is needed. Otherwise a bounded
-    maximization of the margin over rho, whose first evaluation is the probe,
-    decides feasibility and gives rho_hi = rho_peak. A bracketing root-find of
-    the margin on [-1, rho_hi] then gives the edge rho*: it stops at the first
-    point whose margin is within the feasibility slack of 0, and its result
-    is stepped right (never past rho_hi) if rounding left it infeasible.
-    Each margin is evaluated once per call, and at rho = -1 it evaluates
-    no Psi.
+    -1. A bounded maximization of the margin over rho stops at the first
+    rho_hi with a positive margin; often that is its first point,
+    -1 + 2 g (g the golden mean). Where it finds none, it runs to the peak,
+    which decides feasibility and gives rho_hi = rho_peak. A bracketing
+    root-find of the margin on [-1, rho_hi] then gives the edge rho*: it
+    stops at the first point whose margin is within the feasibility slack of
+    0, and its result is stepped right (never past rho_hi) if rounding left
+    it infeasible. Each margin is evaluated once per call (a memo serves the
+    root-find's second read of rho_hi), and at rho = -1 it evaluates no Psi.
     Returns (coord_mmse_at_rho at rho*, rho*). Raises EmptyFeasibleSet when
     no correlation lets the channel carry the one-bit sign; at P = 0 this is
     immediate, since with no residual power the margin is -1 for every rho.
@@ -386,13 +381,11 @@ def mmse_coord(P: float, params: ProblemParams) -> tuple[float, float]:
         raise EmptyFeasibleSet("coord infeasible at P=0: the IC margin is -1 for every rho")
 
     margin = _margin_in_rho(p, n)
-    rho_hi = _PROBE_RHO
-    if margin(rho_hi) <= 0.0:
-        rho_hi, peak = _peak_margin(margin)
-        if not ic_feasible(peak):
-            raise EmptyFeasibleSet(
-                f"coord infeasible at P={P}: peak IC margin {peak:.6g} bits at rho={rho_hi:.6g}"
-            )
+    rho_hi, neg = minimize_1d(lambda rho: -margin(rho), -1.0, 1.0, PEAK_RHO_TOL, stop=0.0)
+    if not ic_feasible(-neg):
+        raise EmptyFeasibleSet(
+            f"coord infeasible at P={P}: peak IC margin {-neg:.6g} bits at rho={rho_hi:.6g}"
+        )
 
     def edge_margin(rho: float) -> float:
         # 0.0 inside the feasibility slack, so that Brent stops at the first

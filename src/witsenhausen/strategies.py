@@ -63,8 +63,10 @@ __all__ = [
 STRATEGIES = ("linear", "gaussian", "two-point", "dpc", "lin-dpc", "coord")
 
 # x-tolerance in rho of the lin-dpc optimizer's searches and root-find. The
-# residual's peak is searched as tightly as the cost's minimum, so that its
-# sign, which decides whether the cost is exactly 0, is right near tangency.
+# residual's search stops at its first positive value, and where it finds
+# none it runs to the peak as tightly as the cost's minimum, so that the
+# peak's sign, which decides whether the cost is exactly 0, is right near
+# tangency.
 LIN_DPC_RHO_TOL = 1e-12
 
 
@@ -312,10 +314,12 @@ def mmse_lin_dpc(P: float, params: ProblemParams) -> tuple[float, float]:
     dirty-paper cost; rho = -1 recovers the pure linear scheme, so this never
     does worse than it. For P >= Q the linear part cancels the state: the cost is
     exactly 0 at rho = -sqrt(Q/P). Below Q the residual r is negative at
-    rho = +-1. A bounded search maximizes r; if its peak is >= 0 the cost is
-    exactly 0 and rho is the left root of r on [-1, rho_peak]. Otherwise r < 0
-    throughout, and the cost is minimized directly, keeping the better of
-    that minimum and the endpoints (the search never samples them).
+    rho = +-1. A bounded search maximizes r and stops at its first point
+    with r > 0, which brackets the left root of r with rho = -1. If it finds
+    such a point, or a peak of exactly 0, the cost is exactly 0 and rho is
+    the left root of r on [-1, rho_hi]. Otherwise r < 0 throughout, and the
+    cost is minimized directly, keeping the better of that minimum and the
+    endpoints (the search never samples them).
     Returns (cost, rho).
     """
     p, n = params.unit_power(P), params.n
@@ -330,11 +334,11 @@ def mmse_lin_dpc(P: float, params: ProblemParams) -> tuple[float, float]:
     def residual(rho: float) -> float:
         return _dirty_paper_cost(p, n, rho)[1]
 
-    rho_peak, neg_peak = minimize_1d(
-        lambda rho: -residual(rho), -1.0, 1.0, LIN_DPC_RHO_TOL
+    rho_hi, neg_r = minimize_1d(
+        lambda rho: -residual(rho), -1.0, 1.0, LIN_DPC_RHO_TOL, stop=0.0
     )
-    if neg_peak <= 0.0:
-        return 0.0, find_root(residual, -1.0, rho_peak, LIN_DPC_RHO_TOL)
+    if neg_r <= 0.0:
+        return 0.0, find_root(residual, -1.0, rho_hi, LIN_DPC_RHO_TOL)
     rho, val = minimize_1d(cost, -1.0, 1.0, LIN_DPC_RHO_TOL)
     val, rho = min((val, rho), (cost(-1.0), -1.0), (cost(1.0), 1.0))
     return params.Q * val, rho

@@ -154,18 +154,38 @@ def test_git_state_is_read_once_per_process(tmp_path, monkeypatch):
     assert recorded[0] == recorded[1]
 
 
+def test_git_that_hangs_records_unknown_and_the_run_succeeds(tmp_path, monkeypatch):
+    from witsenhausen import cli
+
+    def hanging(args, **kwargs):
+        raise subprocess.TimeoutExpired(args, kwargs.get("timeout"))
+
+    monkeypatch.setattr(subprocess, "run", hanging)
+    # the git state is cached per process: drop it on both sides, so that
+    # neither this test nor a later one reads the other's
+    cli._git_describe.cache_clear()
+    try:
+        out = tmp_path / "lin.csv"
+        assert run(["curve", "--strategy", "linear", "--steps", "3", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "lin.csv.manifest").read_text())
+    finally:
+        cli._git_describe.cache_clear()
+    assert manifest["git_describe"] == "unknown"
+    assert out.exists()
+
+
 def test_manifest_records_the_optimizer_tolerances(tmp_path, monkeypatch):
     used = set()
 
-    def recording(f, lo, hi, tol):
+    def recording(f, lo, hi, tol, **kwargs):
         used.add(tol)
-        return numerics.minimize_1d(f, lo, hi, tol)
+        return numerics.minimize_1d(f, lo, hi, tol, **kwargs)
 
     monkeypatch.setattr(skewnormal, "minimize_1d", recording)
     monkeypatch.setattr(strategies, "minimize_1d", recording)
     out = tmp_path / "cmp.csv"
-    # a 13-step grid has powers where coord's probe fails and its peak search
-    # runs; on 3 steps the probe passes at every feasible power
+    # a 13-step grid has powers where coord's search stops at its first
+    # point and powers where that point is infeasible and the search runs on
     assert run(["compare", "--steps", "13", "--out", str(out)]) == 0
     tol = json.loads((tmp_path / "cmp.csv.manifest").read_text())["tolerances"]
     assert tol == {
@@ -624,7 +644,7 @@ def test_quadrature_failure_in_a_coord_margin_names_the_power_and_rho(
     err = capsys.readouterr().err
     assert (
         "numerical failure in compare (NonConvergence): coord at P=0.15: "
-        f"IC margin at rho={skewnormal._PROBE_RHO!r}: Psi at alpha=4007.756631707094: "
+        f"IC margin at rho={-1.0 + 2.0 * numerics._GOLDEN_MEAN!r}: Psi at alpha=4007.756631707094: "
         "quadrature error" in err
     )
     assert list(tmp_path.iterdir()) == []
@@ -643,7 +663,7 @@ def test_quadrature_failure_in_a_coord_margin_names_the_power_and_rho(
 def test_solver_failure_in_a_curve_names_the_strategy_and_power(
     tmp_path, capsys, monkeypatch, exc, strategy, module, solver, at
 ):
-    def fail(*args):
+    def fail(*args, **kwargs):
         raise exc("budget spent")
 
     monkeypatch.setattr(module, solver, fail)

@@ -63,6 +63,10 @@ def test_psi_exact_values_and_evenness_on_both_sides_of_the_switch():
     assert entropy_reduction(-mags).tolist() == vals.tolist()
     assert vals[0] == 0.0 and vals[-1] == 1.0
     assert entropy_reduction(-0.0) == 0.0 and entropy_reduction(-np.inf) == 1.0
+    # a float takes the scalar path, which gives the array's values as floats
+    for mag, val in zip(mags.tolist(), vals.tolist()):
+        for a in (mag, -mag):
+            assert type(entropy_reduction(a)) is float and entropy_reduction(a) == val
 
 
 def mills_mpmath(x: float) -> float:

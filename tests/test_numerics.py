@@ -423,13 +423,26 @@ def _assert_find_root_is_scipys(f, lo, hi, tol):
     assert len(port_calls) == len(ref_calls) - 2
 
 
-def _assert_minimize_is_scipys(f, lo, hi, tol):
-    """minimize_1d's (x, f(x)) and evaluation count are SciPy's bounded search's."""
+def _assert_minimize_is_scipys(f, lo, hi, tol, stop=-math.inf):
+    """minimize_1d's points are SciPy's bounded search's, up to its early stop.
+
+    A search that meets no value below `stop` gives SciPy's (x, f(x)) with
+    SciPy's evaluation count. One that does makes SciPy's first k evaluations
+    and returns the k-th, the first whose value is below `stop`.
+    """
     port, port_calls = _counted(f)
-    res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": tol})
+    ref, ref_calls = _counted(f)
+    res = minimize_scalar(ref, bounds=(lo, hi), method="bounded", options={"xatol": tol})
     assert res.status == 0
-    assert minimize_1d(port, lo, hi, tol) == (float(res.x), float(res.fun))
-    assert len(port_calls) == res.nfev
+    x, fx = minimize_1d(port, lo, hi, tol, stop)
+    values = [f(c) for c in port_calls]
+    if fx < stop:
+        assert port_calls == ref_calls[: len(port_calls)]
+        assert (x, fx) == (port_calls[-1], values[-1])
+        assert all(v >= stop for v in values[:-1])
+        return
+    assert (x, fx) == (float(res.x), float(res.fun))
+    assert port_calls == ref_calls
 
 
 @pytest.mark.parametrize("tol", [1e-5, 1e-9, 1e-12])
@@ -452,24 +465,26 @@ def test_solvers_match_scipy_on_random_objectives(tol, step):
 
 
 def _record_solver_calls(monkeypatch, module, calls):
-    """Make `module` record every (solver, f, lo, hi, tol) it passes to numerics.
+    """Make `module` record every (solver, f, lo, hi, tol, kwargs) it passes to numerics.
 
     A solver the module does not import is bound too, and never called.
     """
     for name in ("find_root", "minimize_1d"):
 
-        def record(f, lo, hi, tol=1e-12, name=name, real=getattr(numerics, name)):
-            calls.append((name, f, lo, hi, tol))
-            return real(f, lo, hi, tol)
+        def record(f, lo, hi, tol=1e-12, name=name, real=getattr(numerics, name), **kwargs):
+            calls.append((name, f, lo, hi, tol, kwargs))
+            return real(f, lo, hi, tol, **kwargs)
 
         monkeypatch.setattr(module, name, record, raising=False)
 
 
 def test_solvers_match_scipy_on_the_package_objectives(params, monkeypatch):
-    # the coord margin at the study point (the edge root after a positive
-    # probe at P = 0.03; peak search and edge root at P = 0.023, just above
-    # the minimum power, where the probe's margin is negative), the lin-dpc
-    # residual (peak search and left root) and cost, the dpc cubic
+    # the coord margin at the study point (a search that stops at its first
+    # point, then the edge root, at P = 0.03; at P = 0.023, just above the
+    # minimum power, the first point's margin is negative and the search
+    # runs on), the lin-dpc residual (a search that stops at its first
+    # positive value, or runs to the peak, and the left root) and cost, the
+    # dpc cubic
     calls = []
     _record_solver_calls(monkeypatch, skewnormal, calls)
     _record_solver_calls(monkeypatch, strategies, calls)
@@ -482,14 +497,42 @@ def test_solvers_match_scipy_on_the_package_objectives(params, monkeypatch):
     lin_dpc = len(calls)
     gaussian_oracles.dpc_critical_power(params)
     kinds = [name for name, *_ in calls]
-    assert kinds[:coord] == ["find_root", "minimize_1d", "find_root"]
+    assert kinds[:coord] == ["minimize_1d", "find_root", "minimize_1d", "find_root"]
     assert kinds[coord:lin_dpc] == ["minimize_1d", "minimize_1d", "minimize_1d", "find_root"]
     assert kinds[lin_dpc:] == ["find_root"]
-    for name, f, lo, hi, tol in calls:
+    for name, f, lo, hi, tol, kwargs in calls:
         if name == "find_root":
             _assert_find_root_is_scipys(f, lo, hi, tol)
         else:
-            _assert_minimize_is_scipys(f, lo, hi, tol)
+            _assert_minimize_is_scipys(f, lo, hi, tol, **kwargs)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_minimize_stops_at_its_first_value_below_stop(k):
+    # stop just above the k-th value of SciPy's search, below every earlier
+    # one: the search makes SciPy's first k evaluations and returns the k-th
+    def f(x):
+        return math.cosh(x - 0.7)
+
+    ref, ref_calls = _counted(f)
+    minimize_scalar(ref, bounds=(-1.0, 1.0), method="bounded", options={"xatol": 1e-12})
+    values = [f(x) for x in ref_calls]
+    assert values[k - 1] < min(values[: k - 1], default=math.inf)
+    stop = math.nextafter(values[k - 1], math.inf)
+    port, port_calls = _counted(f)
+    assert minimize_1d(port, -1.0, 1.0, 1e-12, stop=stop) == (ref_calls[k - 1], values[k - 1])
+    assert port_calls == ref_calls[:k]
+
+
+def test_minimize_without_a_value_below_stop_is_the_full_search():
+    def f(x):
+        return math.cosh(x - 0.7)
+
+    # cosh >= 1, so no value is below 1.0
+    stopped, stopped_calls = _counted(f)
+    full, full_calls = _counted(f)
+    assert minimize_1d(stopped, -1.0, 1.0, 1e-12, stop=1.0) == minimize_1d(full, -1.0, 1.0, 1e-12)
+    assert stopped_calls == full_calls
 
 
 # ------------------------------------------ grid-search oracle (tests/grid_search.py)

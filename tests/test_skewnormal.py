@@ -464,7 +464,7 @@ def test_mmse_coord_returns_the_feasibility_edge(params, P):
 
 
 def _peak_route_rho(P: float, params):
-    """rho* by the route without the probe, or None where it finds no feasible rho.
+    """rho* by the route without the early stop, or None where it finds no feasible rho.
 
     The bounded peak search, then the edge root on [-1, rho_peak], stepped
     right as mmse_coord steps it.
@@ -516,27 +516,28 @@ def test_mmse_coord_evaluates_each_margin_once(params, monkeypatch):
     def recording(name):
         real = getattr(numerics, name)
 
-        def solve(f, lo, hi, tol):
+        def solve(f, lo, hi, tol, **kwargs):
             def g(x):
                 solver_rhos.add(x)
                 return f(x)
 
-            return real(g, lo, hi, tol)
+            return real(g, lo, hi, tol, **kwargs)
 
         return solve
 
     monkeypatch.setattr(skewnormal, "coord_ic_margin", counted)
     monkeypatch.setattr(skewnormal, "find_root", recording("find_root"))
     monkeypatch.setattr(skewnormal, "minimize_1d", recording("minimize_1d"))
-    # P = 0.023: the probe fails and the peak search runs; P = 0.05: it
-    # passes. The peak search, with no memo, made 24 and 21 evaluations.
+    # P = 0.023: the search's first point is infeasible and it runs on;
+    # P = 0.05: it stops there. The peak search, with no memo, made 24 and
+    # 21 evaluations.
     for P, budget in [(0.023, 22), (0.05, 12)]:
         rhos.clear()
         solver_rhos.clear()
         mmse_coord(P, params)
         assert len(rhos) == len(set(rhos)) <= budget
-        # the probe is the peak search's first point bit for bit, and every
-        # other margin is one the solvers asked for
+        # every margin is one the solvers asked for, and the root-find's
+        # read of the search's last point comes from the memo
         assert set(rhos) == solver_rhos
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from witsenhausen import numerics, strategies
 from witsenhausen.core import EmptyFeasibleSet, validate_params
 from scipy.integrate import trapezoid
 
@@ -315,6 +316,40 @@ def test_lin_dpc_dominates_components(params):
             assert v <= mmse_dpc(float(P), p) + 1e-12
             assert v <= mmse_linear(float(P), p) + 1e-12
             assert v >= 0.0
+
+
+def test_lin_dpc_search_stops_at_its_first_positive_residual(params, monkeypatch):
+    # at P = 0.02 the residual is positive at the search's first point, which
+    # brackets its left root with rho = -1; at P = 0.005 it is negative for
+    # every rho, so the search runs to the peak and the cost is minimized
+    searches = []
+    real = numerics.minimize_1d
+
+    def recording(f, lo, hi, tol, **kwargs):
+        evals = []
+
+        def g(x):
+            evals.append(x)
+            return f(x)
+
+        searches.append((f, lo, hi, tol, evals))
+        return real(g, lo, hi, tol, **kwargs)
+
+    monkeypatch.setattr(strategies, "minimize_1d", recording)
+    assert mmse_lin_dpc(0.02, params)[0] == 0.0
+    assert [len(evals) for *_, evals in searches] == [1]
+    searches.clear()
+    assert mmse_lin_dpc(0.005, params)[0] > 0.0
+    assert len(searches) == 2
+    f, lo, hi, tol, evals = searches[0]
+    full = []
+
+    def g(x):
+        full.append(x)
+        return f(x)
+
+    real(g, lo, hi, tol)
+    assert evals == full
 
 
 def lin_dpc_residual_oracle(P, params):
