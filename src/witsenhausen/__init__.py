@@ -26,7 +26,7 @@ from .numerics import (
     minimize_1d,
 )
 from .skewnormal import (
-    CoordParams,
+    CoordPolicy,
     coord_ic_margin,
     coord_min_power,
     coord_mmse_at_rho,

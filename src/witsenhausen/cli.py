@@ -134,8 +134,9 @@ def _grid(
 
 
 def _power_grid(args, params) -> np.ndarray:
+    p_min = args.p_min if args.p_min is not None else 0.0
     p_max = args.p_max if args.p_max is not None else params.Q
-    return _grid(args.p_min, p_max, args.steps, "p")
+    return _grid(p_min, p_max, args.steps, "p")
 
 
 def _point_row(pt: CurvePoint, strategy: str) -> list[str]:
@@ -157,6 +158,8 @@ def cmd_curve(args, argv: list[str]) -> int:
     sweep_a = args.a_min is not None or args.a_max is not None
     if sweep_a and args.strategy != "two-point":
         raise ValueError("--a-min/--a-max only apply to the two-point strategy")
+    if sweep_a and (args.p_min is not None or args.p_max is not None):
+        raise ValueError("--p-min/--p-max do not apply to a magnitude sweep (--a-min/--a-max)")
 
     if sweep_a:
         a_min = args.a_min if args.a_min is not None else 0.0
@@ -215,10 +218,10 @@ def cmd_simulate(args, argv: list[str]) -> int:
     else:
         if args.P is None or args.rho is None:
             raise ValueError("coord simulation needs --P and --rho")
-        cp = skewnormal.CoordParams(args.P, args.rho, params.Q, params.N)
+        policy = skewnormal.CoordPolicy(args.P, args.rho)
         closed_p = args.P
-        closed_s = skewnormal.coord_mmse_at_rho(cp)
-        emp = montecarlo.simulate_hybrid_conditional(cp, params, sim_cfg)
+        closed_s = skewnormal.coord_mmse_at_rho(policy, params)
+        emp = montecarlo.simulate_hybrid_conditional(policy, params, sim_cfg)
         label = f"coord P={args.P} rho={args.rho}"
 
     checks = (
@@ -307,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curve", help="evaluate one strategy on a grid")
     p.add_argument("--strategy", required=True, choices=strategies.STRATEGIES)
-    p.add_argument("--p-min", type=float, default=0.0, dest="p_min")
+    p.add_argument("--p-min", type=float, default=None, dest="p_min")
     p.add_argument("--p-max", type=float, default=None, dest="p_max")
     p.add_argument("--a-min", type=float, default=None, dest="a_min")
     p.add_argument("--a-max", type=float, default=None, dest="a_max")
@@ -316,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("compare", help="all strategies on a shared power grid")
-    p.add_argument("--p-min", type=float, default=0.0, dest="p_min")
+    p.add_argument("--p-min", type=float, default=None, dest="p_min")
     p.add_argument("--p-max", type=float, default=None, dest="p_max")
     p.add_argument("--steps", type=int, default=51)
     _add_common(p)

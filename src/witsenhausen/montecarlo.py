@@ -2,7 +2,10 @@
 
 Draws the state and channel noise, applies a scalar control policy together
 with its closed-form optimal decoder, and estimates (power, estimation cost)
-empirically. Everything is seeded and batched: the samples are split into
+empirically. Each simulator takes a policy (`LinearPolicy`, `TwoPointPolicy`
+or `CoordPolicy`), which holds only what the encoder chooses, with the
+problem's `ProblemParams` and a `SimConfig`. Everything is seeded and
+batched: the samples are split into
 batches of the fixed size BATCH (the last one shorter), batch b draws from
 the PCG64DXSM stream jumped b times from the seed, slice by slice in
 CHUNK-long slices, and the slices' moments are merged in batch order and
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EmpiricalCost, ProblemParams, power_split, require_finite
-from .skewnormal import CoordParams, skew_cond_mean
+from .skewnormal import CoordPolicy, skew_cond_mean
 from .strategies import LinearPolicy, TwoPointPolicy, two_point_decoder, two_point_power
 
 __all__ = [
@@ -309,27 +312,22 @@ def simulate_two_point(
 
 
 def simulate_hybrid_conditional(
-    cp: CoordParams, params: ProblemParams, cfg: SimConfig
+    policy: CoordPolicy, params: ProblemParams, cfg: SimConfig
 ) -> EmpiricalCost:
     """Empirical costs of the hybrid scheme with a genie-provided sign.
 
     Simulates the correlated input u1 = rho sqrt(P/Q) x0 + residual, hands the
     decoder the true sign of the interim state (the single-letter expression
     is defined under exactly this conditioning) and decodes with the
-    skew-normal conditional mean. A power P too large or too small to
-    simulate is rejected, and so is a `cp` whose (Q, N) is not `params`'.
+    skew-normal conditional mean. A power P above Q, or too large or too
+    small to simulate, is rejected.
     """
     Q, N = params.Q, params.N
-    if (cp.Q, cp.N) != (Q, N):
-        raise ValueError(
-            f"cp has (Q, N) = ({cp.Q}, {cp.N}), params ({Q}, {N}): "
-            "they must be one problem"
-        )
-    _require_simulable_power(cp.P, Q, f"coord power P={cp.P}")
-    _, p_res, T = power_split(cp.P, Q, cp.rho)
+    lin_gain = policy.rho * math.sqrt(policy.unit_power(params))
+    _require_simulable_power(policy.P, Q, f"coord power P={policy.P}")
+    _, p_res, T = power_split(policy.P, Q, policy.rho)
     if T <= 0.0:
         raise ValueError("interim-state variance must be positive")
-    lin_gain = cp.rho * math.sqrt(cp.P / Q)
 
     def step(x0, resid, z, u1):
         np.multiply(x0, lin_gain, out=u1)

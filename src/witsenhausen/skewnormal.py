@@ -5,7 +5,9 @@ conditional laws become skew normal. This module provides the entropy
 reduction function Psi (the entropy deficit of a skew normal relative to its
 Gaussian envelope), the information-constraint margin and its feasibility
 test, the skew-normal conditional mean the simulator decodes with, and the
-conditional MMSE of the scheme, optimized over the input correlation. The
+conditional MMSE of the scheme, optimized over the input correlation. An
+operating point is a `CoordPolicy` (P, rho) taken with the problem's
+`ProblemParams`; the closed forms work in units of Q. The
 sign-conditioned entropies, the conditional variance and the covariances
 they are built from only check these closed forms; they are test oracles
 (tests/skew_oracles.py).
@@ -22,7 +24,7 @@ silently truncated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +44,7 @@ from .numerics import (
 )
 
 __all__ = [
-    "CoordParams",
+    "CoordPolicy",
     "entropy_reduction",
     "ic_feasible",
     "coord_ic_margin",
@@ -67,28 +69,30 @@ EDGE_RHO_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class CoordParams:
-    """Hybrid-scheme operating point: power P, input correlation rho, and (Q, N).
+class CoordPolicy:
+    """Hybrid-scheme input: power P and correlation rho with the state.
 
-    T = P + Q + 2 rho sqrt(PQ) is the interim-state variance, the t of
-    `power_split`. Requires finite values, 0 <= P <= Q and Q, N > 0.
+    The input is rho sqrt(P/Q) X0 + W, with W independent of the state X0
+    and of power P(1 - rho^2) (see `power_split`). Requires finite values,
+    P >= 0 and -1 <= rho <= 1; the functions that take a policy with a
+    `ProblemParams` also require P <= Q.
     """
 
     P: float
     rho: float
-    Q: float
-    N: float
-    T: float = field(init=False)
 
     def __post_init__(self) -> None:
-        require_finite(P=self.P, rho=self.rho, Q=self.Q, N=self.N)
-        if self.Q <= 0.0 or self.N <= 0.0:
-            raise ValueError("Q and N must be positive")
-        if not 0.0 <= self.P <= self.Q:
-            raise ValueError(f"P={self.P} outside [0, Q={self.Q}]")
+        require_finite(P=self.P, rho=self.rho)
+        if self.P < 0.0:
+            raise ValueError(f"P={self.P} must be nonnegative")
         if not -1.0 <= self.rho <= 1.0:
             raise ValueError(f"rho={self.rho} outside [-1, 1]")
-        object.__setattr__(self, "T", power_split(self.P, self.Q, self.rho)[2])
+
+    def unit_power(self, params: ProblemParams) -> float:
+        """P/Q in the problem `params`; raises ValueError unless P <= Q."""
+        if self.P > params.Q:
+            raise ValueError(f"P={self.P} outside [0, Q={params.Q}]")
+        return params.unit_power(self.P)
 
 
 # Chebyshev coefficients of h1 and h2 on [0, 1], of sum_k c_k T_k(2e - 1)
@@ -228,14 +232,17 @@ def entropy_reduction(alpha):
     return float(out) if out.ndim == 0 else out
 
 
-def _skew_scales(p: float, n: float, rho: float) -> tuple[float, float, float]:
-    """(s, residual power, skewness of the joint output/precoder pair), in units of Q."""
+def _skew_scales(p: float, n: float, rho: float) -> tuple[float, float, float, float]:
+    """(s, residual power, t, skewness of the joint output/precoder pair), in units of Q.
+
+    s, the residual power and the interim variance t are `power_split`'s.
+    """
     s, p_res, t = power_split(p, 1.0, rho)
     if s * s <= 0.0:
-        return s, p_res, math.inf
+        return s, p_res, t, math.inf
     r = (t + n) / n / s
     d2 = math.sqrt(t / n + p_res * r * r)
-    return s, p_res, d2
+    return s, p_res, t, d2
 
 
 def ic_feasible(ic_bits: float) -> bool:
@@ -247,7 +254,7 @@ def ic_feasible(ic_bits: float) -> bool:
     return ic_bits >= -_IC_TOL
 
 
-def coord_ic_margin(cp: CoordParams) -> float:
+def coord_ic_margin(policy: CoordPolicy, params: ProblemParams) -> float:
     """Information-constraint margin of the hybrid scheme, in bits.
 
     0.5 log2(1 + P(1-rho^2)/N) - Psi(sqrt(T/N)) + Psi(delta) - 1, where the
@@ -256,15 +263,16 @@ def coord_ic_margin(cp: CoordParams) -> float:
     point where the interim state vanishes, and exactly -1.0, with no
     Psi evaluation, where no residual power is left (rho = +-1 or P = 0): there
     the capacity term is 0 and delta = sqrt(T/N), so the Psi terms cancel.
+    Evaluated in units of Q; raises ValueError if P > Q.
     """
-    n = cp.N / cp.Q
-    s, p_res, d2 = _skew_scales(cp.P / cp.Q, n, cp.rho)
+    n = params.n
+    s, p_res, t, d2 = _skew_scales(policy.unit_power(params), n, policy.rho)
     if s == 0.0:
         return -math.inf
     if p_res == 0.0:
         return -1.0
     cap = 0.5 * math.log2(1.0 + p_res / n)
-    return cap - entropy_reduction(math.sqrt(cp.T / cp.N)) + entropy_reduction(d2) - 1.0
+    return cap - entropy_reduction(math.sqrt(t / n)) + entropy_reduction(d2) - 1.0
 
 
 def skew_cond_mean(y1, T: float, N: float, out=None):
@@ -298,7 +306,7 @@ def skew_cond_mean(y1, T: float, N: float, out=None):
     return val
 
 
-def coord_mmse_at_rho(cp: CoordParams) -> float:
+def coord_mmse_at_rho(policy: CoordPolicy, params: ProblemParams) -> float:
     """Estimation cost of the hybrid scheme at a fixed correlation, in power units.
 
     Closed-form single integral
@@ -306,8 +314,9 @@ def coord_mmse_at_rho(cp: CoordParams) -> float:
     kappa = sqrt(T/(2T+N)); the ratio in the integrand is rewritten as
     mills(kappa w) exp(-w^2 (1-kappa^2)/2), total on the whole line. Since
     kappa^2 <= 1/2, the integrand decays at least like exp(-w^2/4).
+    Evaluated in units of Q and scaled back; raises ValueError if P > Q.
     """
-    t, n = cp.T / cp.Q, cp.N / cp.Q
+    t, n = power_split(policy.unit_power(params), 1.0, policy.rho)[2], params.n
     if t == 0.0:
         return 0.0
     # n times a ratio <= 1: the product t n goes subnormal at tiny n
@@ -320,11 +329,11 @@ def coord_mmse_at_rho(cp: CoordParams) -> float:
         return mills_ratio(kap * w) * np.exp(-0.5 * w * w * (1.0 - kap2))
 
     g = integral_real_line(f)
-    return cp.Q * (sig2 * (1.0 - (1.0 / math.pi) * math.sqrt(n / (2.0 * t + n)) * g))
+    return params.Q * (sig2 * (1.0 - (1.0 / math.pi) * math.sqrt(n / (2.0 * t + n)) * g))
 
 
-def _margin_in_rho(p: float, n: float):
-    """The information-constraint margin at power p as a function of rho, in units of Q.
+def _margin_in_rho(P: float, params: ProblemParams):
+    """The information-constraint margin at power P as a function of rho.
 
     The margin is >= -1 wherever it is finite (d2 >= d1, so Psi(d2) >= Psi(d1));
     its one -inf, where the interim state vanishes (P = Q, rho = -1), is
@@ -338,7 +347,7 @@ def _margin_in_rho(p: float, n: float):
     def margin(rho: float) -> float:
         if rho not in memo:
             try:
-                value = coord_ic_margin(CoordParams(p, rho, 1.0, n))
+                value = coord_ic_margin(CoordPolicy(P, rho), params)
             except NonConvergence as exc:
                 raise NonConvergence(f"IC margin at rho={rho!r}: {exc}") from exc
             memo[rho] = max(value, -1.0)
@@ -373,14 +382,12 @@ def mmse_coord(P: float, params: ProblemParams) -> tuple[float, float]:
     Returns (coord_mmse_at_rho at rho*, rho*). Raises EmptyFeasibleSet when
     no correlation lets the channel carry the one-bit sign; at P = 0 this is
     immediate, since with no residual power the margin is -1 for every rho.
+    Raises ValueError if P > Q, at the first margin.
     """
-    p, n = params.unit_power(P), params.n
-    if P > params.Q:
-        raise ValueError(f"P={P} outside [0, Q]")
-    if p == 0.0:
+    if params.unit_power(P) == 0.0:
         raise EmptyFeasibleSet("coord infeasible at P=0: the IC margin is -1 for every rho")
 
-    margin = _margin_in_rho(p, n)
+    margin = _margin_in_rho(P, params)
     rho_hi, neg = minimize_1d(lambda rho: -margin(rho), -1.0, 1.0, PEAK_RHO_TOL, stop=0.0)
     if not ic_feasible(-neg):
         raise EmptyFeasibleSet(
@@ -398,7 +405,7 @@ def mmse_coord(P: float, params: ProblemParams) -> tuple[float, float]:
     while not ic_feasible(margin(rho)):
         rho = min(rho + step, rho_hi)
         step *= 2.0
-    return params.Q * coord_mmse_at_rho(CoordParams(p, rho, 1.0, n)), rho
+    return coord_mmse_at_rho(CoordPolicy(P, rho), params), rho
 
 
 def coord_min_power(params: ProblemParams) -> float:
@@ -406,14 +413,16 @@ def coord_min_power(params: ProblemParams) -> float:
 
     The root in P of the peak information-constraint margin over rho, the
     quantity mmse_coord tests for feasibility; at P = 0 the margin is -1. The
-    root-find runs on P/Q in [0, 1] and stops at 1e-12. Raises
-    EmptyFeasibleSet when the scheme is infeasible even at P = Q.
+    root-find runs on P/Q in [0, 1], in the unit problem (1, N/Q), and stops
+    at 1e-12. Raises EmptyFeasibleSet when the scheme is infeasible even at
+    P = Q.
     """
+    unit = ProblemParams(1.0, params.n)
 
     def peak(p: float) -> float:
         if p == 0.0:
             return -1.0
-        return _peak_margin(_margin_in_rho(p, params.n))[1]
+        return _peak_margin(_margin_in_rho(p, unit))[1]
 
     top = peak(1.0)
     if not ic_feasible(top):

@@ -16,32 +16,35 @@ import numpy as np
 from scipy.integrate import quad
 
 from witsenhausen.numerics import mills_ratio
-from witsenhausen.skewnormal import CoordParams, _skew_scales, entropy_reduction
+from witsenhausen.core import ProblemParams
+from witsenhausen.skewnormal import CoordPolicy, _skew_scales, entropy_reduction
 
 from gaussian_oracles import DegenerateInput
 
 
-def _scales(cp: CoordParams) -> tuple[float, float, float]:
-    """(s, p_res, d2) of cp in the variances' own units; _skew_scales works in units of Q."""
-    s, p_res, d2 = _skew_scales(cp.P / cp.Q, cp.N / cp.Q, cp.rho)
-    return math.sqrt(cp.Q) * s, cp.Q * p_res, d2
+def _scales(policy: CoordPolicy, params: ProblemParams) -> tuple[float, float, float, float]:
+    """(s, p_res, T, d2) in the variances' own units; _skew_scales works in units of Q."""
+    s, p_res, t, d2 = _skew_scales(policy.unit_power(params), params.n, policy.rho)
+    return math.sqrt(params.Q) * s, params.Q * p_res, params.Q * t, d2
 
 
-def sign_conditioned_entropies(cp: CoordParams) -> tuple[float, float, float]:
+def sign_conditioned_entropies(
+    policy: CoordPolicy, params: ProblemParams
+) -> tuple[float, float, float]:
     """The three conditional entropies of the hybrid scheme given the sign, in bits.
 
     Returns (h(state, precoder | sign), h(output | sign), h(output, precoder | sign)).
     Conditioning a centered Gaussian on a sign costs exactly one bit for the
     joint with the state, and a Psi correction for the skewed pairs.
     """
-    s, p_res, d2 = _scales(cp)
+    s, p_res, t, d2 = _scales(policy, params)
     if p_res <= 0.0 or s == 0.0:
         raise DegenerateInput(
             f"degenerate hybrid scheme: residual power {p_res}, state scale {s}"
         )
-    t, n = cp.T, cp.N
+    n = params.N
     h_state_prec = 0.5 * math.log2(
-        (2.0 * math.pi * math.e) ** 2 * cp.Q * p_res
+        (2.0 * math.pi * math.e) ** 2 * params.Q * p_res
     ) - 1.0
     h_out = 0.5 * math.log2(2.0 * math.pi * math.e * (t + n)) - entropy_reduction(
         math.sqrt(t / n)
@@ -70,25 +73,26 @@ def skew_cond_variance(y1, T: float, N: float):
     return val
 
 
-def cov_state_precoder(cp: CoordParams) -> np.ndarray:
+def cov_state_precoder(policy: CoordPolicy, params: ProblemParams) -> np.ndarray:
     """Covariance of (state, precoder variable) for the hybrid scheme.
 
     Its determinant is P Q (1 - rho^2) regardless of the noise level.
     """
-    s, p_res, _ = _scales(cp)
-    c = (p_res / (p_res + cp.N)) * (s / math.sqrt(cp.Q))
+    s, p_res, _, _ = _scales(policy, params)
+    q = params.Q
+    c = (p_res / (p_res + params.N)) * (s / math.sqrt(q))
     return np.array(
         [
-            [cp.Q, c * cp.Q],
-            [c * cp.Q, p_res + c * c * cp.Q],
+            [q, c * q],
+            [c * q, p_res + c * c * q],
         ]
     )
 
 
-def cov_interim_output_precoder(cp: CoordParams) -> np.ndarray:
+def cov_interim_output_precoder(policy: CoordPolicy, params: ProblemParams) -> np.ndarray:
     """Covariance of (interim state, output, precoder variable) for the hybrid scheme."""
-    s, p_res, _ = _scales(cp)
-    t, n = cp.T, cp.N
+    s, p_res, t, _ = _scales(policy, params)
+    n = params.N
     a = p_res * (t + n) / (p_res + n)
     w_var = p_res + (p_res * s / (p_res + n)) ** 2
     return np.array(
@@ -113,7 +117,7 @@ def _real_line(f) -> float:
     return quad(f, -math.inf, math.inf, epsabs=1e-14, epsrel=1e-13)[0]
 
 
-def mmse_via_conditional_density(cp: CoordParams) -> float:
+def mmse_via_conditional_density(policy: CoordPolicy, params: ProblemParams) -> float:
     """Estimation cost as the conditional variance averaged over the output density.
 
     Independent route used to cross-check coord_mmse_at_rho: integrates the
@@ -122,7 +126,7 @@ def mmse_via_conditional_density(cp: CoordParams) -> float:
     skew-normal density 2 Phi(u) phi(s). Where Phi(u) underflows to 0 the
     density, and with it the integrand, is 0.
     """
-    t, n = cp.T, cp.N
+    t, n = _scales(policy, params)[2], params.N
     if t == 0.0:
         return 0.0
     sig2 = t * n / (t + n)
@@ -140,13 +144,13 @@ def mmse_via_conditional_density(cp: CoordParams) -> float:
     return _real_line(f)
 
 
-def dropped_odd_term(cp: CoordParams) -> float:
+def dropped_odd_term(policy: CoordPolicy, params: ProblemParams) -> float:
     """The u m(u) cross term of the conditional variance, averaged over the output.
 
     Analytically zero (the integrand reduces to an odd function); evaluated
     literally as a check that dropping it from the closed form is sound.
     """
-    t, n = cp.T, cp.N
+    t, n = _scales(policy, params)[2], params.N
     if t == 0.0:
         return 0.0
     d1 = math.sqrt(t / n)

@@ -23,7 +23,7 @@ from witsenhausen.montecarlo import (
 )
 from witsenhausen.numerics import mills_ratio, norm_pdf
 from witsenhausen.skewnormal import (
-    CoordParams,
+    CoordPolicy,
     coord_ic_margin,
     coord_mmse_at_rho,
     entropy_reduction,
@@ -194,11 +194,11 @@ def test_criterion_7_hybrid_scheme_oracle_match():
     with criterion(7, 60.0, "hybrid MMSE: dual quadrature routes + simulation"):
         cfg = SimConfig(n_samples=10_000_000, seed=2)
         for P, rho in FEASIBLE_PAIRS:
-            cp = CoordParams(P, rho, Q, N)
-            assert coord_ic_margin(cp) >= 0.0
-            closed = coord_mmse_at_rho(cp)
-            assert abs(closed - mmse_via_conditional_density(cp)) <= 1e-8
-            assert abs(dropped_odd_term(cp)) <= 1e-8
+            cp = CoordPolicy(P, rho)
+            assert coord_ic_margin(cp, PARAMS) >= 0.0
+            closed = coord_mmse_at_rho(cp, PARAMS)
+            assert abs(closed - mmse_via_conditional_density(cp, PARAMS)) <= 1e-8
+            assert abs(dropped_odd_term(cp, PARAMS)) <= 1e-8
             emp = simulate_hybrid_conditional(cp, PARAMS, cfg)
             assert abs(emp.mmse_mean - closed) <= 4 * emp.mmse_stderr
 

@@ -67,6 +67,19 @@ def test_curve_two_point_locus(tmp_path):
     assert min(powers) < powers[0] and max(powers) > powers[0]
 
 
+@pytest.mark.parametrize(
+    "bound", [["--p-min", "0.04"], ["--p-max", "0.05"]], ids=["p-min", "p-max"]
+)
+def test_power_bounds_with_a_magnitude_sweep_are_a_usage_error(tmp_path, capsys, bound):
+    # the sweep's powers are those of its magnitudes, so a power bound could
+    # only be ignored
+    argv = ["curve", "--strategy", "two-point", "--a-max", "1", *bound, "--steps", "3",
+            "--out", str(tmp_path / "out.csv")]
+    assert run(argv) == 2
+    assert "do not apply to a magnitude sweep" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_curve_coord_reports_infeasible_rows(tmp_path):
     out = tmp_path / "coord.csv"
     rc = run(
@@ -312,6 +325,14 @@ def test_simulate_requires_policy_arguments():
     assert run(["simulate", "--strategy", "linear"]) == 2
     assert run(["simulate", "--strategy", "two-point"]) == 2
     assert run(["simulate", "--strategy", "coord", "--P", "0.03"]) == 2
+
+
+def test_simulate_coord_power_above_q_is_a_usage_error(capsys):
+    argv = ["simulate", "--strategy", "coord", "--P", "0.2", "--rho", "0", "--n", "1000"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert "P=0.2 outside [0, Q=0.1]" in captured.err
+    assert captured.out == ""
 
 
 def test_psi_table(tmp_path):

@@ -1,11 +1,12 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from witsenhausen.core import EmpiricalCost, validate_params
+from witsenhausen.core import EmpiricalCost, power_split, validate_params
 
 from gaussian_oracles import CorrelationTriple
 
@@ -27,6 +28,22 @@ def test_validate_params_unit():
 def test_validate_params_rejects_nonpositive(Q, N):
     with pytest.raises(ValueError, match="positive and finite"):
         validate_params(Q, N)
+
+
+def test_power_split_interim_variance():
+    t = power_split(0.04, 0.1, -0.5)[2]
+    assert t == pytest.approx(0.04 + 0.1 - math.sqrt(0.004), rel=1e-14)
+    assert t == pytest.approx(
+        (math.sqrt(0.1) - 0.5 * math.sqrt(0.04)) ** 2 + 0.04 * 0.75, rel=1e-12
+    )
+    # P one rounding step below Q at rho = -1: t = (sqrt(Q) - sqrt(P))^2 is
+    # tiny but not 0, which P + Q + 2 rho sqrt(PQ) rounds to
+    Q = 0.1
+    P = Q * (1.0 - 2.0**-53)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        exact = float((Decimal(Q).sqrt() - Decimal(P).sqrt()) ** 2)
+    assert power_split(P, Q, -1.0)[2] == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 class TestCorrelationTriple:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from witsenhausen.core import validate_params
-from witsenhausen.skewnormal import CoordParams, ic_feasible
+from witsenhausen.skewnormal import CoordPolicy, ic_feasible
 from witsenhausen.strategies import mmse_linear, timeshare_interval
 
 from gaussian_oracles import (
@@ -51,8 +51,7 @@ def test_entropy_additive_for_independent_pair():
 
 def test_entropy_of_state_precoder_pair():
     # with zero input correlation the pair determinant collapses to P*Q
-    cp = CoordParams(0.04, 0.0, 0.1, 0.01)
-    cov = cov_state_precoder(cp)
+    cov = cov_state_precoder(CoordPolicy(0.04, 0.0), validate_params(0.1, 0.01))
     g = GaussianVector(cov)
     expected = 0.5 * math.log2((2 * math.pi * math.e) ** 2 * 0.004)
     assert gaussian_entropy_bits(g) == pytest.approx(expected, abs=1e-12)

@@ -110,11 +110,13 @@ def test_the_readme_library_snippet_gives_its_documented_values():
             values.append(eval(compile(ast.Expression(stmt.value), "README", "eval"), namespace))
         else:
             exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
-    gaussian, (coord_s, coord_rho), coord_p_min, verdict = values
+    gaussian, (coord_s, coord_rho), coord_p_min, fits, coord_at_rho, verdict = values
     assert gaussian == pytest.approx(0.005, rel=1e-12)
     assert 0.006523 <= coord_s < 0.006524
     assert -0.5579 < coord_rho <= -0.5578
     assert 0.022750 <= coord_p_min < 0.022751 < 0.1 * (1.0 - 2.0 / math.pi)
+    assert fits is True
+    assert 0.006676 <= coord_at_rho < 0.006677
     assert verdict is True
     assert len(namespace["points"]) == 4
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from witsenhausen import montecarlo
-from witsenhausen.core import EmpiricalCost, validate_params
+from witsenhausen.core import EmpiricalCost, power_split, validate_params
 from witsenhausen.montecarlo import (
     SimConfig,
     _merge,
@@ -18,7 +18,7 @@ from witsenhausen.montecarlo import (
     simulate_two_point,
 )
 from witsenhausen.skewnormal import (
-    CoordParams,
+    CoordPolicy,
     coord_mmse_at_rho,
     skew_cond_mean,
 )
@@ -61,9 +61,7 @@ def _three_simulations(params, cfg):
     return (
         simulate_linear(linear_policy_for_power(0.04, params), params, cfg),
         simulate_two_point(TwoPointPolicy(math.sqrt(params.Q)), params, cfg),
-        simulate_hybrid_conditional(
-            CoordParams(0.03, -0.5, params.Q, params.N), params, cfg
-        ),
+        simulate_hybrid_conditional(CoordPolicy(0.03, -0.5), params, cfg),
     )
 
 
@@ -141,7 +139,7 @@ def test_sliced_noise_draw_keeps_the_hybrid_estimates(
     # time, bit for bit
     cfg, batch = cfg
     monkeypatch.setattr(montecarlo, "BATCH", batch)
-    cp = CoordParams(0.03, -0.5, params.Q, params.N)
+    cp = CoordPolicy(0.03, -0.5)
     assert simulate_hybrid_conditional(cp, params, cfg) == EmpiricalCost(*pinned)
 
 
@@ -180,7 +178,7 @@ def test_simulation_memory_is_a_few_arrays_per_worker(params, monkeypatch):
     # its CHUNK-long draw and scratch buffers and the coord decoder's
     # temporaries of one slice (about 6.3 CHUNK arrays per worker for coord,
     # 3.2 for the others), so the peak does not grow with the batch size
-    cp = CoordParams(0.03, -0.5, params.Q, params.N)
+    cp = CoordPolicy(0.03, -0.5)
     simulations = {
         "linear": lambda cfg: simulate_linear(
             linear_policy_for_power(0.04, params), params, cfg
@@ -308,26 +306,26 @@ class TestTwoPoint:
 
 class TestHybrid:
     def test_matches_closed_form(self, params):
-        cp = CoordParams(0.03, -0.5, params.Q, params.N)
+        cp = CoordPolicy(0.03, -0.5)
         emp = simulate_hybrid_conditional(cp, params, SimConfig(1_000_000, seed=12))
         assert within(cp.P, emp.power_mean, emp.power_stderr)
-        assert within(coord_mmse_at_rho(cp), emp.mmse_mean, emp.mmse_stderr)
+        assert within(coord_mmse_at_rho(cp, params), emp.mmse_mean, emp.mmse_stderr)
 
     def test_decoder_at_zero_output(self, params):
-        cp = CoordParams(0.03, -0.3, params.Q, params.N)
-        expected = math.sqrt(cp.T * cp.N / (cp.T + cp.N)) * math.sqrt(2 / math.pi)
-        assert skew_cond_mean(0.0, cp.T, cp.N) == pytest.approx(expected, rel=1e-12)
+        T, N = power_split(0.03, params.Q, -0.3)[2], params.N
+        expected = math.sqrt(T * N / (T + N)) * math.sqrt(2 / math.pi)
+        assert skew_cond_mean(0.0, T, N) == pytest.approx(expected, rel=1e-12)
 
     def test_sign_halves_agree(self, params):
         # independent re-draw; the two sign-conditioned halves are mirror images
-        cp = CoordParams(0.04, -0.4, params.Q, params.N)
+        T, N = power_split(0.04, params.Q, -0.4)[2], params.N
         rng = np.random.default_rng(77)
         n = 1_000_000
-        x1 = rng.normal(scale=math.sqrt(cp.T), size=n)
-        y = x1 + rng.normal(scale=math.sqrt(cp.N), size=n)
+        x1 = rng.normal(scale=math.sqrt(T), size=n)
+        y = x1 + rng.normal(scale=math.sqrt(N), size=n)
         pos = x1 >= 0.0
-        err_pos = (x1[pos] - skew_cond_mean(y[pos], cp.T, cp.N)) ** 2
-        err_neg = (x1[~pos] + skew_cond_mean(-y[~pos], cp.T, cp.N)) ** 2
+        err_pos = (x1[pos] - skew_cond_mean(y[pos], T, N)) ** 2
+        err_neg = (x1[~pos] + skew_cond_mean(-y[~pos], T, N)) ** 2
         m1, m2 = float(np.mean(err_pos)), float(np.mean(err_neg))
         s1 = float(np.std(err_pos, ddof=1)) / math.sqrt(err_pos.size)
         s2 = float(np.std(err_neg, ddof=1)) / math.sqrt(err_neg.size)
@@ -336,18 +334,17 @@ class TestHybrid:
     def test_rejects_degenerate_interim_state(self, params):
         with pytest.raises(ValueError):
             simulate_hybrid_conditional(
-                CoordParams(params.Q, -1.0, params.Q, params.N),
+                CoordPolicy(params.Q, -1.0),
                 params,
                 SimConfig(10_000, seed=1),
             )
 
-    def test_rejects_an_operating_point_of_another_problem(self, params):
-        # mixing the two simulates neither problem: with params at Q = 1 this
-        # cp's simulated mmse was 0.0091, against its closed form 0.00668
-        cp = CoordParams(0.03, -0.5, params.Q, params.N)
-        for other in (validate_params(1.0, params.N), validate_params(params.Q, 0.02)):
-            with pytest.raises(ValueError, match="must be one problem"):
-                simulate_hybrid_conditional(cp, other, SimConfig(10_000, seed=1))
+    def test_rejects_a_power_above_q(self, params):
+        for P in (math.nextafter(params.Q, math.inf), 0.2):
+            with pytest.raises(ValueError, match=r"outside \[0, Q="):
+                simulate_hybrid_conditional(
+                    CoordPolicy(P, 0.0), params, SimConfig(10_000, seed=1)
+                )
 
 
 @given(
@@ -373,9 +370,7 @@ def test_estimates_scale_with_the_variances(k, log_q, log_ratio, u, rho):
         return (
             simulate_linear(LinearPolicy(lin.a, root_c * lin.b), params, cfg),
             simulate_two_point(TwoPointPolicy(root_c * math.sqrt(P)), params, cfg),
-            simulate_hybrid_conditional(
-                CoordParams(c * P, rho, c * Q, c * N), params, cfg
-            ),
+            simulate_hybrid_conditional(CoordPolicy(c * P, rho), params, cfg),
         )
 
     with pytest.MonkeyPatch.context() as mp:
@@ -388,8 +383,8 @@ def test_estimates_scale_with_the_variances(k, log_q, log_ratio, u, rho):
 
 def test_interim_output_precoder_covariance_matches_moments(params):
     # first-principles sampling of (interim state, output, precoder variable)
-    cp = CoordParams(0.04, -0.4, params.Q, params.N)
-    predicted = cov_interim_output_precoder(cp)
+    cp = CoordPolicy(0.04, -0.4)
+    predicted = cov_interim_output_precoder(cp, params)
     rng = np.random.default_rng(123)
     n = 2_000_000
     Q, N, P, rho = params.Q, params.N, cp.P, cp.rho
@@ -418,8 +413,8 @@ def test_four_stderr_coverage_over_seeds(params):
     closed_lin = mmse_linear(0.04, params)
     tp = TwoPointPolicy(0.3)
     _, closed_tp = two_point_costs(tp, params)
-    cp = CoordParams(0.05, -0.6, params.Q, params.N)
-    closed_cp = coord_mmse_at_rho(cp)
+    cp = CoordPolicy(0.05, -0.6)
+    closed_cp = coord_mmse_at_rho(cp, params)
     hits = 0
     trials = 0
     for seed in range(100):

@@ -1,5 +1,4 @@
 import math
-from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -11,11 +10,11 @@ from scipy.special import log_ndtr
 from witsenhausen import numerics, skewnormal
 from scipy.special import ndtr as norm_cdf
 
-from witsenhausen.core import EmptyFeasibleSet, validate_params
+from witsenhausen.core import EmptyFeasibleSet, power_split, validate_params
 from witsenhausen.numerics import norm_pdf
 from witsenhausen.skewnormal import (
     EDGE_RHO_TOL,
-    CoordParams,
+    CoordPolicy,
     coord_ic_margin,
     coord_min_power,
     coord_mmse_at_rho,
@@ -109,45 +108,36 @@ def test_psi_grid_shape_properties():
     assert np.all(np.diff(half) >= -1e-12)
 
 
-# ------------------------------------------------------------- CoordParams
+# ------------------------------------------------------------- CoordPolicy
 
 
-def test_coord_params_interim_variance():
-    cp = CoordParams(0.04, -0.5, 0.1, 0.01)
-    assert cp.T == pytest.approx(0.04 + 0.1 - math.sqrt(0.004), rel=1e-14)
-    assert cp.T == pytest.approx(
-        (math.sqrt(0.1) - 0.5 * math.sqrt(0.04)) ** 2 + 0.04 * 0.75, rel=1e-12
-    )
-    # P one rounding step below Q at rho = -1: T = (sqrt(Q) - sqrt(P))^2 is
-    # tiny but not 0, which P + Q + 2 rho sqrt(PQ) rounds to
-    Q = 0.1
-    P = Q * (1.0 - 2.0**-53)
-    with localcontext() as ctx:
-        ctx.prec = 50
-        exact = float((Decimal(Q).sqrt() - Decimal(P).sqrt()) ** 2)
-    assert CoordParams(P, -1.0, Q, 0.01).T == pytest.approx(exact, rel=1e-12, abs=0.0)
-
-
-def test_coord_params_validation():
-    with pytest.raises(ValueError):
-        CoordParams(0.2, 0.0, 0.1, 0.01)  # P > Q
-    with pytest.raises(ValueError):
-        CoordParams(0.04, -1.5, 0.1, 0.01)
-    with pytest.raises(ValueError):
-        CoordParams(0.04, 0.0, 0.1, 0.0)
-    for bad in ((0.04, 0.0, math.inf, 0.01), (0.04, 0.0, 0.1, math.inf),
-                (math.nan, 0.0, 0.1, 0.01), (0.04, math.nan, 0.1, 0.01)):
+def test_coord_policy_validation():
+    with pytest.raises(ValueError, match="nonnegative"):
+        CoordPolicy(-1e-3, 0.0)
+    for rho in (-1.5, 1.5):
+        with pytest.raises(ValueError, match="outside"):
+            CoordPolicy(0.04, rho)
+    for bad in ((math.nan, 0.0), (math.inf, 0.0), (0.04, math.nan), (0.04, -math.inf)):
         with pytest.raises(ValueError, match="finite"):
-            CoordParams(*bad)
+            CoordPolicy(*bad)
+
+
+@pytest.mark.parametrize("closed_form", [coord_ic_margin, coord_mmse_at_rho])
+def test_coord_closed_forms_reject_a_power_above_q(params, closed_form):
+    # P <= Q is a property of the policy in its problem: P = Q is valid, one
+    # rounding step above it is not
+    closed_form(CoordPolicy(params.Q, 0.0), params)
+    for P in (math.nextafter(params.Q, math.inf), 0.2):
+        with pytest.raises(ValueError, match=r"outside \[0, Q="):
+            closed_form(CoordPolicy(P, 0.0), params)
 
 
 # ------------------------------------------------- sign-conditioned entropies
 
 
-def test_entropies_zero_correlation_full_power():
-    q = 0.1
-    cp = CoordParams(q, 0.0, q, 0.01)
-    h1, _, _ = sign_conditioned_entropies(cp)
+def test_entropies_zero_correlation_full_power(params):
+    q = params.Q
+    h1, _, _ = sign_conditioned_entropies(CoordPolicy(q, 0.0), params)
     assert h1 == pytest.approx(0.5 * math.log2((2 * math.pi * math.e) ** 2 * q * q) - 1.0,
                                abs=1e-12)
 
@@ -158,31 +148,30 @@ def test_state_precoder_determinant_identity():
         q = float(rng.uniform(0.05, 2.0))
         p = float(rng.uniform(0.01, 1.0)) * q
         rho = float(rng.uniform(-0.95, 0.95))
-        cp = CoordParams(p, rho, q, 0.01)
-        det = float(np.linalg.det(cov_state_precoder(cp)))
+        cov = cov_state_precoder(CoordPolicy(p, rho), validate_params(q, 0.01))
+        det = float(np.linalg.det(cov))
         assert det == pytest.approx(p * q * (1 - rho * rho), rel=1e-10)
 
 
-def test_entropies_degenerate_inputs():
+def test_entropies_degenerate_inputs(params):
     with pytest.raises(DegenerateInput):
-        sign_conditioned_entropies(CoordParams(0.04, 1.0, 0.1, 0.01))
+        sign_conditioned_entropies(CoordPolicy(0.04, 1.0), params)
     with pytest.raises(DegenerateInput):
-        sign_conditioned_entropies(CoordParams(0.1, -1.0, 0.1, 0.01))
+        sign_conditioned_entropies(CoordPolicy(0.1, -1.0), params)
 
 
-def test_output_entropy_below_gaussian_bound():
+def test_output_entropy_below_gaussian_bound(params):
     for rho in (-0.5, 0.0, 0.5):
-        cp = CoordParams(0.04, rho, 0.1, 0.01)
-        _, h_out, _ = sign_conditioned_entropies(cp)
-        bound = 0.5 * math.log2(2 * math.pi * math.e * (cp.T + cp.N))
+        _, h_out, _ = sign_conditioned_entropies(CoordPolicy(0.04, rho), params)
+        T = power_split(0.04, params.Q, rho)[2]
+        bound = 0.5 * math.log2(2 * math.pi * math.e * (T + params.N))
         assert h_out < bound  # strict for T > 0
 
 
-def test_output_entropy_against_direct_integral():
+def test_output_entropy_against_direct_integral(params):
     # brute-force differential entropy of the sign-conditioned output law
-    cp = CoordParams(0.04, -0.4, 0.1, 0.01)
-    _, h_out, _ = sign_conditioned_entropies(cp)
-    T, N = cp.T, cp.N
+    _, h_out, _ = sign_conditioned_entropies(CoordPolicy(0.04, -0.4), params)
+    T, N = power_split(0.04, params.Q, -0.4)[2], params.N
     sy = math.sqrt(T + N)
     y = np.linspace(-14 * sy, 14 * sy, 2_000_001)
     f = (
@@ -196,12 +185,12 @@ def test_output_entropy_against_direct_integral():
     assert h_out == pytest.approx(h_num, abs=1e-10)
 
 
-def test_joint_entropy_against_direct_double_integral():
+def test_joint_entropy_against_direct_double_integral(params):
     # brute-force differential entropy of the sign-conditioned
     # (output, precoder) law; exercises the joint skewness argument
-    cp = CoordParams(0.04, -0.4, 0.1, 0.01)
-    _, _, h_joint = sign_conditioned_entropies(cp)
-    k3 = cov_interim_output_precoder(cp)
+    cp = CoordPolicy(0.04, -0.4)
+    _, _, h_joint = sign_conditioned_entropies(cp, params)
+    k3 = cov_interim_output_precoder(cp, params)
     kyw = k3[1:, 1:]
     kx = k3[0, 1:]
     kinv = np.linalg.inv(kyw)
@@ -228,23 +217,22 @@ def test_joint_entropy_against_direct_double_integral():
 def test_ic_margin_matches_entropy_decomposition(params):
     # two independently coded routes to the same constraint margin
     for P, rho in [(0.025, -0.3), (0.03, -0.5), (0.05, 0.2), (0.09, -0.8)]:
-        cp = CoordParams(P, rho, params.Q, params.N)
-        h1, h2, h3 = sign_conditioned_entropies(cp)
+        cp = CoordPolicy(P, rho)
+        h1, h2, h3 = sign_conditioned_entropies(cp, params)
         h_state = 0.5 * math.log2(2 * math.pi * math.e * params.Q)
-        margin = coord_ic_margin(cp)
+        margin = coord_ic_margin(cp, params)
         assert type(margin) is float
         assert margin == pytest.approx(h1 - h3 + h2 - h_state, abs=1e-9)
 
 
 def test_ic_margin_infeasible_when_noise_dominates():
-    cp = CoordParams(0.05, 0.0, 0.1, 10.0)
-    assert coord_ic_margin(cp) < 0.0
+    assert coord_ic_margin(CoordPolicy(0.05, 0.0), validate_params(0.1, 10.0)) < 0.0
 
 
 def test_ic_margin_feasible_below_two_point_minimum_power(params):
     pmin_two = params.Q * (1 - 2 / math.pi)
     assert 0.03 < pmin_two
-    assert coord_ic_margin(CoordParams(0.03, -0.3, params.Q, params.N)) > 0.0
+    assert coord_ic_margin(CoordPolicy(0.03, -0.3), params) > 0.0
 
 
 def test_ic_margin_endpoint_correlations(params, monkeypatch):
@@ -255,10 +243,10 @@ def test_ic_margin_endpoint_correlations(params, monkeypatch):
 
     monkeypatch.setattr(skewnormal, "entropy_reduction", no_quadrature)
     for P, rho in [(0.04, 1.0), (0.04, -1.0), (0.0, 0.3)]:
-        margin = coord_ic_margin(CoordParams(P, rho, params.Q, params.N))
+        margin = coord_ic_margin(CoordPolicy(P, rho), params)
         assert margin == -1.0 and type(margin) is float
     # where the interim state vanishes too, the margin stays -inf
-    assert coord_ic_margin(CoordParams(params.Q, -1.0, params.Q, params.N)) == -math.inf
+    assert coord_ic_margin(CoordPolicy(params.Q, -1.0), params) == -math.inf
 
 
 # ------------------------------------------------ skew conditional moments
@@ -368,31 +356,31 @@ FEASIBLE_PAIRS = [(0.025, -0.3), (0.03, -0.5), (0.05, -0.7), (0.08, -0.8), (0.1,
 
 def test_closed_form_matches_conditional_variance_route(params):
     for P, rho in FEASIBLE_PAIRS:
-        cp = CoordParams(P, rho, params.Q, params.N)
-        assert coord_ic_margin(cp) >= 0.0  # pairs must actually be feasible
-        a = coord_mmse_at_rho(cp)
-        b = mmse_via_conditional_density(cp)
+        cp = CoordPolicy(P, rho)
+        assert coord_ic_margin(cp, params) >= 0.0  # pairs must actually be feasible
+        a = coord_mmse_at_rho(cp, params)
+        b = mmse_via_conditional_density(cp, params)
         assert a == pytest.approx(b, abs=1e-10)
 
 
 def test_closed_form_frozen_value(params):
-    cp = CoordParams(0.03, -0.3, params.Q, params.N)
+    cp = CoordPolicy(0.03, -0.3)
     # frozen from the conditional-variance route (and a 2-D brute-force
     # integral during development, which agrees to its own grid error ~2e-8)
-    assert coord_mmse_at_rho(cp) == pytest.approx(0.0070912025901810, abs=1e-12)
+    assert coord_mmse_at_rho(cp, params) == pytest.approx(0.0070912025901810, abs=1e-12)
 
 
 def test_odd_term_vanishes(params):
     for P, rho in FEASIBLE_PAIRS:
-        cp = CoordParams(P, rho, params.Q, params.N)
-        assert abs(dropped_odd_term(cp)) <= 1e-10
+        cp = CoordPolicy(P, rho)
+        assert abs(dropped_odd_term(cp, params)) <= 1e-10
 
 
 def test_mmse_bounded_by_unconditional(params):
     for P, rho in FEASIBLE_PAIRS + [(0.04, 0.6), (0.01, 0.0)]:
-        cp = CoordParams(P, rho, params.Q, params.N)
-        sig2 = cp.T * cp.N / (cp.T + cp.N)
-        v = coord_mmse_at_rho(cp)
+        T, N = power_split(P, params.Q, rho)[2], params.N
+        sig2 = T * N / (T + N)
+        v = coord_mmse_at_rho(CoordPolicy(P, rho), params)
         assert 0.0 <= v <= sig2
 
 
@@ -408,17 +396,17 @@ def test_mmse_coord_feasible_below_two_point_minimum(params):
     assert math.isfinite(value) and value > 0.0
     assert -1.0 <= rho_star <= 1.0
     # optimum sits at the lower feasibility edge, within optimizer tolerance
-    cp = CoordParams(0.03, rho_star, params.Q, params.N)
-    assert coord_ic_margin(cp) >= -1e-12
-    assert coord_ic_margin(CoordParams(0.03, rho_star - 1e-3, params.Q, params.N)) < 0.0
+    cp = CoordPolicy(0.03, rho_star)
+    assert coord_ic_margin(cp, params) >= -1e-12
+    assert coord_ic_margin(CoordPolicy(0.03, rho_star - 1e-3), params) < 0.0
 
 
 def test_mmse_coord_never_worse_than_feasible_samples(params):
     value, _ = mmse_coord(0.05, params)
     for rho in np.linspace(-1.0, 1.0, 41):
-        cp = CoordParams(0.05, float(rho), params.Q, params.N)
-        if coord_ic_margin(cp) >= 0.0:
-            assert value <= coord_mmse_at_rho(cp) + 1e-12
+        cp = CoordPolicy(0.05, float(rho))
+        if coord_ic_margin(cp, params) >= 0.0:
+            assert value <= coord_mmse_at_rho(cp, params) + 1e-12
 
 
 def test_mmse_coord_monotone_decreasing(params):
@@ -457,9 +445,9 @@ def test_mmse_coord_full_power_at_the_vanishing_state_edge():
 @pytest.mark.parametrize("P", [0.03, 0.05, 0.07, 0.09])
 def test_mmse_coord_returns_the_feasibility_edge(params, P):
     _, rho_star = mmse_coord(P, params)
-    margin = coord_ic_margin(CoordParams(P, rho_star, params.Q, params.N))
+    margin = coord_ic_margin(CoordPolicy(P, rho_star), params)
     assert ic_feasible(margin)
-    left = coord_ic_margin(CoordParams(P, rho_star - 1e-6, params.Q, params.N))
+    left = coord_ic_margin(CoordPolicy(P, rho_star - 1e-6), params)
     assert not ic_feasible(left)
 
 
@@ -469,7 +457,7 @@ def _peak_route_rho(P: float, params):
     The bounded peak search, then the edge root on [-1, rho_peak], stepped
     right as mmse_coord steps it.
     """
-    margin = skewnormal._margin_in_rho(P / params.Q, params.N / params.Q)
+    margin = skewnormal._margin_in_rho(P, params)
     rho_peak, peak = skewnormal._peak_margin(margin)
     if not ic_feasible(peak):
         return None
@@ -509,9 +497,9 @@ def test_mmse_coord_evaluates_each_margin_once(params, monkeypatch):
     rhos, solver_rhos = [], set()
     real_margin = skewnormal.coord_ic_margin
 
-    def counted(cp):
-        rhos.append(cp.rho)
-        return real_margin(cp)
+    def counted(policy, params):
+        rhos.append(policy.rho)
+        return real_margin(policy, params)
 
     def recording(name):
         real = getattr(numerics, name)
@@ -608,10 +596,10 @@ def grid_oracle(P: float, params, grid: int = 201):
     feasible = []
 
     def objective(rho: float) -> float:
-        cp = CoordParams(P, rho, params.Q, params.N)
-        ok = ic_feasible(coord_ic_margin(cp))
+        cp = CoordPolicy(P, rho)
+        ok = ic_feasible(coord_ic_margin(cp, params))
         feasible.append(ok)
-        return coord_mmse_at_rho(cp) if ok else math.inf
+        return coord_mmse_at_rho(cp, params) if ok else math.inf
 
     try:
         rho, value = minimize_1d(objective, -1.0, 1.0, grid=grid, tol=1e-12)
@@ -663,5 +651,6 @@ def test_mmse_coord_matches_grid_oracle_on_drawn_params(log_q, log_ratio, below,
 def test_coord_mmse_increases_with_interim_variance(Q, N, P):
     # T = P + Q + 2 rho sqrt(PQ) increases with rho
     rhos = np.linspace(-0.999, 1.0, 41)
-    vals = [coord_mmse_at_rho(CoordParams(P, float(r), Q, N)) for r in rhos]
+    params = validate_params(Q, N)
+    vals = [coord_mmse_at_rho(CoordPolicy(P, float(r)), params) for r in rhos]
     assert np.all(np.diff(vals) > 0.0)
