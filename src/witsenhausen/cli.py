@@ -16,7 +16,6 @@ arithmetic overflow.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -65,10 +64,24 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
+    """Write the header and rows to `path` as CSV text with LF line ends, in one write.
+
+    No field ever needs quoting: fields are float reprs, strategy names,
+    true/false or empty. A field that would need it (a ',', '"' or line
+    break) is a program error: it raises RuntimeError naming the file, and
+    no file is written.
+    """
+    text = "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
+    lines = len(rows) + 1
+    if (
+        '"' in text
+        or "\r" in text
+        or text.count("\n") != lines
+        or text.count(",") != lines * (len(header) - 1)
+    ):
+        raise RuntimeError(f"a field of {path} needs CSV quoting")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(text)
 
 
 def _manifest(args, argv: list[str], out: str) -> None:
@@ -166,7 +179,10 @@ def cmd_curve(args, argv: list[str]) -> int:
         a_max = args.a_max if args.a_max is not None else 3.0 * math.sqrt(params.Q)
         grid = _grid(a_min, a_max, args.steps, "a")
         powers, costs = strategies.two_point_cost_grid(grid, params)
-        points = [CurvePoint(p, s, a) for p, s, a in zip(powers, costs, grid)]
+        points = [
+            CurvePoint(p, s, a)
+            for p, s, a in zip(powers.tolist(), costs.tolist(), grid.tolist())
+        ]
     else:
         points = strategies.curve(args.strategy, params, _power_grid(args, params))
     rows = [_point_row(pt, args.strategy) for pt in points]
@@ -256,7 +272,7 @@ def cmd_simulate(args, argv: list[str]) -> int:
 def cmd_psi(args, argv: list[str]) -> int:
     grid = _grid(args.alpha_min, args.alpha_max, args.steps, "alpha", nonnegative=False)
     psi = skewnormal.entropy_reduction(grid)
-    rows = [[_fmt(a), _fmt(v)] for a, v in zip(grid, psi)]
+    rows = [[repr(a), repr(v)] for a, v in zip(grid.tolist(), psi.tolist())]
     _write_csv(args.out, ["alpha", "psi"], rows)
     _manifest(args, argv, args.out)
     if args.gnuplot:

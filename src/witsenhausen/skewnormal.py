@@ -164,8 +164,12 @@ _H2 = (
 _SERIES_MAX = 500.0
 
 
-def _clenshaw(coeffs: tuple[float, ...], t: float) -> float:
-    """sum_k coeffs[k] T_k(t) on Python floats; NumPy's chebval costs ~95 us a call."""
+def _clenshaw(coeffs: tuple[float, ...], t):
+    """sum_k coeffs[k] T_k(t) for a float or an array t; NumPy's chebval costs ~95 us a call.
+
+    Only + - * in one fixed order, so each element of an array t gives the
+    float call's value bit for bit.
+    """
     t2 = t + t
     b1 = b2 = 0.0
     for c in coeffs[:0:-1]:
@@ -173,13 +177,21 @@ def _clenshaw(coeffs: tuple[float, ...], t: float) -> float:
     return coeffs[0] + t * b1 - b2
 
 
-def _psi_series(a: float) -> float:
-    """Psi at a magnitude 0 <= a <= _SERIES_MAX from the two series; exactly 0.0 at 0."""
-    if a <= 1.0:
-        e = a * a
-        return e * _clenshaw(_H1, e + e - 1.0)
+def _psi_inner(a):
+    """Psi at magnitudes 0 <= a <= 1, a float or an array, from h1; exactly 0.0 at 0."""
+    e = a * a
+    return e * _clenshaw(_H1, e + e - 1.0)
+
+
+def _psi_outer(a):
+    """Psi at magnitudes 1 < a <= _SERIES_MAX, a float or an array, from h2."""
     e = 1.0 / (a * a)
     return 1.0 - _clenshaw(_H2, e + e - 1.0) / a
+
+
+def _psi_series(a: float) -> float:
+    """Psi at a magnitude 0 <= a <= _SERIES_MAX from the two series; exactly 0.0 at 0."""
+    return _psi_inner(a) if a <= 1.0 else _psi_outer(a)
 
 
 def _psi_integrand(x, alpha):
@@ -221,14 +233,24 @@ def entropy_reduction(alpha):
     alpha, Psi(0) = 0, and Psi -> 1 as |alpha| -> inf. Accepts a scalar or
     an array: Psi is evaluated at |alpha|, so Psi(-alpha) == Psi(alpha)
     exactly, and 0 and +-inf give exactly 0.0 and 1.0; NaN raises
-    ValueError. Magnitudes up to 500 are read from two Chebyshev series,
-    within 1e-15 of 30-digit mpmath; each magnitude above 500 is one
-    quadrature. A float gives a float without passing through NumPy.
+    ValueError, before any work is done. Magnitudes up to 500 are read from
+    two Chebyshev series, within 1e-15 of 30-digit mpmath: an array is one
+    pass over its elements per series, equal bit for bit to the float calls.
+    Each magnitude above 500 is one quadrature, element by element. A float
+    gives a float without passing through NumPy; a 0-d array gives a float.
     """
     if isinstance(alpha, float):
         return _psi(math.fabs(alpha))
     mag = np.abs(np.asarray(alpha, dtype=float))
-    out = np.array([_psi(a) for a in mag.ravel().tolist()]).reshape(mag.shape)
+    if np.isnan(mag).any():
+        raise ValueError("alpha must not be NaN")
+    out = np.empty(mag.shape)
+    inner = mag <= 1.0
+    outer = ~inner & (mag <= _SERIES_MAX)
+    far = ~(inner | outer)
+    out[inner] = _psi_inner(mag[inner])
+    out[outer] = _psi_outer(mag[outer])
+    out[far] = [_psi(a) for a in mag[far].tolist()]
     return float(out) if out.ndim == 0 else out
 
 

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -109,15 +110,15 @@ def test_manifest_written_and_complete(tmp_path):
     assert manifest["python_version"] == platform.python_version()
     assert manifest["numpy_version"] == np.__version__
     assert manifest["elapsed_s"] > 0.0
+    # the manifest names every SciPy that is loaded: load it here, before
+    # the run, rather than count on other test modules having loaded it
+    import scipy
+
     # psi takes no variances and records them as null
     assert run(["psi", "--steps", "5", "--out", str(tmp_path / "psi.csv")]) == 0
     manifest = json.loads((tmp_path / "psi.csv.manifest").read_text())
     assert set(manifest) == keys
     assert manifest["Q"] is None and manifest["N"] is None
-    # the manifest names every SciPy that is loaded, and the test modules
-    # load it into this process
-    import scipy
-
     assert manifest["scipy_version"] == scipy.__version__
 
 
@@ -232,6 +233,53 @@ def test_csv_numbers_round_trip(tmp_path):
     for r in rows:
         p = float(r[0])
         assert float(r[1]) == mmse_linear(p, params)
+
+
+WRITTEN_TABLES = [
+    ["curve", "--strategy", "coord", "--steps", "7"],
+    ["curve", "--strategy", "two-point", "--a-min", "0", "--steps", "5"],
+    ["compare", "--steps", "4"],
+    ["psi", "--alpha-min", "-600", "--alpha-max", "600", "--steps", "9"],
+]
+
+
+@pytest.mark.parametrize("argv", WRITTEN_TABLES, ids=[" ".join(a) for a in WRITTEN_TABLES])
+def test_csv_bytes_equal_the_csv_module(tmp_path, monkeypatch, argv):
+    from witsenhausen import cli
+
+    written = []
+    write_csv = cli._write_csv
+
+    def record(path, header, rows):
+        written.append((header, rows))
+        write_csv(path, header, rows)
+
+    monkeypatch.setattr(cli, "_write_csv", record)
+    out = tmp_path / "table.csv"
+    assert run(argv + ["--out", str(out)]) == 0
+    [(header, rows)] = written
+    if argv[0] == "curve":
+        assert all(r[4] == "" for r in rows)  # no curve here sets aux2
+    if "coord" in argv:
+        assert any(r[1] == r[3] == "" for r in rows)  # infeasible: no S, no rho
+    expected = io.StringIO()
+    csv.writer(expected, lineterminator="\n").writerows([header, *rows])
+    assert out.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("field", [",", "1,5", '"', 'x"y', "\n", "a\nb", "\r"])
+def test_a_field_that_needs_quoting_is_a_program_error(tmp_path, field):
+    from witsenhausen import cli
+
+    out = tmp_path / "table.csv"
+    out.write_text("earlier run\n")
+    rows = [["0.0", "1.0"], ["2.0", field]]
+    with pytest.raises(RuntimeError, match="table.csv"):
+        cli._write_csv(str(out), ["P", "S"], rows)
+    assert out.read_text() == "earlier run\n"
+    with pytest.raises(RuntimeError, match="fresh.csv"):
+        cli._write_csv(str(tmp_path / "fresh.csv"), ["P", "S"], rows)
+    assert not (tmp_path / "fresh.csv").exists()
 
 
 def test_compare_columns(tmp_path):

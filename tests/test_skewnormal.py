@@ -63,15 +63,28 @@ def test_psi_even():
 
 
 def test_psi_array_equals_scalar_calls_and_is_even():
+    # both sides of each switch: 1 between the two series, 500 between the
+    # series and the quadrature
+    switches = [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0),
+                500.0, np.nextafter(500.0, np.inf)]
     grid = np.concatenate(
-        [np.linspace(-10.0, 10.0, 161), np.geomspace(1e-3, 300.0, 40), [-math.inf, math.inf]]
+        [np.linspace(-10.0, 10.0, 161), np.geomspace(1e-3, 300.0, 40), [-math.inf, math.inf],
+         [0.0, 5e-324], switches, np.geomspace(1.0 + 2**-30, 500.0, 13), [600.0, -1e4]]
     )
     vals = entropy_reduction(grid)
     assert vals.shape == grid.shape
-    for a, v in zip(grid, vals):
-        assert entropy_reduction(float(a)) == v
-        assert entropy_reduction(-float(a)) == v
-    assert entropy_reduction(grid.reshape(7, -1)).tolist() == vals.reshape(7, -1).tolist()
+    # bit for bit: the array pass runs the float path's operations in its order
+    assert vals.tobytes() == np.array([entropy_reduction(a) for a in grid.tolist()]).tobytes()
+    assert vals.tobytes() == np.array([entropy_reduction(-a) for a in grid.tolist()]).tobytes()
+    assert entropy_reduction(grid.reshape(9, -1)).tolist() == vals.reshape(9, -1).tolist()
+
+
+def test_psi_of_0d_and_empty_arrays():
+    for a in [0.0, 1.0, 3.5, 600.0, -math.inf]:
+        v = entropy_reduction(np.array(a))
+        assert type(v) is float and v == entropy_reduction(a)
+    for shape in [(0,), (2, 0)]:
+        assert entropy_reduction(np.empty(shape)).shape == shape
 
 
 def test_psi_exact_values_inside_an_array():
@@ -80,6 +93,15 @@ def test_psi_exact_values_inside_an_array():
     assert vals[[2, 3]].tolist() == [0.0, 0.0]
     assert vals[1] == vals[4]
     assert entropy_reduction(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+
+
+def test_psi_nan_in_an_array_raises_before_any_quadrature(monkeypatch):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("Psi integrated before it checked for NaN")
+
+    monkeypatch.setattr(skewnormal, "gauss_weighted_integral", no_quadrature)
+    with pytest.raises(ValueError, match="NaN"):
+        entropy_reduction(np.array([600.0, 2.0, math.nan, 0.5]))
 
 
 def test_psi_matches_trapezoid_oracle():
