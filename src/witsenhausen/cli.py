@@ -113,13 +113,18 @@ def _manifest(args, argv: list[str], out: str) -> None:
         fh.write("\n")
 
 
-def _gnuplot_script(out: str, columns: list[str]) -> None:
+def _gnuplot_script(out: str, header: list[str], ys: int, ylabel: str | None = None) -> None:
+    """Write out + ".gnuplot": CSV columns 2 .. ys + 1 against column 1, a line each.
+
+    The axes are labelled from the CSV header: x by its first column, y by
+    its second unless `ylabel` names the quantity that the columns share.
+    """
     lines = [
         "set datafile separator ','",
         "set key autotitle columnhead",
-        "set xlabel 'P'",
-        "set ylabel 'S'",
-        "plot " + ", ".join(f"'{out}' using 1:{i + 2} with lines" for i in range(len(columns))),
+        f"set xlabel '{header[0]}'",
+        f"set ylabel '{ylabel or header[1]}'",
+        "plot " + ", ".join(f"'{out}' using 1:{i + 2} with lines" for i in range(ys)),
     ]
     with open(out + ".gnuplot", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -190,11 +195,12 @@ def cmd_curve(args, argv: list[str]) -> int:
     _write_csv(args.out, _CURVE_HEADER, rows)
     _manifest(args, argv, args.out)
     if args.gnuplot:
-        _gnuplot_script(args.out, ["S"])
+        _gnuplot_script(args.out, _CURVE_HEADER, 1)
     return 0
 
 
 _COMPARE_COLUMNS = [s.replace("-", "_") for s in strategies.STRATEGIES]
+_COMPARE_HEADER = ["P"] + _COMPARE_COLUMNS
 
 
 def cmd_compare(args, argv: list[str]) -> int:
@@ -205,10 +211,10 @@ def cmd_compare(args, argv: list[str]) -> int:
         [_fmt(pts[0].P)] + [_fmt(pt.S) for pt in pts]
         for pts in zip(*curves)
     ]
-    _write_csv(args.out, ["P"] + _COMPARE_COLUMNS, rows)
+    _write_csv(args.out, _COMPARE_HEADER, rows)
     _manifest(args, argv, args.out)
     if args.gnuplot:
-        _gnuplot_script(args.out, _COMPARE_COLUMNS)
+        _gnuplot_script(args.out, _COMPARE_HEADER, len(_COMPARE_COLUMNS), "S")
     return 0
 
 
@@ -273,10 +279,11 @@ def cmd_psi(args, argv: list[str]) -> int:
     grid = _grid(args.alpha_min, args.alpha_max, args.steps, "alpha", nonnegative=False)
     psi = skewnormal.entropy_reduction(grid)
     rows = [[repr(a), repr(v)] for a, v in zip(grid.tolist(), psi.tolist())]
-    _write_csv(args.out, ["alpha", "psi"], rows)
+    header = ["alpha", "psi"]
+    _write_csv(args.out, header, rows)
     _manifest(args, argv, args.out)
     if args.gnuplot:
-        _gnuplot_script(args.out, ["psi"])
+        _gnuplot_script(args.out, header, 1)
     return 0
 
 

@@ -384,37 +384,65 @@ def _peak_margin(margin) -> tuple[float, float]:
     return rho, -neg
 
 
+def _one_bit_rho(p: float, n: float) -> float | None:
+    """The rho < 0 at which the capacity term is one bit, or None where there is none.
+
+    -sqrt(1 - x) with x = 3n/p, where P(1-rho^2) = 3N. Every rho with
+    P(1-rho^2) >= 3N is feasible: there the capacity term is at least one
+    bit, and Psi(delta) >= Psi(sqrt(T/N)) since delta >= sqrt(T/N). 1 + rho
+    is formed as x/(1 + sqrt(1 - x)), so nothing cancels, and rho is rounded
+    toward 0, which only raises its capacity. None where 3N >= P, or where
+    rho rounds to -1.
+    """
+    x = 3.0 * n / p
+    if not x < 1.0:
+        return None
+    u = x / (1.0 + math.sqrt(1.0 - x))
+    rho = u - 1.0
+    if rho == -1.0:
+        return None
+    return math.nextafter(rho, 0.0) if rho + 1.0 < u else rho
+
+
 def mmse_coord(P: float, params: ProblemParams) -> tuple[float, float]:
     """Minimal hybrid-scheme estimation cost at power P, and its correlation.
 
     coord_mmse_at_rho depends on rho only through T = P + Q + 2 rho sqrt(PQ),
     which increases with rho, and it increases with T; the correlations with
-    a nonnegative information-constraint margin form one interval. The
-    optimum is therefore the left edge of that interval, and any rho_hi with
-    a positive margin brackets it in [-1, rho_hi], since the margin at -1 is
-    -1. A bounded maximization of the margin over rho stops at the first
-    rho_hi with a positive margin; often that is its first point,
-    -1 + 2 g (g the golden mean). Where it finds none, it runs to the peak,
-    which decides feasibility and gives rho_hi = rho_peak. A bracketing
-    root-find of the margin on [-1, rho_hi] then gives the edge rho*: it
-    stops at the first point whose margin is within the feasibility slack of
-    0, and its result is stepped right (never past rho_hi) if rounding left
-    it infeasible. Each margin is evaluated once per call (a memo serves the
-    root-find's second read of rho_hi), and at rho = -1 it evaluates no Psi.
+    a nonnegative information-constraint margin are taken to form one
+    interval. (At P = Q they do not: the margin is also >= 0 next to
+    rho = -1, where the interim state vanishes, and the edge found may be
+    that of the interval to its right.) The optimum is therefore the left
+    edge of that interval, and any rho_hi with a feasible margin brackets it
+    in [-1, rho_hi], since the margin at -1 is -1. Where 3N < P, rho_hi is
+    first the one-bit point -sqrt(1 - 3N/P) (`_one_bit_rho`), whose margin
+    is >= 0 up to rounding: one margin, and no search. Where that point does
+    not exist, rounds to -1 or reads infeasible after rounding, a bounded
+    maximization of the margin over rho stops at the first rho_hi with a
+    positive margin, or runs to the peak, which decides feasibility and
+    gives rho_hi = rho_peak. A bracketing root-find of the margin on
+    [-1, rho_hi] then gives the edge rho*: it stops at the first point whose
+    margin is within the feasibility slack of 0, and its result is stepped
+    right (never past rho_hi) if rounding left it infeasible. Each margin is
+    evaluated once per call (a memo serves the root-find's second read of
+    rho_hi), and at rho = -1 it evaluates no Psi.
     Returns (coord_mmse_at_rho at rho*, rho*). Raises EmptyFeasibleSet when
     no correlation lets the channel carry the one-bit sign; at P = 0 this is
     immediate, since with no residual power the margin is -1 for every rho.
     Raises ValueError if P > Q, at the first margin.
     """
-    if params.unit_power(P) == 0.0:
+    p = params.unit_power(P)
+    if p == 0.0:
         raise EmptyFeasibleSet("coord infeasible at P=0: the IC margin is -1 for every rho")
 
     margin = _margin_in_rho(P, params)
-    rho_hi, neg = minimize_1d(lambda rho: -margin(rho), -1.0, 1.0, PEAK_RHO_TOL, stop=0.0)
-    if not ic_feasible(-neg):
-        raise EmptyFeasibleSet(
-            f"coord infeasible at P={P}: peak IC margin {-neg:.6g} bits at rho={rho_hi:.6g}"
-        )
+    rho_hi = _one_bit_rho(p, params.n)
+    if rho_hi is None or not ic_feasible(margin(rho_hi)):
+        rho_hi, neg = minimize_1d(lambda rho: -margin(rho), -1.0, 1.0, PEAK_RHO_TOL, stop=0.0)
+        if not ic_feasible(-neg):
+            raise EmptyFeasibleSet(
+                f"coord infeasible at P={P}: peak IC margin {-neg:.6g} bits at rho={rho_hi:.6g}"
+            )
 
     def edge_margin(rho: float) -> float:
         # 0.0 inside the feasibility slack, so that Brent stops at the first
@@ -427,7 +455,10 @@ def mmse_coord(P: float, params: ProblemParams) -> tuple[float, float]:
     while not ic_feasible(margin(rho)):
         rho = min(rho + step, rho_hi)
         step *= 2.0
-    return coord_mmse_at_rho(CoordPolicy(P, rho), params), rho
+    try:
+        return coord_mmse_at_rho(CoordPolicy(P, rho), params), rho
+    except NonConvergence as exc:
+        raise NonConvergence(f"MMSE integral at rho={rho!r}: {exc}") from exc
 
 
 def coord_min_power(params: ProblemParams) -> float:
@@ -435,8 +466,11 @@ def coord_min_power(params: ProblemParams) -> float:
 
     The root in P of the peak information-constraint margin over rho, the
     quantity mmse_coord tests for feasibility; at P = 0 the margin is -1. The
-    root-find runs on P/Q in [0, 1], in the unit problem (1, N/Q), and stops
-    at 1e-12. Raises EmptyFeasibleSet when the scheme is infeasible even at
+    root-find runs on P/Q in [0, min(1, 3N/Q)], in the unit problem (1, N/Q),
+    and stops at 1e-12: the peak margin is >= 0 at every P >= 3N, where rho
+    = -sqrt(1 - 3N/P) gives the channel one bit (`_one_bit_rho`). Where the
+    peak at 3N/Q does not read positive after rounding, the root-find runs
+    on [0, 1]. Raises EmptyFeasibleSet when the scheme is infeasible even at
     P = Q.
     """
     unit = ProblemParams(1.0, params.n)
@@ -446,11 +480,14 @@ def coord_min_power(params: ProblemParams) -> float:
             return -1.0
         return _peak_margin(_margin_in_rho(p, unit))[1]
 
-    top = peak(1.0)
+    hi = min(1.0, 3.0 * params.n)
+    top = peak(hi)
+    if top <= 0.0 and hi < 1.0:
+        hi, top = 1.0, peak(1.0)
     if not ic_feasible(top):
         raise EmptyFeasibleSet(
             f"coord infeasible at every power: peak IC margin {top:.6g} bits at P=Q"
         )
     if top <= 0.0:
         return params.Q
-    return params.Q * find_root(peak, 0.0, 1.0, 1e-12)
+    return params.Q * find_root(peak, 0.0, hi, 1e-12)

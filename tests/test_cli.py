@@ -4,6 +4,7 @@ import json
 import math
 import os
 import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 import witsenhausen
 from witsenhausen import numerics, skewnormal, strategies
 from witsenhausen.cli import main
-from witsenhausen.core import EmptyFeasibleSet, NonConvergence
+from witsenhausen.core import EmptyFeasibleSet, NonConvergence, validate_params
 
 
 def run(argv):
@@ -702,10 +703,31 @@ def test_quadrature_failure_in_a_grid_exits_3_without_output(
 def test_quadrature_failure_in_a_coord_margin_names_the_power_and_rho(
     tmp_path, capsys, monkeypatch
 ):
-    # at (1, 1e-4) the margins need Psi above |alpha| = 500, which is still
-    # integrated; below p-max 0.3 no two-point power is reachable, so the
-    # coord margin is the first quadrature to fail, and its message names
+    # at (1, 1e-4) and P = Q the edge root-find reads Psi above |alpha| = 500,
+    # which is still integrated, before any MMSE integral; the message names
     # the strategy, P, rho and the Psi argument
+    monkeypatch.setattr(numerics, "QUAD_TOL", 1e-300)
+    argv = ["curve", "--strategy", "coord", "--Q", "1", "--N", "1e-4", "--p-min", "1",
+            "--p-max", "1.1", "--steps", "2", "--out", str(tmp_path / "c.csv")]
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    found = re.search(
+        r"numerical failure in curve \(NonConvergence\): coord at P=1\.0: "
+        r"IC margin at rho=(\S+): Psi at alpha=(\S+): quadrature error",
+        err,
+    )
+    assert found, err
+    assert -1.0 < float(found[1]) < 0.0 and float(found[2]) > 500.0
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_quadrature_failure_in_coord_mmse_names_the_power_and_rho(
+    tmp_path, capsys, monkeypatch
+):
+    # below P = Q at (1, 1e-4) every margin near the edge reads Psi from its
+    # series, and below p-max 0.3 no two-point power is reachable, so the
+    # MMSE integral at rho* is the first quadrature to fail
+    rho_star = skewnormal.mmse_coord(0.15, validate_params(1.0, 1e-4))[1]
     monkeypatch.setattr(numerics, "QUAD_TOL", 1e-300)
     argv = ["compare", "--Q", "1", "--N", "1e-4", "--p-max", "0.3", "--steps", "3",
             "--out", str(tmp_path / "c.csv")]
@@ -713,8 +735,7 @@ def test_quadrature_failure_in_a_coord_margin_names_the_power_and_rho(
     err = capsys.readouterr().err
     assert (
         "numerical failure in compare (NonConvergence): coord at P=0.15: "
-        f"IC margin at rho={-1.0 + 2.0 * numerics._GOLDEN_MEAN!r}: Psi at alpha=4007.756631707094: "
-        "quadrature error" in err
+        f"MMSE integral at rho={rho_star!r}: quadrature error" in err
     )
     assert list(tmp_path.iterdir()) == []
 
@@ -841,3 +862,25 @@ def test_gnuplot_companion(tmp_path):
     assert rc == 0
     assert (tmp_path / "lin.csv.gnuplot").exists()
 
+
+@pytest.mark.parametrize(
+    "argv, xlabel, ylabel",
+    [
+        (["curve", "--strategy", "linear", "--steps", "5"], "P", "S"),
+        (["compare", "--steps", "3"], "P", "S"),
+        (["psi", "--steps", "5"], "alpha", "psi"),
+    ],
+    ids=["curve", "compare", "psi"],
+)
+def test_gnuplot_companion_labels_and_plots_the_csv_columns(tmp_path, argv, xlabel, ylabel):
+    out = tmp_path / "out.csv"
+    assert run(argv + ["--out", str(out), "--gnuplot"]) == 0
+    script = (tmp_path / "out.csv.gnuplot").read_text().splitlines()
+    assert f"set xlabel '{xlabel}'" in script and f"set ylabel '{ylabel}'" in script
+    header = out.read_text().splitlines()[0].split(",")
+    plotted = [int(k) for k in re.findall(r" using 1:(\d+) ", script[-1])]
+    # the x column is the first, and the y columns are the values: every
+    # strategy of compare, and only S or psi of the others
+    assert header[0] == xlabel
+    expected = header[1:] if argv[0] == "compare" else [ylabel]
+    assert [header[k - 1] for k in plotted] == expected

@@ -19,7 +19,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from witsenhausen.core import EmptyFeasibleSet, validate_params
-from witsenhausen.skewnormal import mmse_coord
+from witsenhausen.skewnormal import coord_min_power, mmse_coord
 from witsenhausen.strategies import (
     TwoPointPolicy,
     mmse_linear,
@@ -123,3 +123,23 @@ def test_coord_lies_below_the_envelope_at_small_noise(P, below):
     params = validate_params(1.0, 1e-3)
     S, _ = mmse_coord(P, params)
     assert (S < Envelope(params).at(P)) is below
+
+
+@pytest.mark.parametrize("n, below", [(1e-2, False), (8e-3, True)])
+def test_the_claim_turns_between_these_noise_ratios_near_the_minimum_power(n, below):
+    # Every cost scales with Q, so the claim depends on n = N/Q alone. Near
+    # coord's minimum power its gain on the envelope, 1 - S/envelope, peaks at
+    # about 1.009 x coord_min_power: -0.43% at n = 1e-2 and +0.34% at 8e-3.
+    # That peak crosses 0 at n* = 8.9e-3; at coord_min_power itself the gain
+    # is -0.51% and +0.28%.
+    params = validate_params(1.0, n)
+    env = Envelope(params)
+    pmin = coord_min_power(params)
+    gains = []
+    for f in (1.0, 1.001, 1.01, 1.05):
+        S, _ = mmse_coord(f * pmin, params)
+        gains.append(1.0 - S / env.at(f * pmin))
+    if below:
+        assert gains[0] > 0.002 and max(gains) > 0.003
+    else:
+        assert max(gains) < -0.004

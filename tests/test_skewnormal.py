@@ -1,8 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 from scipy.special import log_ndtr
@@ -464,6 +465,81 @@ def test_mmse_coord_full_power_at_the_vanishing_state_edge():
     assert rho_star > -1.0
 
 
+def test_full_power_feasible_set_is_two_intervals(params):
+    # at P = Q the interim state vanishes as rho -> -1, and the margin stays
+    # >= 0 there; it dips below 0 around 1 + rho = 1e-2 and is >= 0 again
+    # from the edge mmse_coord returns
+    def margin(rho):
+        return coord_ic_margin(CoordPolicy(params.Q, rho), params)
+
+    assert margin(-1.0 + 1e-6) >= 0.0
+    assert margin(-1.0 + 1e-2) < -0.01
+    _, rho_star = mmse_coord(params.Q, params)
+    assert ic_feasible(margin(rho_star)) and rho_star > -1.0 + 1e-2
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="at P = Q mmse_coord returns the edge of the right one of two feasible "
+    "intervals, not the minimum near rho = -1",
+)
+def test_mmse_coord_at_full_power_is_no_worse_than_a_feasible_rho_near_minus_one(params):
+    # S = 9.07e-4 at rho* = -0.98622, against 7.3e-8 at the feasible -1 + 1e-6
+    near = CoordPolicy(params.Q, -1.0 + 1e-6)
+    S, _ = mmse_coord(params.Q, params)
+    assert S <= coord_mmse_at_rho(near, params)
+
+
+@pytest.mark.parametrize("x", [1e-15, 1e-9, 3e-4, 0.1, 0.5, 0.75, 0.9, 1.0 - 1e-12])
+def test_one_bit_point_gives_the_channel_one_bit(x):
+    # rho is within a spacing of floats near 1 of -sqrt(1 - x), even where x
+    # is far below that spacing; where rho <= -0.5 it is rounded toward 0.
+    # So the capacity term is never below one bit by more than rounding.
+    n = x / 3.0
+    rho = skewnormal._one_bit_rho(1.0, n)
+    exact = -mpmath.sqrt(1 - 3 * mpmath.mpf(n))
+    assert abs(rho - exact) <= 2.3e-16
+    assert rho >= exact or rho > -0.5
+    cap = 0.5 * math.log2(1.0 + power_split(1.0, 1.0, rho)[1] / n)
+    assert cap >= 1.0 - 1e-15
+
+
+@pytest.mark.parametrize("P, n", [(1.0, 1.0 / 3.0), (0.5, 0.2), (1.0, 1e-20)])
+def test_one_bit_point_missing_without_room_or_when_it_rounds_to_minus_one(P, n):
+    # 3n >= P leaves no rho with a one-bit capacity; at 3n/P = 3e-20 the
+    # point rounds to -1, where the margin is -1
+    assert skewnormal._one_bit_rho(P, n) is None
+
+
+def test_mmse_coord_searches_where_the_one_bit_point_rounds_to_minus_one(monkeypatch):
+    searches = []
+    real = numerics.minimize_1d
+
+    def recording(*args, **kwargs):
+        searches.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(skewnormal, "minimize_1d", recording)
+    params = validate_params(1.0, 1e-200)
+    _, rho_star = mmse_coord(0.5, params)
+    assert searches == [(-1.0, 1.0)]
+    assert ic_feasible(coord_ic_margin(CoordPolicy(0.5, rho_star), params))
+
+
+@given(log_q=st.floats(-1.3, 0.3), log_ratio=st.floats(-4.0, -0.6), u=st.floats(0.0, 1.0))
+@settings(max_examples=5, deadline=None)
+def test_coord_is_feasible_at_every_power_above_three_times_the_noise(log_q, log_ratio, u):
+    # from P = 3N on, rho = -sqrt(1 - 3N/P) carries the sign bit
+    Q = 10.0**log_q
+    params = validate_params(Q, Q * 10.0**log_ratio)
+    P = min(3.0 * params.N + u * (Q - 3.0 * params.N), Q)
+    assume(P > 3.0 * params.N)
+    _, rho_star = mmse_coord(P, params)
+    assert ic_feasible(coord_ic_margin(CoordPolicy(P, rho_star), params))
+    assert coord_min_power(params) <= 3.0 * params.N
+
+
 @pytest.mark.parametrize("P", [0.03, 0.05, 0.07, 0.09])
 def test_mmse_coord_returns_the_feasibility_edge(params, P):
     _, rho_star = mmse_coord(P, params)
@@ -516,7 +592,7 @@ def test_mmse_coord_matches_the_peak_route_on_drawn_params(log_q, log_ratio, u):
 
 
 def test_mmse_coord_evaluates_each_margin_once(params, monkeypatch):
-    rhos, solver_rhos = [], set()
+    rhos, solver_rhos, searches = [], set(), []
     real_margin = skewnormal.coord_ic_margin
 
     def counted(policy, params):
@@ -527,6 +603,9 @@ def test_mmse_coord_evaluates_each_margin_once(params, monkeypatch):
         real = getattr(numerics, name)
 
         def solve(f, lo, hi, tol, **kwargs):
+            if name == "minimize_1d":
+                searches.append(lo)
+
             def g(x):
                 solver_rhos.add(x)
                 return f(x)
@@ -538,16 +617,23 @@ def test_mmse_coord_evaluates_each_margin_once(params, monkeypatch):
     monkeypatch.setattr(skewnormal, "coord_ic_margin", counted)
     monkeypatch.setattr(skewnormal, "find_root", recording("find_root"))
     monkeypatch.setattr(skewnormal, "minimize_1d", recording("minimize_1d"))
-    # P = 0.023: the search's first point is infeasible and it runs on;
-    # P = 0.05: it stops there. The peak search, with no memo, made 24 and
-    # 21 evaluations.
-    for P, budget in [(0.023, 22), (0.05, 12)]:
+    # P = 0.023 < 3N: no rho gives a one-bit capacity, so the bounded search
+    # runs; its first point is infeasible and it runs on (16 margins; with
+    # no memo it made 24). P = 0.05 > 3N: one margin at the one-bit point
+    # -sqrt(1 - 3N/P) ends the root-find's bracket, and no search runs (9
+    # margins; the search from its first point made 10, and 21 with no memo).
+    for P, budget, searched in [(0.023, 22, True), (0.05, 10, False)]:
         rhos.clear()
         solver_rhos.clear()
+        searches.clear()
         mmse_coord(P, params)
         assert len(rhos) == len(set(rhos)) <= budget
-        # every margin is one the solvers asked for, and the root-find's
-        # read of the search's last point comes from the memo
+        assert bool(searches) is searched
+        if not searched:
+            assert rhos[0] == pytest.approx(-math.sqrt(1.0 - 3.0 * params.N / P), abs=1e-15)
+        # every margin is one the solvers asked for, the one-bit point
+        # included, since it is the root-find's right end, which is read
+        # again from the memo
         assert set(rhos) == solver_rhos
 
 
