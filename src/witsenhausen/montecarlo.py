@@ -13,21 +13,23 @@ then slice order, so the pair (seed, n_samples), with the constants BATCH
 and CHUNK, gives bit-identical estimates regardless of which worker runs
 which slice.
 
-Slices run on a thread pool with one worker per CPU in the process's
-affinity set, and at most one per batch; the random draws and the
-arithmetic release the GIL. A worker draws a slice's normals under its
-batch's lock, so each batch's stream is still drawn in slice order, and
-runs the rest of the slice outside the lock. Once no batch is left to
-start, the workers share the slices of the batches still running, so no
-core idles on the last batch. No worker holds a whole array: a worker
-allocates one CHUNK-long buffer per drawn array and one scratch buffer,
-once. Each slice draws its normals into the first ones and is scaled in
-place; the simulator then computes the control u1 and the estimation error
-in place in these buffers with `out=` ufunc calls, their squares overwrite
-them, and they are reduced there to (n, mean, m2). Only those numbers reach
-the merge. Under tracemalloc a coord run of two 1e6-sample batches peaks at
-0.85 MB with one worker and 1.64 MB with two, about 6.3 CHUNK arrays per
-worker (3.2 for the linear and two-point runs).
+Slices run on one thread per CPU in the process's affinity set, and at
+most one per batch; the random draws and the arithmetic release the GIL.
+A worker claims one slice at a time, of the batch with the most slices
+still unclaimed (ties to the lowest index), so the claims go round-robin
+over every batch: the workers nearly always draw from different streams,
+and no batch is left to draw alone at the end. A worker draws the slice's
+normals under its batch's lock, so each batch's stream is still drawn in
+slice order, and runs the rest of the slice outside the lock. No worker
+holds a whole array: a worker allocates one CHUNK-long buffer per drawn
+array and one scratch buffer, once. Each slice draws its normals into the
+first ones and is scaled in place; the simulator then computes the control
+u1 and the estimation error in place in these buffers with `out=` ufunc
+calls, their squares overwrite them, and they are reduced there to
+(n, mean, m2). Only those numbers reach the merge. Under tracemalloc a
+coord run of two 1e6-sample batches peaks at 0.85 MB with one worker and
+1.64 MB with two, about 6.3 CHUNK arrays per worker (3.2 for the linear
+and two-point runs).
 """
 from __future__ import annotations
 
@@ -101,10 +103,10 @@ def _merge(parts) -> tuple[float, float]:
 
 def _moments(x: np.ndarray) -> tuple[int, float, float]:
     """(n, mean, m2) of one slice, m2 the sum of squared deviations; overwrites x."""
-    mean = float(np.mean(x))
+    mean = float(np.add.reduce(x)) / x.size
     x -= mean
     np.square(x, out=x)
-    return x.size, mean, float(np.sum(x))
+    return x.size, mean, float(np.add.reduce(x))
 
 
 def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
@@ -128,15 +130,15 @@ def _worker_count(n_batches: int) -> int:
     return min(n_batches, cpus)
 
 
-def _signs(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write np.where(x >= 0.0, 1.0, -1.0) into out, in two unmasked passes.
+def _signs(x: np.ndarray, out: np.ndarray, magnitude: float = 1.0) -> np.ndarray:
+    """Write np.where(x >= 0.0, magnitude, -magnitude) into out, in two passes.
 
-    x + 0.0 is x, except that -0.0 becomes +0.0, so its sign is that of
-    x >= 0. (A ufunc's `where=` mask runs several times slower over the
-    random sign pattern of a slice.)
+    magnitude must be nonnegative. x + 0.0 is x, except that -0.0 becomes
+    +0.0, so its sign is that of x >= 0. (A ufunc's `where=` mask runs
+    several times slower over the random sign pattern of a slice.)
     """
     np.add(x, 0.0, out=out)
-    return np.copysign(1.0, out, out=out)
+    return np.copysign(magnitude, out, out=out)
 
 
 def _require_simulable_power(power: float, Q: float, what: str) -> None:
@@ -172,11 +174,12 @@ def _run(cfg: SimConfig, scales: tuple[float, ...], step) -> EmpiricalCost:
     hold them. Their squares overwrite them and are reduced there to
     (n, mean, m2).
 
-    The slice is the unit of work of the thread pool. A worker takes a batch
-    that has not started, or once none is left the batch with the most
-    slices left, so that every worker helps with the last batch. It draws
-    each slice of that batch under the batch's lock, which keeps the stream
-    in slice order, and runs the rest of the slice outside it. Each slice's
+    The slice is the unit of work of the worker threads. A worker claims one
+    slice of the batch with the most slices still unclaimed, the lowest
+    index among equals, so every batch advances from its first slice and
+    the workers' draws rarely wait on each other's. It draws that batch's
+    next slice under the batch's lock, which keeps the stream in slice
+    order, and runs the rest of the slice outside it. Each slice's
     moments are stored under its batch and slice index and merged in batch
     order and then slice order, so the result does not depend on the worker
     count or on which worker ran which slice.
@@ -188,27 +191,25 @@ def _run(cfg: SimConfig, scales: tuple[float, ...], step) -> EmpiricalCost:
     n_slices = [-(-n // CHUNK) for n in sizes]
     drawn = [0] * n_batches  # slices drawn so far, per batch
     stats = [[None] * k for k in n_slices]
+    # the batch of each claim in turn: while `left` slices are the most any
+    # batch has unclaimed, every batch with that many, in index order
+    claims = (
+        b
+        for left in range(max(n_slices), 0, -1)
+        for b, k in enumerate(n_slices)
+        if k >= left
+    )
     pick = threading.Lock()
-    started = 0
 
-    def choose():
-        """A batch that has not started, else the one with the most slices left."""
-        nonlocal started
+    def claim():
+        """The batch of a slice claimed for the calling worker, or None once all are."""
         with pick:
-            if started < n_batches:
-                started += 1
-                return started - 1
-        # a snapshot: draw() finds out under the batch's lock if it has run out
-        left = [k - d for k, d in zip(n_slices, drawn)]
-        b = max(range(n_batches), key=left.__getitem__)
-        return b if left[b] else None
+            return next(claims, None)
 
     def draw(b: int, bufs):
-        """Draw batch b's next slice into bufs: (its index, its slices), or None."""
+        """Draw batch b's next slice into bufs: its index and its slices."""
         with locks[b]:
             i = drawn[b]
-            if i == n_slices[b]:
-                return None
             drawn[b] = i + 1
             m = min(CHUNK, sizes[b] - i * CHUNK)
             parts = [buf[:m] for buf in bufs]
@@ -218,13 +219,8 @@ def _run(cfg: SimConfig, scales: tuple[float, ...], step) -> EmpiricalCost:
 
     def work() -> None:
         bufs = [np.empty(min(sizes[0], CHUNK)) for _ in range(len(scales) + 1)]
-        b = choose()
-        while b is not None:
-            slice_ = draw(b, bufs)
-            if slice_ is None:
-                b = choose()
-                continue
-            i, parts = slice_
+        while (b := claim()) is not None:
+            i, parts = draw(b, bufs)
             for x, scale in zip(parts, scales):
                 x *= scale
             u1, err = step(*parts)
@@ -236,12 +232,21 @@ def _run(cfg: SimConfig, scales: tuple[float, ...], step) -> EmpiricalCost:
     if workers == 1:
         work()
     else:
-        # imported here, so that starting the CLI does not load it
-        from concurrent.futures import ThreadPoolExecutor
+        errors = []
 
-        with ThreadPoolExecutor(workers) as pool:
-            for future in [pool.submit(work) for _ in range(workers)]:
-                future.result()
+        def run() -> None:
+            try:
+                work()
+            except BaseException as exc:  # raised again in the calling thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run) for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        if errors:
+            raise errors[0]
     slices = [s for batch_stats in stats for s in batch_stats]
     power_mean, power_stderr = _merge(p for p, _ in slices)
     mmse_mean, mmse_stderr = _merge(s for _, s in slices)
@@ -300,8 +305,7 @@ def simulate_two_point(
     _require_simulable_power(two_point_power(a, Q), Q, f"two-point magnitude a={a}")
 
     def step(x0, z, x1):
-        _signs(x0, out=x1)
-        x1 *= a
+        _signs(x0, out=x1, magnitude=a)
         z += x1  # y
         two_point_decoder(z, a, N, out=z)
         np.subtract(x1, z, out=z)
@@ -337,7 +341,8 @@ def simulate_hybrid_conditional(
         # mirror the negative-sign half onto the positive-sign decoder
         z *= _signs(x0, out=resid)
         est = skew_cond_mean(z, T, N, out=resid)
-        est *= _signs(x0, out=z)
+        # |x1| - est is the error times the sign of x1: the same square
+        np.abs(x0, out=x0)
         np.subtract(x0, est, out=est)
         return u1, est
 

@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -69,8 +73,7 @@ def _three_simulations(params, cfg):
     "cfg",
     # (config, batch size): several batches plus a remainder; batches shorter
     # than one CHUNK, and batches of several CHUNKs with a partial last one;
-    # and the benchmark's shape in small, 5 batches of 3 slices, whose last
-    # batch the 2 workers share
+    # and the benchmark's shape in small, 5 batches of 3 slices
     [(SimConfig(50_000, seed=3), 8192),
      (SimConfig(100_003, seed=11), 65_537),
      (SimConfig(5 * 3 * montecarlo.CHUNK, seed=5), 3 * montecarlo.CHUNK)],
@@ -80,9 +83,80 @@ def test_worker_count_does_not_change_the_estimates(params, cfg, monkeypatch):
     monkeypatch.setattr(montecarlo, "BATCH", batch)
     monkeypatch.setattr(montecarlo, "_worker_count", lambda n_batches: 1)
     one = _three_simulations(params, cfg)
-    monkeypatch.setattr(montecarlo, "_worker_count", lambda n_batches: 2)
-    two = _three_simulations(params, cfg)
-    assert one == two
+    for workers in (2, 3):
+        monkeypatch.setattr(
+            montecarlo, "_worker_count", lambda n_batches: workers
+        )
+        assert _three_simulations(params, cfg) == one, workers
+
+
+def test_many_workers_on_many_batches_keep_the_estimates(params, monkeypatch):
+    # more workers than cores, switching threads every microsecond, claim
+    # and draw the 1000-sample slices of 60 batches: a slice drawn twice or
+    # left out would move an estimate or leave a slice's moments unset
+    monkeypatch.setattr(montecarlo, "BATCH", 1000)
+    cfg = SimConfig(60_000, seed=8)
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda n_batches: 1)
+    one = _three_simulations(params, cfg)
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda n_batches: 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        four = _three_simulations(params, cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert four == one
+
+
+def test_slices_are_claimed_round_robin_over_the_batches(params, monkeypatch):
+    # each claim takes the batch with the most slices unclaimed, the lowest
+    # index among equals, so every batch advances from its first slice; the
+    # one-slice remainder batch waits until the others have one slice left
+    monkeypatch.setattr(montecarlo, "BATCH", 2 * montecarlo.CHUNK)
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda n_batches: 1)
+    fills = []  # the batch of each standard_normal fill
+    batch_rng = montecarlo._batch_rng
+
+    def logged_rng(seed, b):
+        rng = batch_rng(seed, b)
+
+        def standard_normal(out):
+            fills.append(b)
+            return rng.standard_normal(out=out)
+
+        return SimpleNamespace(standard_normal=standard_normal)
+
+    monkeypatch.setattr(montecarlo, "_batch_rng", logged_rng)
+    pol = linear_policy_for_power(0.04, params)
+    simulate_linear(pol, params, SimConfig(6 * montecarlo.CHUNK + 1000, seed=2))
+    # two fills per slice, x0's and z's
+    assert fills[::2] == fills[1::2] == [0, 1, 2, 0, 1, 2, 3]
+
+
+def test_threaded_run_does_not_load_concurrent_futures():
+    # the workers are plain threads: importing concurrent.futures costs
+    # about 5 ms, which a linear or two-point run would pay for nothing
+    code = (
+        "import sys\n"
+        "from witsenhausen import montecarlo\n"
+        "from witsenhausen.core import validate_params\n"
+        "from witsenhausen.strategies import linear_policy_for_power\n"
+        "montecarlo.BATCH = 20_000\n"
+        "montecarlo._worker_count = lambda n_batches: 2\n"
+        "p = validate_params(0.1, 0.01)\n"
+        "montecarlo.simulate_linear(\n"
+        "    linear_policy_for_power(0.04, p), p, montecarlo.SimConfig(60_000)\n"
+        ")\n"
+        "print(sorted(m for m in sys.modules if m.startswith('concurrent')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_worker_failure_reaches_the_caller(monkeypatch):
