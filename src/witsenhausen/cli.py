@@ -33,27 +33,52 @@ from .core import CurvePoint, WitsenhausenError, validate_params
 __all__ = ["main"]
 
 
-@functools.cache
-def _git_describe() -> str:
+class _GitState:
     """`git describe` of the checkout that holds this package, not of the CWD.
 
     Read once per process: the code that runs was loaded once, so its state
-    is the one at the first read. A git that is missing, fails or hangs
-    past 5 s gives "unknown".
+    is the one at the first read. `start` runs git as a child process, so
+    that it works while the command does; `read` collects it. A git that is
+    missing, fails or hangs past 5 s gives "unknown".
     """
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
-        if out.returncode == 0:
-            return out.stdout.strip()
-    except (OSError, subprocess.TimeoutExpired):
-        pass
-    return "unknown"
+
+    def __init__(self) -> None:
+        self.value: str | None = None
+        self.child: subprocess.Popen | None = None
+
+    def start(self) -> None:
+        """Start git, unless it was started or read before."""
+        if self.value is not None or self.child is not None:
+            return
+        try:
+            self.child = subprocess.Popen(
+                ["git", "describe", "--always", "--dirty"],
+                cwd=os.path.dirname(os.path.abspath(__file__)),
+                stdin=subprocess.DEVNULL,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL,
+                text=True,
+            )
+        except OSError:
+            self.value = "unknown"
+
+    def read(self) -> str:
+        """The state, waiting for a started git; one that hangs is killed and reaped."""
+        self.start()
+        if self.value is None:
+            try:
+                out, _ = self.child.communicate(timeout=5)
+            except subprocess.TimeoutExpired:
+                self.child.kill()
+                self.child.communicate()
+                out = None
+            ok = out is not None and self.child.returncode == 0
+            self.value = out.strip() if ok else "unknown"
+            self.child = None
+        return self.value
+
+
+_GIT = _GitState()
 
 
 def _fmt(value) -> str:
@@ -98,7 +123,7 @@ def _manifest(args, argv: list[str], out: str) -> None:
             "coord_edge_rho_xtol": skewnormal.EDGE_RHO_TOL,
             "lin_dpc_rho_xtol": strategies.LIN_DPC_RHO_TOL,
         },
-        "git_describe": _git_describe(),
+        "git_describe": _GIT.read(),
         "package_version": __version__,
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
@@ -321,17 +346,7 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="witsenhausen",
-        description="Power vs. estimation-cost trade-off curves of the scalar "
-        "Witsenhausen problem with a causal decoder, with Monte-Carlo checks.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("curve", help="evaluate one strategy on a grid")
+def _curve_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--strategy", required=True, choices=strategies.STRATEGIES)
     p.add_argument("--p-min", type=float, default=None, dest="p_min")
     p.add_argument("--p-max", type=float, default=None, dest="p_max")
@@ -341,14 +356,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_curve)
 
-    p = sub.add_parser("compare", help="all strategies on a shared power grid")
+
+def _compare_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p-min", type=float, default=None, dest="p_min")
     p.add_argument("--p-max", type=float, default=None, dest="p_max")
     p.add_argument("--steps", type=int, default=51)
     _add_common(p)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("simulate", help="Monte-Carlo check of one closed form")
+
+def _simulate_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--strategy", required=True, choices=["linear", "two-point", "coord"])
     p.add_argument("--P", type=float, default=None, help="power target")
     p.add_argument("--a", type=float, default=None, help="two-point magnitude")
@@ -358,22 +375,55 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, output=False)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("psi", help="tabulate the entropy reduction function")
+
+def _psi_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha-min", type=float, default=-10.0, dest="alpha_min")
     p.add_argument("--alpha-max", type=float, default=10.0, dest="alpha_max")
     p.add_argument("--steps", type=int, default=401)
     _add_common(p, variances=False)
     p.set_defaults(func=cmd_psi)
 
+
+# subcommand: (help, the function that adds its options)
+_COMMANDS = {
+    "curve": ("evaluate one strategy on a grid", _curve_options),
+    "compare": ("all strategies on a shared power grid", _compare_options),
+    "simulate": ("Monte-Carlo check of one closed form", _simulate_options),
+    "psi": ("tabulate the entropy reduction function", _psi_options),
+}
+
+
+@functools.cache
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The CLI's parser for running `command`, built once per command per process.
+
+    Every subcommand is registered with its help, so -h and a missing or
+    unknown subcommand read as they would with every option built; only
+    `command` gets its options (none for None). Parsing leaves it unchanged.
+    """
+    parser = argparse.ArgumentParser(
+        prog="witsenhausen",
+        description="Power vs. estimation-cost trade-off curves of the scalar "
+        "Witsenhausen problem with a causal decoder, with Monte-Carlo checks.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == command:
+            options(p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_values(argv))
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(_attach_negative_values(argv))
     args.started = time.perf_counter()
     try:
+        # every command with an output writes its manifest, which reads the
+        # git state: git runs while the command does
+        if "out" in vars(args):
+            _GIT.start()
         return args.func(args, argv)
     except ValueError as exc:
         print(f"invalid arguments for {args.command}: {exc}", file=sys.stderr)
@@ -384,6 +434,11 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 3
+    finally:
+        # no git outlives main: a command that failed before its manifest
+        # leaves it unread
+        if _GIT.child is not None:
+            _GIT.read()
 
 
 if __name__ == "__main__":

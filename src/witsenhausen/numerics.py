@@ -267,12 +267,11 @@ def integral_real_line(f: Callable[[np.ndarray], np.ndarray]) -> float:
 def mills_ratio(x, out=None):
     """Gaussian hazard-type ratio phi(x) / Phi(x), stable over the whole line.
 
-    With E = erfcx(|x|/sqrt(2)) and g = exp(-x^2/2), Phi(x) = g E / 2 for
-    x < 0 and 1 - g E / 2 for x >= 0, so the ratio is sqrt(2/pi) / E for
-    x < 0, within 1e-15 relative out to x = -1e8, and
-    g / (sqrt(2 pi) (1 - g E / 2)) for x >= 0, within (x^2 + 8) 2^-51 up to
-    x = 37; from about 37.5 on the value is subnormal and loses relative
-    precision, and it underflows to 0.0 near x = 38.6. Accepts scalars or
+    Phi(x) = exp(-x^2/2) erfcx(-x/sqrt(2)) / 2 for every x, so the ratio is
+    sqrt(2/pi) / erfcx(-x/sqrt(2)): one erfcx and one division. It is within
+    1e-15 relative out to x = -1e8. For x >= 0 erfcx rounds x^2/2 inside its
+    exp, which puts the error within (x^2 + 8) 2^-51 up to x = 37; the value
+    is 0.0 from x = 37.7 on, where 2 exp(x^2/2) overflows. Accepts scalars or
     arrays. `out`, an array of the shape of x, receives the ratios (NumPy's
     out convention; it may be x itself).
     """
@@ -280,26 +279,14 @@ def mills_ratio(x, out=None):
     from scipy.special import erfcx
 
     arr = np.atleast_1d(np.asarray(x, dtype=float))
-    # everything read from arr is read before out is written, so out may be
-    # arr; a call holds two arrays of its size besides arr and out: the
-    # simulator's decoder calls this on every slice
-    neg = arr < 0.0
-    e = np.abs(arr)
-    e /= _SQRT2
+    # built in out (a new array when None) with no temporary: the simulator's
+    # decoder calls this on every slice
+    e = np.divide(arr, -_SQRT2, out=out)
     erfcx(e, out=e)
-    den = np.multiply(arr, -0.5)
-    with np.errstate(over="ignore"):
-        den *= arr
-    g = np.exp(den, out=out)
-    np.multiply(g, e, out=den)
-    den *= -0.5
-    den += 1.0
-    g *= _INV_SQRT_2PI
-    g /= den
-    np.divide(_SQRT_2_OVER_PI, e, out=g, where=neg)
+    np.divide(_SQRT_2_OVER_PI, e, out=e)
     if np.ndim(x) == 0:
-        return float(g[0])
-    return g
+        return float(e[0])
+    return e
 
 
 # Brent's root-finder and bounded minimizer (R. P. Brent, Algorithms for

@@ -317,9 +317,9 @@ def skew_cond_mean(y1, T: float, N: float, out=None):
     y1 = np.asarray(y1, dtype=float)
     if out is not None and np.may_share_memory(out, y1):
         y1 = y1.copy()  # y1 is read again after out is written
-    # mu/sigma is built in out, and mu again at the end, so that the
-    # simulator's decoder holds no more than out and mills_ratio's two
-    # temporaries beside y1
+    # mu/sigma is built in out, and mu again at the end, and mills_ratio
+    # works in place, so the simulator's decoder holds no more than out and
+    # the last step's y1 * gain beside y1
     val = np.multiply(y1, gain, out=out)
     val /= sig
     mills_ratio(val, out=val)
@@ -334,9 +334,10 @@ def coord_mmse_at_rho(policy: CoordPolicy, params: ProblemParams) -> float:
     Closed-form single integral
     (TN/(T+N)) (1 - (1/pi) sqrt(N/(2T+N)) * int phi(w)/Phi(kappa w) dw),
     kappa = sqrt(T/(2T+N)); the ratio in the integrand is rewritten as
-    mills(kappa w) exp(-w^2 (1-kappa^2)/2), total on the whole line. Since
-    kappa^2 <= 1/2, the integrand decays at least like exp(-w^2/4).
-    Evaluated in units of Q and scaled back; raises ValueError if P > Q.
+    mills(kappa w) exp(-w^2 (1-kappa^2)/2), total on the whole line. With
+    w = s v, s = sqrt(0.5/(1-kappa^2)) <= 1 (kappa^2 <= 1/2), the Gaussian
+    factor is exp(-v^2/4) at every kappa, so the quadrature sees one decay
+    scale. Evaluated in units of Q and scaled back; raises ValueError if P > Q.
     """
     t, n = power_split(policy.unit_power(params), 1.0, policy.rho)[2], params.n
     if t == 0.0:
@@ -344,13 +345,14 @@ def coord_mmse_at_rho(policy: CoordPolicy, params: ProblemParams) -> float:
     # n times a ratio <= 1: the product t n goes subnormal at tiny n
     sig2 = n * (t / (t + n))
     kap2 = t / (2.0 * t + n)
-    kap = math.sqrt(kap2)
+    s = math.sqrt(0.5 / (1.0 - kap2))
+    ks = math.sqrt(kap2) * s
 
-    def f(w):
-        w = np.asarray(w, dtype=float)
-        return mills_ratio(kap * w) * np.exp(-0.5 * w * w * (1.0 - kap2))
+    def f(v):
+        v = np.asarray(v, dtype=float)
+        return mills_ratio(ks * v) * np.exp(-0.25 * v * v)
 
-    g = integral_real_line(f)
+    g = s * integral_real_line(f)
     return params.Q * (sig2 * (1.0 - (1.0 / math.pi) * math.sqrt(n / (2.0 * t + n)) * g))
 
 

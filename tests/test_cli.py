@@ -6,6 +6,7 @@ import os
 import platform
 import re
 import shutil
+import signal
 import subprocess
 import sys
 
@@ -138,6 +139,10 @@ def test_manifest_records_the_package_git_state(tmp_path, monkeypatch):
     _git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q",
          "--allow-empty", "-m", "x", cwd=other)
     monkeypatch.chdir(other)
+    # a process that has not read the git state yet, so that this run reads it
+    from witsenhausen import cli
+
+    monkeypatch.setattr(cli, "_GIT", cli._GitState())
     assert run(["curve", "--strategy", "linear", "--steps", "3", "--out", "lin.csv"]) == 0
     recorded = json.loads((other / "lin.csv.manifest").read_text())["git_describe"]
     package = _git("describe", "--always", "--dirty",
@@ -146,18 +151,25 @@ def test_manifest_records_the_package_git_state(tmp_path, monkeypatch):
     assert recorded != _git("describe", "--always", cwd=other).stdout.strip()
 
 
+def _recording_popen(monkeypatch, started):
+    """Make subprocess.Popen record every child it starts in `started`."""
+    real = subprocess.Popen
+
+    def recording(args, **kwargs):
+        child = real(args, **kwargs)
+        started.append((args[0], child))
+        return child
+
+    monkeypatch.setattr(subprocess, "Popen", recording)
+
+
 def test_git_state_is_read_once_per_process(tmp_path, monkeypatch):
     from witsenhausen import cli
 
     started = []
-    real = subprocess.run
-
-    def recording(args, **kwargs):
-        started.append(args[0])
-        return real(args, **kwargs)
-
-    monkeypatch.setattr(subprocess, "run", recording)
-    cli._git_describe.cache_clear()
+    _recording_popen(monkeypatch, started)
+    # a process that has not read the git state yet
+    monkeypatch.setattr(cli, "_GIT", cli._GitState())
     for name in ("a", "b"):
         out = tmp_path / f"{name}.csv"
         assert run(["curve", "--strategy", "linear", "--steps", "3", "--out", str(out)]) == 0
@@ -165,28 +177,85 @@ def test_git_state_is_read_once_per_process(tmp_path, monkeypatch):
         json.loads((tmp_path / f"{name}.csv.manifest").read_text())["git_describe"]
         for name in ("a", "b")
     ]
-    assert started == ["git"]
+    assert [name for name, _ in started] == ["git"]
     assert recorded[0] == recorded[1]
 
 
 def test_git_that_hangs_records_unknown_and_the_run_succeeds(tmp_path, monkeypatch):
     from witsenhausen import cli
 
-    def hanging(args, **kwargs):
-        raise subprocess.TimeoutExpired(args, kwargs.get("timeout"))
+    started = []
 
-    monkeypatch.setattr(subprocess, "run", hanging)
-    # the git state is cached per process: drop it on both sides, so that
-    # neither this test nor a later one reads the other's
-    cli._git_describe.cache_clear()
-    try:
-        out = tmp_path / "lin.csv"
-        assert run(["curve", "--strategy", "linear", "--steps", "3", "--out", str(out)]) == 0
-        manifest = json.loads((tmp_path / "lin.csv.manifest").read_text())
-    finally:
-        cli._git_describe.cache_clear()
+    class Hanging(subprocess.Popen):
+        """A child that outlasts any wait, waited for 0.2 s instead of 5 s."""
+
+        def __init__(self, args, **kwargs):
+            super().__init__([sys.executable, "-c", "import time; time.sleep(60)"], **kwargs)
+            started.append(self)
+
+        def communicate(self, input=None, timeout=None):
+            return super().communicate(input, None if timeout is None else 0.2)
+
+    monkeypatch.setattr(subprocess, "Popen", Hanging)
+    monkeypatch.setattr(cli, "_GIT", cli._GitState())
+    out = tmp_path / "lin.csv"
+    assert run(["curve", "--strategy", "linear", "--steps", "3", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "lin.csv.manifest").read_text())
     assert manifest["git_describe"] == "unknown"
     assert out.exists()
+    # killed, then reaped
+    assert len(started) == 1 and started[0].returncode == -signal.SIGKILL
+
+
+def test_a_git_that_cannot_start_records_unknown(tmp_path, monkeypatch):
+    from witsenhausen import cli
+
+    def missing(args, **kwargs):
+        raise FileNotFoundError(2, "No such file or directory", args[0])
+
+    monkeypatch.setattr(subprocess, "Popen", missing)
+    monkeypatch.setattr(cli, "_GIT", cli._GitState())
+    out = tmp_path / "lin.csv"
+    assert run(["curve", "--strategy", "linear", "--steps", "3", "--out", str(out)]) == 0
+    assert json.loads((tmp_path / "lin.csv.manifest").read_text())["git_describe"] == "unknown"
+
+
+@pytest.mark.parametrize("outcome", ["0", "2", "3", "raises"])
+def test_no_git_child_outlives_main(tmp_path, monkeypatch, outcome):
+    from witsenhausen import cli
+
+    started = []
+    _recording_popen(monkeypatch, started)
+    monkeypatch.setattr(cli, "_GIT", cli._GitState())
+    argv = ["compare", "--steps", "3", "--out", str(tmp_path / "c.csv")]
+    if outcome == "2":
+        argv += ["--Q", "0"]
+    elif outcome != "0":
+        exc = NonConvergence if outcome == "3" else RuntimeError
+
+        def fail(*args):
+            raise exc("raised on purpose")
+
+        monkeypatch.setattr(strategies, "curve", fail)
+    if outcome == "raises":
+        with pytest.raises(RuntimeError, match="raised on purpose"):
+            main(argv)
+    else:
+        assert run(argv) == int(outcome)
+    assert [name for name, _ in started] == ["git"]
+    assert started[0][1].returncode is not None
+    assert cli._GIT.child is None
+
+
+def test_simulate_starts_no_git(monkeypatch, capsys):
+    from witsenhausen import cli
+
+    started = []
+    _recording_popen(monkeypatch, started)
+    monkeypatch.setattr(cli, "_GIT", cli._GitState())
+    assert run(["simulate", "--strategy", "linear", "--P", "0.05", "--n", "20000"]) == 0
+    assert started == []
+    assert capsys.readouterr().out.endswith("PASS\n")
 
 
 def test_manifest_records_the_optimizer_tolerances(tmp_path, monkeypatch):
@@ -813,6 +882,41 @@ def test_bad_flags_exit_2(tmp_path):
                 "--out", str(tmp_path / "x.csv")]) == 2
     assert run(["psi", "--alpha-min", "3", "--alpha-max", "-3",
                 "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_top_level_help_lists_the_four_subcommands(capsys):
+    assert run(["-h"]) == 0
+    out = capsys.readouterr().out
+    assert "{curve,compare,simulate,psi}" in out
+    for name, help_text in [
+        ("curve", "evaluate one strategy on a grid"),
+        ("compare", "all strategies on a shared power grid"),
+        ("simulate", "Monte-Carlo check of one closed form"),
+        ("psi", "tabulate the entropy reduction function"),
+    ]:
+        assert re.search(rf"^ +{name} +{help_text}$", out, re.MULTILINE), name
+
+
+def test_subcommand_help_lists_its_options(capsys):
+    assert run(["compare", "-h"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: witsenhausen compare ")
+    for option in ("--p-min", "--p-max", "--steps", "--Q", "--N", "--out", "--gnuplot"):
+        assert option in out
+    assert "--strategy" not in out
+
+
+@pytest.mark.parametrize("argv", [["nosuch"], [], ["--Q", "1", "compare"]])
+def test_an_unknown_or_missing_subcommand_exits_2(argv, capsys):
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("usage: witsenhausen [-h] {curve,compare,simulate,psi}")
+
+
+def test_the_parser_is_built_once_per_command():
+    from witsenhausen.cli import build_parser
+
+    assert build_parser("compare") is build_parser("compare")
+    assert build_parser("compare") is not build_parser("curve")
 
 
 @pytest.mark.parametrize(

@@ -75,8 +75,8 @@ def mills_mpmath(x: float) -> float:
         return float(mpmath.npdf(x) / mpmath.ncdf(x))
 
 
-# either side of x = -38; the body grid stops at x = 37, as from about 37.5 on
-# the value is subnormal
+# either side of x = -38; the body grid stops at x = 37, as from 37.7 on
+# 2 exp(x^2/2) overflows and the value is 0.0
 _MILLS_LEFT_TAIL = (-np.geomspace(38.0 + 1e-9, 1e8, 40)).tolist()
 _MILLS_BODY = sorted(
     (-np.geomspace(1e-6, 38.0, 30)).tolist() + np.linspace(-38.0, 37.0, 301).tolist()
@@ -94,8 +94,8 @@ def test_mills_matches_mpmath_in_the_left_tail():
 
 
 def test_mills_matches_mpmath_on_the_log_space_range():
-    # for x < 0 the erfcx form as in the tail; for x >= 0, exp(-x^2/2) carries
-    # the rounding of x^2, about x^2 2^-53 relative
+    # for x < 0 as in the tail; for x >= 0, the exp inside erfcx carries the
+    # rounding of x^2/2, about x^2 2^-53 relative
     values = mills_ratio(np.array(_MILLS_BODY))
     for x, value in zip(_MILLS_BODY, values):
         oracle = mills_mpmath(x)
