@@ -33,7 +33,6 @@ from .skewnormal import (
     entropy_reduction,
     ic_feasible,
     mmse_coord,
-    skew_cond_mean,
 )
 from .strategies import (
     STRATEGIES,
@@ -49,7 +48,6 @@ from .strategies import (
     timeshare_interval,
     two_point_cost_grid,
     two_point_costs,
-    two_point_decoder,
 )
 
 __version__ = "0.1.0"

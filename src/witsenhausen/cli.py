@@ -143,13 +143,16 @@ def _gnuplot_script(out: str, header: list[str], ys: int, ylabel: str | None = N
 
     The axes are labelled from the CSV header: x by its first column, y by
     its second unless `ylabel` names the quantity that the columns share.
+    The CSV path is quoted with each ' doubled, gnuplot's escape inside
+    single quotes.
     """
+    path = out.replace("'", "''")
     lines = [
         "set datafile separator ','",
         "set key autotitle columnhead",
         f"set xlabel '{header[0]}'",
         f"set ylabel '{ylabel or header[1]}'",
-        "plot " + ", ".join(f"'{out}' using 1:{i + 2} with lines" for i in range(ys)),
+        "plot " + ", ".join(f"'{path}' using 1:{i + 2} with lines" for i in range(ys)),
     ]
     with open(out + ".gnuplot", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

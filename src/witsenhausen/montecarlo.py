@@ -2,19 +2,22 @@
 
 Draws the state and channel noise, applies a scalar control policy together
 with its closed-form optimal decoder, and estimates (power, estimation cost)
-empirically. Each simulator takes a policy (`LinearPolicy`, `TwoPointPolicy`
-or `CoordPolicy`), which holds only what the encoder chooses, with the
-problem's `ProblemParams` and a `SimConfig`. Everything is seeded and
-batched: the samples are split into
-batches of the fixed size BATCH (the last one shorter), batch b draws from
-the PCG64DXSM stream jumped b times from the seed, slice by slice in
-CHUNK-long slices, and the slices' moments are merged in batch order and
-then slice order, so the pair (seed, n_samples), with the constants BATCH
-and CHUNK, gives bit-identical estimates regardless of which worker runs
-which slice.
+empirically. The two nonlinear decoders, two-point's a tanh(a y / N) and
+coord's skew-normal conditional mean, are this module's slice steps: they
+take and write CHUNK-long arrays in place, and nothing else runs them. The
+closed-form modules never import this one. Each simulator takes a policy
+(`LinearPolicy`, `TwoPointPolicy` or `CoordPolicy`), which holds only what
+the encoder chooses, with the problem's `ProblemParams` and a `SimConfig`.
+Everything is seeded and batched: the samples are split into batches of the
+fixed size BATCH (the last one shorter), batch b draws from the PCG64DXSM
+stream jumped b times from the seed, slice by slice in CHUNK-long slices,
+and the slices' moments are merged in batch order and then slice order, so
+the pair (seed, n_samples), with the constants BATCH and CHUNK, gives
+bit-identical estimates regardless of which worker runs which slice.
 
 Slices run on one thread per CPU in the process's affinity set, and at
-most one per batch; the random draws and the arithmetic release the GIL.
+most one per batch, so a single batch runs on one worker thread; the
+random draws and the arithmetic release the GIL.
 A worker claims one slice at a time, of the batch with the most slices
 still unclaimed (ties to the lowest index), so the claims go round-robin
 over every batch: the workers nearly always draw from different streams,
@@ -42,8 +45,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EmpiricalCost, ProblemParams, power_split, require_finite
-from .skewnormal import CoordPolicy, skew_cond_mean
-from .strategies import LinearPolicy, TwoPointPolicy, two_point_decoder, two_point_power
+from .numerics import mills_ratio
+from .skewnormal import CoordPolicy
+from .strategies import LinearPolicy, TwoPointPolicy, two_point_power
 
 __all__ = [
     "SimConfig",
@@ -182,7 +186,9 @@ def _run(cfg: SimConfig, scales: tuple[float, ...], step) -> EmpiricalCost:
     order, and runs the rest of the slice outside it. Each slice's
     moments are stored under its batch and slice index and merged in batch
     order and then slice order, so the result does not depend on the worker
-    count or on which worker ran which slice.
+    count or on which worker ran which slice. Every run starts
+    `_worker_count(n_batches)` threads, one for a single batch, joins them
+    and raises the first exception a worker raised again in the caller.
     """
     sizes = _batch_sizes(cfg)
     n_batches = len(sizes)
@@ -228,25 +234,21 @@ def _run(cfg: SimConfig, scales: tuple[float, ...], step) -> EmpiricalCost:
             np.square(err, out=err)
             stats[b][i] = (_moments(u1), _moments(err))
 
-    workers = _worker_count(n_batches)
-    if workers == 1:
-        work()
-    else:
-        errors = []
+    errors = []
 
-        def run() -> None:
-            try:
-                work()
-            except BaseException as exc:  # raised again in the calling thread
-                errors.append(exc)
+    def run() -> None:
+        try:
+            work()
+        except BaseException as exc:  # raised again in the calling thread
+            errors.append(exc)
 
-        threads = [threading.Thread(target=run) for _ in range(workers)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
+    threads = [threading.Thread(target=run) for _ in range(_worker_count(n_batches))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
     slices = [s for batch_stats in stats for s in batch_stats]
     power_mean, power_stderr = _merge(p for p, _ in slices)
     mmse_mean, mmse_stderr = _merge(s for _, s in slices)
@@ -292,6 +294,14 @@ def simulate_linear(
     return _run(cfg, (math.sqrt(Q), math.sqrt(N)), step)
 
 
+def _two_point_decoder(y: np.ndarray, a: float, N: float) -> None:
+    """Overwrite the outputs y with the two-point scheme's estimates a tanh(a y / N)."""
+    np.multiply(a, y, out=y)
+    y /= N
+    np.tanh(y, out=y)
+    y *= a
+
+
 def simulate_two_point(
     policy: TwoPointPolicy, params: ProblemParams, cfg: SimConfig
 ) -> EmpiricalCost:
@@ -307,12 +317,33 @@ def simulate_two_point(
     def step(x0, z, x1):
         _signs(x0, out=x1, magnitude=a)
         z += x1  # y
-        two_point_decoder(z, a, N, out=z)
+        _two_point_decoder(z, a, N)
         np.subtract(x1, z, out=z)
         np.subtract(x1, x0, out=x0)  # u1
         return x0, z
 
     return _run(cfg, (math.sqrt(Q), math.sqrt(N)), step)
+
+
+def _skew_cond_mean(y1: np.ndarray, T: float, N: float, out: np.ndarray) -> None:
+    """Write into out the interim state's conditional mean given y1 and a positive sign.
+
+    mu + sigma m(mu/sigma) with mu = y1 T/(T+N) and sigma^2 = TN/(T+N): the
+    mean of the conditional Gaussian truncated to the positive half-line.
+    out must not share memory with y1, which is read again at the end.
+    """
+    gain = T / (T + N)
+    # N times a ratio <= 1, as in coord_mmse_at_rho: the product T N
+    # overflows where every square of a simulation still fits
+    sig = math.sqrt(N * gain)
+    # mu/sigma is built in out, and mu again at the end, and mills_ratio
+    # works in place, so the decoder holds no more than out and the last
+    # step's y1 * gain beside y1
+    np.multiply(y1, gain, out=out)
+    out /= sig
+    mills_ratio(out, out=out)
+    out *= sig
+    out += y1 * gain
 
 
 def simulate_hybrid_conditional(
@@ -340,10 +371,11 @@ def simulate_hybrid_conditional(
         z += x0  # y
         # mirror the negative-sign half onto the positive-sign decoder
         z *= _signs(x0, out=resid)
-        est = skew_cond_mean(z, T, N, out=resid)
-        # |x1| - est is the error times the sign of x1: the same square
+        _skew_cond_mean(z, T, N, out=resid)
+        # |x1| minus the estimate is the error times the sign of x1: the
+        # same square
         np.abs(x0, out=x0)
-        np.subtract(x0, est, out=est)
-        return u1, est
+        np.subtract(x0, resid, out=resid)
+        return u1, resid
 
     return _run(cfg, (math.sqrt(Q), math.sqrt(p_res), math.sqrt(N)), step)

@@ -4,8 +4,9 @@ When the decoder additionally learns the sign of the interim state, the
 conditional laws become skew normal. This module provides the entropy
 reduction function Psi (the entropy deficit of a skew normal relative to its
 Gaussian envelope), the information-constraint margin and its feasibility
-test, the skew-normal conditional mean the simulator decodes with, and the
-conditional MMSE of the scheme, optimized over the input correlation. An
+test, and the conditional MMSE of the scheme, optimized over the input
+correlation. The skew-normal conditional mean that decodes the scheme is
+run only by the simulator and lives there (`montecarlo`). An
 operating point is a `CoordPolicy` (P, rho) taken with the problem's
 `ProblemParams`; the closed forms work in units of Q. The
 sign-conditioned entropies, the conditional variance and the covariances
@@ -48,7 +49,6 @@ __all__ = [
     "entropy_reduction",
     "ic_feasible",
     "coord_ic_margin",
-    "skew_cond_mean",
     "coord_mmse_at_rho",
     "mmse_coord",
     "coord_min_power",
@@ -295,37 +295,6 @@ def coord_ic_margin(policy: CoordPolicy, params: ProblemParams) -> float:
         return -1.0
     cap = 0.5 * math.log2(1.0 + p_res / n)
     return cap - entropy_reduction(math.sqrt(t / n)) + entropy_reduction(d2) - 1.0
-
-
-def skew_cond_mean(y1, T: float, N: float, out=None):
-    """Conditional mean of the interim state given output y1 and a positive sign.
-
-    mu + sigma m(mu/sigma) with mu = y1 T/(T+N) and sigma^2 = TN/(T+N): the
-    mean of the conditional Gaussian truncated to the positive half-line.
-    Accepts a scalar or an array of outputs y1; `out`, an array of the shape
-    of y1, receives the means (NumPy's out convention; it may be y1 itself).
-    Raises ValueError unless T and N are positive and finite.
-    """
-    if not (0.0 < T < math.inf and 0.0 < N < math.inf):
-        raise ValueError(f"T and N must be positive and finite, got T={T}, N={N}")
-    gain = T / (T + N)
-    # N times a ratio <= 1, as in coord_mmse_at_rho: the product T N
-    # overflows where every square of a simulation still fits
-    sig = math.sqrt(N * gain)
-    if np.ndim(y1) == 0:
-        return float(skew_cond_mean(np.array([y1], dtype=float), T, N)[0])
-    y1 = np.asarray(y1, dtype=float)
-    if out is not None and np.may_share_memory(out, y1):
-        y1 = y1.copy()  # y1 is read again after out is written
-    # mu/sigma is built in out, and mu again at the end, and mills_ratio
-    # works in place, so the simulator's decoder holds no more than out and
-    # the last step's y1 * gain beside y1
-    val = np.multiply(y1, gain, out=out)
-    val /= sig
-    mills_ratio(val, out=val)
-    val *= sig
-    val += y1 * gain
-    return val
 
 
 def coord_mmse_at_rho(policy: CoordPolicy, params: ProblemParams) -> float:

@@ -11,9 +11,10 @@ Six families are exposed through a common sweep interface:
 * ``coord``     - hybrid sign-coordination scheme (delegates to skewnormal)
 
 The gaussian family's time-sharing interval and optimal correlations live
-here, with the curve that writes them. The Gaussian-vector entropies and
-the dirty-paper critical power, which only check these closed forms, are
-test oracles (tests/gaussian_oracles.py).
+here, with the curve that writes them. The two-point tanh decoder is run
+only by the simulator and lives there (`montecarlo`). The Gaussian-vector
+entropies and the dirty-paper critical power, which only check these closed
+forms, are test oracles (tests/gaussian_oracles.py).
 """
 from __future__ import annotations
 
@@ -51,7 +52,6 @@ __all__ = [
     "two_point_power",
     "two_point_costs",
     "two_point_cost_grid",
-    "two_point_decoder",
     "two_point_min_power",
     "two_point_gain_for_power",
     "dpc_alpha",
@@ -242,24 +242,6 @@ def two_point_cost_grid(a, params: ProblemParams) -> tuple[np.ndarray, np.ndarra
     u = a[pos] / math.sqrt(params.Q)
     cost[pos] = params.Q * (_two_point_prefactor(u, kappa) * integral)
     return power, cost
-
-
-def two_point_decoder(y, a: float, N: float, out=None):
-    """Conditional-mean decoder of the two-point scheme: a tanh(a y / N).
-
-    Accepts a scalar or an array of outputs y; `out`, an array of the shape
-    of y, receives the estimates (NumPy's out convention; it may be y itself).
-    Raises ValueError unless a is finite and N positive and finite.
-    """
-    if not (math.isfinite(a) and 0.0 < N < math.inf):
-        raise ValueError(f"a must be finite and N positive and finite, got a={a}, N={N}")
-    if np.ndim(y) == 0:
-        return float(two_point_decoder(np.array([y], dtype=float), a, N)[0])
-    est = np.multiply(a, y, out=out)
-    est /= N
-    np.tanh(est, out=est)
-    est *= a
-    return est
 
 
 def two_point_gain_for_power(P: float, params: ProblemParams) -> float | None:

@@ -967,6 +967,17 @@ def test_gnuplot_companion(tmp_path):
     assert (tmp_path / "lin.csv.gnuplot").exists()
 
 
+@pytest.mark.parametrize("name", ["it's.csv", "''a'b''.csv"])
+def test_gnuplot_companion_quotes_a_path_with_a_quote(tmp_path, name):
+    # gnuplot reads '' inside single quotes as one '
+    out = tmp_path / name
+    assert run(["compare", "--steps", "3", "--out", str(out), "--gnuplot"]) == 0
+    plot = (tmp_path / (name + ".gnuplot")).read_text().splitlines()[-1]
+    paths = re.findall(r"'((?:[^']|'')*)' using ", plot)
+    columns = len(out.read_text().splitlines()[0].split(",")) - 1
+    assert [p.replace("''", "'") for p in paths] == [str(out)] * columns
+
+
 @pytest.mark.parametrize(
     "argv, xlabel, ylabel",
     [

@@ -23,7 +23,8 @@ def test_validate_params_unit():
 
 @pytest.mark.parametrize(
     "Q,N",
-    [(0.0, 0.01), (0.1, 0.0), (-1.0, 1.0), (1.0, -0.1), (math.inf, 0.01), (0.1, math.inf)],
+    [(0.0, 0.01), (0.1, 0.0), (-1.0, 1.0), (1.0, -0.1), (math.inf, 0.01), (0.1, math.inf),
+     (math.nan, 0.01), (0.1, math.nan)],
 )
 def test_validate_params_rejects_nonpositive(Q, N):
     with pytest.raises(ValueError, match="positive and finite"):

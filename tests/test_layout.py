@@ -170,3 +170,33 @@ def test_no_module_imports_scipy_when_it_is_loaded():
         )
     ]
     assert not loaders, "modules that import SciPy at module level: " + ", ".join(loaders)
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """Modules of the package that any import statement of a module names.
+
+    `from . import x` and `from witsenhausen import x` name the module
+    `witsenhausen.x` as well as the package.
+    """
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "witsenhausen" if node.level else ""
+            base = ".".join(p for p in (base, node.module) if p)
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_only_the_cli_and_the_package_import_the_simulator():
+    # the closed forms never depend on the simulator, the one module that
+    # needs NumPy once the closed-form commands run without it
+    importers = {
+        path.stem
+        for path in PACKAGE.glob("*.py")
+        if "witsenhausen.montecarlo"
+        in _package_imports(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert importers <= {"__init__", "cli"}, sorted(importers)

@@ -17,15 +17,12 @@ from witsenhausen.montecarlo import (
     SimConfig,
     _merge,
     _moments,
+    _skew_cond_mean,
     simulate_hybrid_conditional,
     simulate_linear,
     simulate_two_point,
 )
-from witsenhausen.skewnormal import (
-    CoordPolicy,
-    coord_mmse_at_rho,
-    skew_cond_mean,
-)
+from witsenhausen.skewnormal import CoordPolicy, coord_mmse_at_rho
 from witsenhausen.strategies import (
     LinearPolicy,
     TwoPointPolicy,
@@ -159,11 +156,12 @@ def test_threaded_run_does_not_load_concurrent_futures():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
-def test_worker_failure_reaches_the_caller(monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_worker_failure_reaches_the_caller(workers, monkeypatch):
     # batches of 40 000, 40 000 and 20 003 samples: only the last slice of
     # the last batch holds 20 003 - CHUNK samples
     monkeypatch.setattr(montecarlo, "BATCH", 40_000)
-    monkeypatch.setattr(montecarlo, "_worker_count", lambda n_batches: 2)
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda n_batches: workers)
 
     def step(x0, z, tmp):
         if x0.size == 20_003 - montecarlo.CHUNK:
@@ -388,7 +386,9 @@ class TestHybrid:
     def test_decoder_at_zero_output(self, params):
         T, N = power_split(0.03, params.Q, -0.3)[2], params.N
         expected = math.sqrt(T * N / (T + N)) * math.sqrt(2 / math.pi)
-        assert skew_cond_mean(0.0, T, N) == pytest.approx(expected, rel=1e-12)
+        out = np.empty(1)
+        _skew_cond_mean(np.zeros(1), T, N, out=out)
+        assert out[0] == pytest.approx(expected, rel=1e-12)
 
     def test_sign_halves_agree(self, params):
         # independent re-draw; the two sign-conditioned halves are mirror images
@@ -398,8 +398,11 @@ class TestHybrid:
         x1 = rng.normal(scale=math.sqrt(T), size=n)
         y = x1 + rng.normal(scale=math.sqrt(N), size=n)
         pos = x1 >= 0.0
-        err_pos = (x1[pos] - skew_cond_mean(y[pos], T, N)) ** 2
-        err_neg = (x1[~pos] + skew_cond_mean(-y[~pos], T, N)) ** 2
+        est_pos, est_neg = np.empty(int(pos.sum())), np.empty(int((~pos).sum()))
+        _skew_cond_mean(y[pos], T, N, out=est_pos)
+        _skew_cond_mean(-y[~pos], T, N, out=est_neg)
+        err_pos = (x1[pos] - est_pos) ** 2
+        err_neg = (x1[~pos] + est_neg) ** 2
         m1, m2 = float(np.mean(err_pos)), float(np.mean(err_neg))
         s1 = float(np.std(err_pos, ddof=1)) / math.sqrt(err_pos.size)
         s2 = float(np.std(err_neg, ddof=1)) / math.sqrt(err_neg.size)

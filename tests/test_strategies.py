@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from witsenhausen import numerics, strategies
+from witsenhausen.montecarlo import _two_point_decoder
 from witsenhausen.core import EmptyFeasibleSet, validate_params
 from scipy.integrate import trapezoid
 
@@ -26,7 +27,6 @@ from witsenhausen.strategies import (
     timeshare_interval,
     two_point_cost_grid,
     two_point_costs,
-    two_point_decoder,
     two_point_gain_for_power,
     two_point_min_power,
 )
@@ -212,22 +212,19 @@ def test_two_point_curve_equals_the_scalar_costs(params):
 
 
 def test_two_point_decoder_properties():
-    assert two_point_decoder(0.0, 0.3, 0.01) == 0.0
+    # the simulator's slice step, in place in the outputs
     ys = np.linspace(-0.5, 0.5, 11)
-    assert two_point_decoder(ys, 0.3, 0.01) == pytest.approx(
+    est = ys.copy()
+    _two_point_decoder(est, 0.3, 0.01)
+    assert est == pytest.approx(
         [0.3 * math.tanh(0.3 * y / 0.01) for y in ys], rel=1e-15
     )
-    assert two_point_decoder(1e9, 0.3, 0.01) == pytest.approx(0.3, rel=1e-12)
-    for y in (-0.5, -0.01, 0.2):
-        assert two_point_decoder(-y, 0.3, 0.01) == -two_point_decoder(y, 0.3, 0.01)
-    with pytest.raises(ValueError):
-        two_point_decoder(0.1, 0.3, 0.0)
-    # an out buffer, or the outputs themselves, receive the same estimates
-    fresh = two_point_decoder(ys, 0.3, 0.01)
-    out = np.empty_like(ys)
-    assert two_point_decoder(ys, 0.3, 0.01, out=out) is out
-    assert np.array_equal(out, fresh)
-    assert np.array_equal(two_point_decoder(ys, 0.3, 0.01, out=ys), fresh)
+    # 0 at 0, the magnitude far out, and odd
+    est = np.array([0.0, 1e9, -0.5, -0.01, 0.2, 0.5, 0.01, -0.2])
+    _two_point_decoder(est, 0.3, 0.01)
+    assert est[0] == 0.0
+    assert est[1] == pytest.approx(0.3, rel=1e-12)
+    assert np.array_equal(est[2:5], -est[5:])
 
 
 def test_two_point_power_inversion(params):
