@@ -88,6 +88,19 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _write(path: str, text: str) -> None:
+    """Write text to `path` as UTF-8 with LF line ends.
+
+    A path that cannot be written is a usage error: the OSError is raised
+    again as a ValueError that names the path.
+    """
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
     """Write the header and rows to `path` as CSV text with LF line ends, in one write.
 
@@ -105,8 +118,7 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
         or text.count(",") != lines * (len(header) - 1)
     ):
         raise RuntimeError(f"a field of {path} needs CSV quoting")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    _write(path, text)
 
 
 def _manifest(args, argv: list[str], out: str) -> None:
@@ -133,9 +145,7 @@ def _manifest(args, argv: list[str], out: str) -> None:
         "elapsed_s": time.perf_counter() - args.started,
         "output": out,
     }
-    with open(out + ".manifest", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(out + ".manifest", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _gnuplot_script(out: str, header: list[str], ys: int, ylabel: str | None = None) -> None:
@@ -154,8 +164,7 @@ def _gnuplot_script(out: str, header: list[str], ys: int, ylabel: str | None = N
         f"set ylabel '{ylabel or header[1]}'",
         "plot " + ", ".join(f"'{path}' using 1:{i + 2} with lines" for i in range(ys)),
     ]
-    with open(out + ".gnuplot", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(out + ".gnuplot", "\n".join(lines) + "\n")
 
 
 def _grid(

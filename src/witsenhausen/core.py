@@ -85,18 +85,21 @@ def require_finite(**values: float) -> None:
         raise ValueError("must be finite: " + ", ".join(bad))
 
 
-def power_split(P: float, Q: float, rho: float) -> tuple[float, float, float]:
-    """(s, p_res, t) of the input rho sqrt(P/Q) X0 + W, W independent of X0.
+def power_split(P: float, Q: float, u: float) -> tuple[float, float, float]:
+    """(s, p_res, t) of the input (u - 1) sqrt(P/Q) X0 + W, W independent of X0.
 
-    p_res = P(1-rho^2) is the power of W, s = sqrt(Q) + rho sqrt(P) the scale
-    of X0 in the interim state and t = s^2 + p_res = P + Q + 2 rho sqrt(PQ) its
-    variance. s is formed as (Q-P)/(sqrt(Q)+sqrt(P)) + (1+rho) sqrt(P): for
-    P <= Q a sum of nonnegative terms, so nothing cancels as rho -> -1, P -> Q.
+    u = 1 + rho, in [0, 2], holds the correlation rho with the state where
+    it is closest to -1: near there a float u keeps its relative precision,
+    while a float rho resolves only 1.1e-16. p_res = P u (2 - u) =
+    P(1-rho^2) is the power of W, s = sqrt(Q) + rho sqrt(P) the scale of X0
+    in the interim state and t = s^2 + p_res = P + Q + 2 rho sqrt(PQ) its
+    variance. s is formed as (Q-P)/(sqrt(Q)+sqrt(P)) + u sqrt(P): for
+    P <= Q a sum of nonnegative terms, so nothing cancels as u -> 0, P -> Q.
     The closed forms call it with Q = 1.
     """
     sp = math.sqrt(P)
-    s = (Q - P) / (math.sqrt(Q) + sp) + (1.0 + rho) * sp
-    p_res = P * (1.0 - rho) * (1.0 + rho)
+    s = (Q - P) / (math.sqrt(Q) + sp) + u * sp
+    p_res = P * u * (2.0 - u)
     return s, p_res, s * s + p_res
 
 

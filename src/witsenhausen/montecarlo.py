@@ -30,8 +30,8 @@ first ones and is scaled in place; the simulator then computes the control
 u1 and the estimation error in place in these buffers with `out=` ufunc
 calls, their squares overwrite them, and they are reduced there to
 (n, mean, m2). Only those numbers reach the merge. Under tracemalloc a
-coord run of two 1e6-sample batches peaks at 0.85 MB with one worker and
-1.64 MB with two, about 6.3 CHUNK arrays per worker (3.2 for the linear
+coord run of two 1e6-sample batches peaks at 0.57 MB with one worker and
+1.08 MB with two, about 4.4 CHUNK arrays per worker (3.3 for the linear
 and two-point runs).
 """
 from __future__ import annotations
@@ -330,20 +330,21 @@ def _skew_cond_mean(y1: np.ndarray, T: float, N: float, out: np.ndarray) -> None
 
     mu + sigma m(mu/sigma) with mu = y1 T/(T+N) and sigma^2 = TN/(T+N): the
     mean of the conditional Gaussian truncated to the positive half-line.
-    out must not share memory with y1, which is read again at the end.
+    out must not share memory with y1, which is read again at the end and
+    left scaled to mu.
     """
     gain = T / (T + N)
     # N times a ratio <= 1, as in coord_mmse_at_rho: the product T N
     # overflows where every square of a simulation still fits
     sig = math.sqrt(N * gain)
-    # mu/sigma is built in out, and mu again at the end, and mills_ratio
-    # works in place, so the decoder holds no more than out and the last
-    # step's y1 * gain beside y1
+    # mu/sigma is built in out, and mu in y1 at the end, and mills_ratio
+    # works in place, so the decoder holds no array beside out and y1
     np.multiply(y1, gain, out=out)
     out /= sig
     mills_ratio(out, out=out)
     out *= sig
-    out += y1 * gain
+    y1 *= gain
+    out += y1
 
 
 def simulate_hybrid_conditional(
@@ -360,7 +361,7 @@ def simulate_hybrid_conditional(
     Q, N = params.Q, params.N
     lin_gain = policy.rho * math.sqrt(policy.unit_power(params))
     _require_simulable_power(policy.P, Q, f"coord power P={policy.P}")
-    _, p_res, T = power_split(policy.P, Q, policy.rho)
+    _, p_res, T = power_split(policy.P, Q, 1.0 + policy.rho)
     if T <= 0.0:
         raise ValueError("interim-state variance must be positive")
 

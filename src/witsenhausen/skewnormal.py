@@ -8,7 +8,10 @@ test, and the conditional MMSE of the scheme, optimized over the input
 correlation. The skew-normal conditional mean that decodes the scheme is
 run only by the simulator and lives there (`montecarlo`). An
 operating point is a `CoordPolicy` (P, rho) taken with the problem's
-`ProblemParams`; the closed forms work in units of Q. The
+`ProblemParams`. The margin and the MMSE are float kernels of the unit
+power p = P/Q, the noise ratio n = N/Q and u = 1 + rho, which keeps its
+relative precision as rho -> -1, where coord's optimum often lies; the
+public closed forms wrap them, and the optimizers call them directly. The
 sign-conditioned entropies, the conditional variance and the covariances
 they are built from only check these closed forms; they are test oracles
 (tests/skew_oracles.py).
@@ -60,10 +63,11 @@ _LN2 = math.log(2.0)
 # point on the constraint boundary, which is achievable.
 _IC_TOL = 1e-12
 
-# x-tolerances in rho of the coord optimizer: the bounded search for the peak
-# IC margin stops at its first positive margin and otherwise only has to
-# land inside the feasible interval, while the edge root-find sets rho* and
-# with it S.
+# x-tolerances of the coord optimizer, which searches u = 1 + rho; being
+# absolute, each is the same tolerance in rho. The bounded search for the
+# peak IC margin stops at its first positive margin and otherwise only has
+# to land inside the feasible interval, while the edge root-find sets rho*
+# and with it S.
 PEAK_RHO_TOL = 1e-5
 EDGE_RHO_TOL = 1e-12
 
@@ -90,9 +94,14 @@ class CoordPolicy:
 
     def unit_power(self, params: ProblemParams) -> float:
         """P/Q in the problem `params`; raises ValueError unless P <= Q."""
-        if self.P > params.Q:
-            raise ValueError(f"P={self.P} outside [0, Q={params.Q}]")
-        return params.unit_power(self.P)
+        return _unit_power(self.P, params)
+
+
+def _unit_power(P: float, params: ProblemParams) -> float:
+    """P/Q in the problem `params`; raises ValueError unless 0 <= P <= Q."""
+    if P > params.Q:
+        raise ValueError(f"P={P} outside [0, Q={params.Q}]")
+    return params.unit_power(P)
 
 
 # Chebyshev coefficients of h1 and h2 on [0, 1], of sum_k c_k T_k(2e - 1)
@@ -254,19 +263,6 @@ def entropy_reduction(alpha):
     return float(out) if out.ndim == 0 else out
 
 
-def _skew_scales(p: float, n: float, rho: float) -> tuple[float, float, float, float]:
-    """(s, residual power, t, skewness of the joint output/precoder pair), in units of Q.
-
-    s, the residual power and the interim variance t are `power_split`'s.
-    """
-    s, p_res, t = power_split(p, 1.0, rho)
-    if s * s <= 0.0:
-        return s, p_res, t, math.inf
-    r = (t + n) / n / s
-    d2 = math.sqrt(t / n + p_res * r * r)
-    return s, p_res, t, d2
-
-
 def ic_feasible(ic_bits: float) -> bool:
     """Feasibility predicate on an information-constraint margin in bits.
 
@@ -287,14 +283,27 @@ def coord_ic_margin(policy: CoordPolicy, params: ProblemParams) -> float:
     the capacity term is 0 and delta = sqrt(T/N), so the Psi terms cancel.
     Evaluated in units of Q; raises ValueError if P > Q.
     """
-    n = params.n
-    s, p_res, t, d2 = _skew_scales(policy.unit_power(params), n, policy.rho)
+    return _ic_margin(policy.unit_power(params), params.n, 1.0 + policy.rho)
+
+
+def _ic_margin(p: float, n: float, u: float) -> float:
+    """The information-constraint margin in bits at unit power p, n = N/Q and u = 1 + rho.
+
+    -inf where the interim state vanishes (s = 0), and exactly -1.0 with no
+    Psi evaluation where no residual power is left. The skewness delta of
+    the joint output/precoder pair is formed as sqrt(t/n + p_res r^2) with
+    r = (t + n)/n/s, products that neither underflow to a zero divisor nor
+    overflow.
+    """
+    s, p_res, t = power_split(p, 1.0, u)
     if s == 0.0:
         return -math.inf
     if p_res == 0.0:
         return -1.0
+    r = (t + n) / n / s
+    delta = math.sqrt(t / n + p_res * r * r)
     cap = 0.5 * math.log2(1.0 + p_res / n)
-    return cap - entropy_reduction(math.sqrt(t / n)) + entropy_reduction(d2) - 1.0
+    return cap - entropy_reduction(math.sqrt(t / n)) + entropy_reduction(delta) - 1.0
 
 
 def coord_mmse_at_rho(policy: CoordPolicy, params: ProblemParams) -> float:
@@ -308,7 +317,15 @@ def coord_mmse_at_rho(policy: CoordPolicy, params: ProblemParams) -> float:
     factor is exp(-v^2/4) at every kappa, so the quadrature sees one decay
     scale. Evaluated in units of Q and scaled back; raises ValueError if P > Q.
     """
-    t, n = power_split(policy.unit_power(params), 1.0, policy.rho)[2], params.n
+    return params.Q * _coord_mmse(policy.unit_power(params), params.n, 1.0 + policy.rho)
+
+
+def _coord_mmse(p: float, n: float, u: float) -> float:
+    """The hybrid scheme's estimation cost in units of Q at unit power p, n = N/Q and u = 1 + rho.
+
+    See `coord_mmse_at_rho` for the integral and its change of variable.
+    """
+    t = power_split(p, 1.0, u)[2]
     if t == 0.0:
         return 0.0
     # n times a ratio <= 1: the product t n goes subnormal at tiny n
@@ -322,136 +339,112 @@ def coord_mmse_at_rho(policy: CoordPolicy, params: ProblemParams) -> float:
         return mills_ratio(ks * v) * np.exp(-0.25 * v * v)
 
     g = s * integral_real_line(f)
-    return params.Q * (sig2 * (1.0 - (1.0 / math.pi) * math.sqrt(n / (2.0 * t + n)) * g))
+    return sig2 * (1.0 - (1.0 / math.pi) * math.sqrt(n / (2.0 * t + n)) * g)
 
 
-def _margin_in_rho(P: float, params: ProblemParams):
-    """The information-constraint margin at power P as a function of rho.
+def _one_bit_u(p: float, n: float) -> float | None:
+    """The u = 1 + rho < 1 at which the capacity term is one bit; None where 3N >= P.
 
-    The margin is >= -1 wherever it is finite (d2 >= d1, so Psi(d2) >= Psi(d1));
-    its one -inf, where the interim state vanishes (P = Q, rho = -1), is
-    clamped to -1 so that it can end a root-finder's bracket. Each rho is
-    evaluated once: the solvers revisit points (the root-finder's upper end is
-    the peak search's best point), and a revisit is read from the memo. A
-    NonConvergence of its Psi quadrature is raised again naming rho.
-    """
-    memo: dict[float, float] = {}
-
-    def margin(rho: float) -> float:
-        if rho not in memo:
-            try:
-                value = coord_ic_margin(CoordPolicy(P, rho), params)
-            except NonConvergence as exc:
-                raise NonConvergence(f"IC margin at rho={rho!r}: {exc}") from exc
-            memo[rho] = max(value, -1.0)
-        return memo[rho]
-
-    return margin
-
-
-def _peak_margin(margin) -> tuple[float, float]:
-    """(rho, margin) at the largest margin over rho in [-1, 1], by bounded Brent search."""
-    rho, neg = minimize_1d(lambda rho: -margin(rho), -1.0, 1.0, PEAK_RHO_TOL)
-    return rho, -neg
-
-
-def _one_bit_rho(p: float, n: float) -> float | None:
-    """The rho < 0 at which the capacity term is one bit, or None where there is none.
-
-    -sqrt(1 - x) with x = 3n/p, where P(1-rho^2) = 3N. Every rho with
-    P(1-rho^2) >= 3N is feasible: there the capacity term is at least one
-    bit, and Psi(delta) >= Psi(sqrt(T/N)) since delta >= sqrt(T/N). 1 + rho
-    is formed as x/(1 + sqrt(1 - x)), so nothing cancels, and rho is rounded
-    toward 0, which only raises its capacity. None where 3N >= P, or where
-    rho rounds to -1.
+    There P(1 - rho^2) = 3N. u is x/(1 + sqrt(1 - x)) with x = 3n/p: nothing
+    cancels, and a float u holds the point however small x is.
     """
     x = 3.0 * n / p
-    if not x < 1.0:
-        return None
-    u = x / (1.0 + math.sqrt(1.0 - x))
-    rho = u - 1.0
-    if rho == -1.0:
-        return None
-    return math.nextafter(rho, 0.0) if rho + 1.0 < u else rho
+    return x / (1.0 + math.sqrt(1.0 - x)) if x < 1.0 else None
 
 
 def mmse_coord(P: float, params: ProblemParams) -> tuple[float, float]:
     """Minimal hybrid-scheme estimation cost at power P, and its correlation.
 
-    coord_mmse_at_rho depends on rho only through T = P + Q + 2 rho sqrt(PQ),
-    which increases with rho, and it increases with T; the correlations with
-    a nonnegative information-constraint margin are taken to form one
-    interval. (At P = Q they do not: the margin is also >= 0 next to
-    rho = -1, where the interim state vanishes, and the edge found may be
-    that of the interval to its right.) The optimum is therefore the left
-    edge of that interval, and any rho_hi with a feasible margin brackets it
-    in [-1, rho_hi], since the margin at -1 is -1. Where 3N < P, rho_hi is
-    first the one-bit point -sqrt(1 - 3N/P) (`_one_bit_rho`), whose margin
-    is >= 0 up to rounding: one margin, and no search. Where that point does
-    not exist, rounds to -1 or reads infeasible after rounding, a bounded
-    maximization of the margin over rho stops at the first rho_hi with a
+    The optimizer works in u = 1 + rho, in [0, 2], which keeps its relative
+    precision at the rho -> -1 end where the optimum often lies.
+    coord_mmse_at_rho depends on u only through T = s^2 + P u (2 - u), which
+    increases with u, and it increases with T; the correlations with a
+    nonnegative information-constraint margin are taken to form one
+    interval. (At P = Q they do not: the margin is also >= 0 next to u = 0,
+    where the interim state vanishes, and the edge found may be that of the
+    interval to its right.) The optimum is therefore the left edge of that
+    interval, and any u_hi with a feasible margin brackets it in [0, u_hi],
+    since the margin at u = 0 is -1. Where 3N < P, u_hi is first the one-bit
+    point x/(1 + sqrt(1 - x)), x = 3N/P, where P(1 - rho^2) = 3N: there the
+    capacity term is one bit and Psi(delta) >= Psi(sqrt(T/N)), so its margin
+    is >= 0 up to rounding, and one margin decides with no search. Where
+    that point does not exist or reads infeasible after rounding, a bounded
+    maximization of the margin over u stops at the first u_hi with a
     positive margin, or runs to the peak, which decides feasibility and
-    gives rho_hi = rho_peak. A bracketing root-find of the margin on
-    [-1, rho_hi] then gives the edge rho*: it stops at the first point whose
-    margin is within the feasibility slack of 0, and its result is stepped
-    right (never past rho_hi) if rounding left it infeasible. Each margin is
-    evaluated once per call (a memo serves the root-find's second read of
-    rho_hi), and at rho = -1 it evaluates no Psi.
-    Returns (coord_mmse_at_rho at rho*, rho*). Raises EmptyFeasibleSet when
-    no correlation lets the channel carry the one-bit sign; at P = 0 this is
-    immediate, since with no residual power the margin is -1 for every rho.
-    Raises ValueError if P > Q, at the first margin.
+    gives u_hi = u_peak. A bracketing root-find of the margin on [0, u_hi]
+    then gives the edge u*: it stops at the first point whose margin is
+    within the feasibility slack of 0, and its result is stepped right
+    (never past u_hi) if rounding left it infeasible. The x-tolerances,
+    PEAK_RHO_TOL and EDGE_RHO_TOL, are absolute, so they are the same in u
+    as in rho. Each margin is evaluated once per call (a memo serves the
+    root-find's second read of u_hi), and at u = 0 it evaluates no Psi; a
+    NonConvergence of a Psi quadrature is raised again naming rho.
+    Returns (coord_mmse_at_rho at u*, rho* = u* - 1). Raises
+    EmptyFeasibleSet when no correlation lets the channel carry the one-bit
+    sign; at P = 0 this is immediate, since with no residual power the
+    margin is -1 for every rho. Raises ValueError if P > Q.
     """
-    p = params.unit_power(P)
+    p, n = _unit_power(P, params), params.n
     if p == 0.0:
         raise EmptyFeasibleSet("coord infeasible at P=0: the IC margin is -1 for every rho")
 
-    margin = _margin_in_rho(P, params)
-    rho_hi = _one_bit_rho(p, params.n)
-    if rho_hi is None or not ic_feasible(margin(rho_hi)):
-        rho_hi, neg = minimize_1d(lambda rho: -margin(rho), -1.0, 1.0, PEAK_RHO_TOL, stop=0.0)
+    memo: dict[float, float] = {}
+
+    def margin(u: float) -> float:
+        # clamped to -1, the margin's floor wherever it is finite, so that
+        # the -inf where the interim state vanishes (P = Q, u = 0) can end
+        # the root-find's bracket
+        if u not in memo:
+            try:
+                memo[u] = max(_ic_margin(p, n, u), -1.0)
+            except NonConvergence as exc:
+                raise NonConvergence(f"IC margin at rho={u - 1.0!r}: {exc}") from exc
+        return memo[u]
+
+    u_hi = _one_bit_u(p, n)
+    if u_hi is None or not ic_feasible(margin(u_hi)):
+        u_hi, neg = minimize_1d(lambda u: -margin(u), 0.0, 2.0, PEAK_RHO_TOL, stop=0.0)
         if not ic_feasible(-neg):
             raise EmptyFeasibleSet(
-                f"coord infeasible at P={P}: peak IC margin {-neg:.6g} bits at rho={rho_hi:.6g}"
+                f"coord infeasible at P={P}: peak IC margin {-neg:.6g} bits at rho={u_hi - 1.0:.6g}"
             )
 
-    def edge_margin(rho: float) -> float:
+    def edge_margin(u: float) -> float:
         # 0.0 inside the feasibility slack, so that Brent stops at the first
         # point it finds on the constraint boundary
-        m = margin(rho)
+        m = margin(u)
         return 0.0 if abs(m) <= _IC_TOL else m
 
-    rho = find_root(edge_margin, -1.0, rho_hi, EDGE_RHO_TOL) if margin(rho_hi) > 0.0 else rho_hi
+    u = find_root(edge_margin, 0.0, u_hi, EDGE_RHO_TOL) if margin(u_hi) > 0.0 else u_hi
     step = 1e-12
-    while not ic_feasible(margin(rho)):
-        rho = min(rho + step, rho_hi)
+    while not ic_feasible(margin(u)):
+        u = min(u + step, u_hi)
         step *= 2.0
     try:
-        return coord_mmse_at_rho(CoordPolicy(P, rho), params), rho
+        return params.Q * _coord_mmse(p, n, u), u - 1.0
     except NonConvergence as exc:
-        raise NonConvergence(f"MMSE integral at rho={rho!r}: {exc}") from exc
+        raise NonConvergence(f"MMSE integral at rho={u - 1.0!r}: {exc}") from exc
 
 
 def coord_min_power(params: ProblemParams) -> float:
     """Smallest power at which the hybrid scheme is feasible.
 
-    The root in P of the peak information-constraint margin over rho, the
-    quantity mmse_coord tests for feasibility; at P = 0 the margin is -1. The
-    root-find runs on P/Q in [0, min(1, 3N/Q)], in the unit problem (1, N/Q),
-    and stops at 1e-12: the peak margin is >= 0 at every P >= 3N, where rho
-    = -sqrt(1 - 3N/P) gives the channel one bit (`_one_bit_rho`). Where the
-    peak at 3N/Q does not read positive after rounding, the root-find runs
-    on [0, 1]. Raises EmptyFeasibleSet when the scheme is infeasible even at
-    P = Q.
+    The root in P of the peak information-constraint margin over u = 1 + rho,
+    the quantity mmse_coord tests for feasibility; at P = 0 the margin is -1.
+    The root-find runs on P/Q in [0, min(1, 3N/Q)], in units of Q, and stops
+    at 1e-12: the peak margin is >= 0 at every P >= 3N, where the channel
+    carries one bit at rho = -sqrt(1 - 3N/P). Where the peak at 3N/Q does not
+    read positive after rounding, the root-find runs on [0, 1]. Raises
+    EmptyFeasibleSet when the scheme is infeasible even at P = Q.
     """
-    unit = ProblemParams(1.0, params.n)
+    n = params.n
 
     def peak(p: float) -> float:
         if p == 0.0:
             return -1.0
-        return _peak_margin(_margin_in_rho(p, unit))[1]
+        return -minimize_1d(lambda u: -_ic_margin(p, n, u), 0.0, 2.0, PEAK_RHO_TOL)[1]
 
-    hi = min(1.0, 3.0 * params.n)
+    hi = min(1.0, 3.0 * n)
     top = peak(hi)
     if top <= 0.0 and hi < 1.0:
         hi, top = 1.0, peak(1.0)

@@ -265,13 +265,13 @@ def dpc_alpha(P: float, params: ProblemParams) -> float:
 def _dirty_paper_cost(p: float, n: float, rho: float) -> tuple[float, float]:
     """Dirty-paper cost of the split of p at correlation rho, and its residual, in units of Q.
 
-    With (s, p_res, t) = power_split(p, 1.0, rho), dirty-paper coding with power
+    With (s, p_res, t) = power_split(p, 1.0, 1 + rho), dirty-paper coding with power
     p_res against the residual state s X0 leaves the estimation cost
     (r / (p_res + n))^2 n / (t + n), where r = p_res sqrt(t+n) - n s; neither
     factor under- or overflows at any ratio n. It is exactly 0 where r >= 0.
     Returns (cost, r).
     """
-    s, p_res, t = power_split(p, 1.0, rho)
+    s, p_res, t = power_split(p, 1.0, 1.0 + rho)
     r = p_res * math.sqrt(t + n) - n * s
     if r >= 0.0:
         return 0.0, r

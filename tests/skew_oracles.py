@@ -17,15 +17,25 @@ from scipy.integrate import quad
 
 from witsenhausen.numerics import mills_ratio
 from witsenhausen.core import ProblemParams
-from witsenhausen.skewnormal import CoordPolicy, _skew_scales, entropy_reduction
+from witsenhausen.skewnormal import CoordPolicy, entropy_reduction
 
 from gaussian_oracles import DegenerateInput
 
 
 def _scales(policy: CoordPolicy, params: ProblemParams) -> tuple[float, float, float, float]:
-    """(s, p_res, T, d2) in the variances' own units; _skew_scales works in units of Q."""
-    s, p_res, t, d2 = _skew_scales(policy.unit_power(params), params.n, policy.rho)
-    return math.sqrt(params.Q) * s, params.Q * p_res, params.Q * t, d2
+    """(s, p_res, T, d2) in the variances' own units, from the formulas in rho.
+
+    s = sqrt(Q) + rho sqrt(P) scales the state in the interim state,
+    p_res = P(1 - rho^2) is the residual power, T = s^2 + p_res, and d2, the
+    skewness of the joint output/precoder pair, is
+    sqrt(T/N + p_res ((T + N)/(N s))^2), infinite where s = 0.
+    """
+    P, Q, N, rho = policy.P, params.Q, params.N, policy.rho
+    s = math.sqrt(Q) + rho * math.sqrt(P)
+    p_res = P * (1.0 - rho * rho)
+    t = s * s + p_res
+    d2 = math.sqrt(t / N + p_res * ((t + N) / (N * s)) ** 2) if s else math.inf
+    return s, p_res, t, d2
 
 
 def sign_conditioned_entropies(

@@ -884,6 +884,21 @@ def test_bad_flags_exit_2(tmp_path):
                 "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv", [["curve", "--strategy", "linear"], ["compare"], ["psi"]], ids=lambda a: a[0]
+)
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_an_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, where):
+    # the CSV cannot be opened: exit 2 with one stderr line that names the
+    # path, and no output file
+    out = tmp_path / "no-such-dir" / "t.csv" if where == "missing-dir" else tmp_path
+    assert run([*argv, "--steps", "3", "--out", str(out), "--gnuplot"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid arguments for {argv[0]}: cannot write {out}: ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_top_level_help_lists_the_four_subcommands(capsys):
     assert run(["-h"]) == 0
     out = capsys.readouterr().out

@@ -20,7 +20,7 @@ CLI_ENTRY = "main"
 
 # Library entry points documented in the README's Library section that the
 # CLI does not call.
-LIBRARY_ONLY = ("coord_min_power",)
+LIBRARY_ONLY = ("coord_min_power", "coord_ic_margin")
 
 
 def _bound_names(node: ast.stmt) -> list[str]:

@@ -248,8 +248,8 @@ def test_merged_slice_moments_match_numpy(monkeypatch):
 def test_simulation_memory_is_a_few_arrays_per_worker(params, monkeypatch):
     # tracemalloc sees NumPy's buffers; a batch holds no whole array, only
     # its CHUNK-long draw and scratch buffers and the coord decoder's
-    # temporaries of one slice (about 6.3 CHUNK arrays per worker for coord,
-    # 3.2 for the others), so the peak does not grow with the batch size
+    # temporaries of one slice (about 4.4 CHUNK arrays per worker for coord,
+    # 3.3 for the others), so the peak does not grow with the batch size
     cp = CoordPolicy(0.03, -0.5)
     simulations = {
         "linear": lambda cfg: simulate_linear(
@@ -384,7 +384,7 @@ class TestHybrid:
         assert within(coord_mmse_at_rho(cp, params), emp.mmse_mean, emp.mmse_stderr)
 
     def test_decoder_at_zero_output(self, params):
-        T, N = power_split(0.03, params.Q, -0.3)[2], params.N
+        T, N = power_split(0.03, params.Q, 1.0 - 0.3)[2], params.N
         expected = math.sqrt(T * N / (T + N)) * math.sqrt(2 / math.pi)
         out = np.empty(1)
         _skew_cond_mean(np.zeros(1), T, N, out=out)
@@ -392,7 +392,7 @@ class TestHybrid:
 
     def test_sign_halves_agree(self, params):
         # independent re-draw; the two sign-conditioned halves are mirror images
-        T, N = power_split(0.04, params.Q, -0.4)[2], params.N
+        T, N = power_split(0.04, params.Q, 1.0 - 0.4)[2], params.N
         rng = np.random.default_rng(77)
         n = 1_000_000
         x1 = rng.normal(scale=math.sqrt(T), size=n)

@@ -16,6 +16,7 @@ from witsenhausen.core import EmptyFeasibleSet, power_split, validate_params
 from witsenhausen.numerics import norm_pdf
 from witsenhausen.skewnormal import (
     EDGE_RHO_TOL,
+    PEAK_RHO_TOL,
     CoordPolicy,
     coord_ic_margin,
     coord_min_power,
@@ -186,7 +187,7 @@ def test_entropies_degenerate_inputs(params):
 def test_output_entropy_below_gaussian_bound(params):
     for rho in (-0.5, 0.0, 0.5):
         _, h_out, _ = sign_conditioned_entropies(CoordPolicy(0.04, rho), params)
-        T = power_split(0.04, params.Q, rho)[2]
+        T = power_split(0.04, params.Q, 1.0 + rho)[2]
         bound = 0.5 * math.log2(2 * math.pi * math.e * (T + params.N))
         assert h_out < bound  # strict for T > 0
 
@@ -194,7 +195,7 @@ def test_output_entropy_below_gaussian_bound(params):
 def test_output_entropy_against_direct_integral(params):
     # brute-force differential entropy of the sign-conditioned output law
     _, h_out, _ = sign_conditioned_entropies(CoordPolicy(0.04, -0.4), params)
-    T, N = power_split(0.04, params.Q, -0.4)[2], params.N
+    T, N = power_split(0.04, params.Q, 1.0 - 0.4)[2], params.N
     sy = math.sqrt(T + N)
     y = np.linspace(-14 * sy, 14 * sy, 2_000_001)
     f = (
@@ -309,7 +310,7 @@ def test_skew_moments_against_binned_simulation():
     x1, y = x1[keep], y[keep]
     y0s = np.array([-0.15, 0.0, 0.12, 0.3])
     means = np.empty_like(y0s)
-    _skew_cond_mean(y0s, T, N, out=means)
+    _skew_cond_mean(y0s.copy(), T, N, out=means)
     for y0, mean in zip(y0s, means):
         h = 0.004
         sel = np.abs(y - y0) < h
@@ -343,7 +344,7 @@ def test_skew_mean_scales_with_the_variances(k):
         assert math.isinf((c * T) * (c * N))
     y = np.array([-40.0, -3.0, -0.4, -0.0, 0.0, 0.25, 2.0, 30.0])
     base, out = np.empty_like(y), np.empty_like(y)
-    _skew_cond_mean(y, T, N, out=base)
+    _skew_cond_mean(y.copy(), T, N, out=base)
     _skew_cond_mean(root_c * y, c * T, c * N, out=out)
     assert np.array_equal(out, root_c * base)
 
@@ -393,7 +394,7 @@ def test_odd_term_vanishes(params):
 
 def test_mmse_bounded_by_unconditional(params):
     for P, rho in FEASIBLE_PAIRS + [(0.04, 0.6), (0.01, 0.0)]:
-        T, N = power_split(P, params.Q, rho)[2], params.N
+        T, N = power_split(P, params.Q, 1.0 + rho)[2], params.N
         sig2 = T * N / (T + N)
         v = coord_mmse_at_rho(CoordPolicy(P, rho), params)
         assert 0.0 <= v <= sig2
@@ -483,40 +484,51 @@ def test_mmse_coord_at_full_power_is_no_worse_than_a_feasible_rho_near_minus_one
     assert S <= coord_mmse_at_rho(near, params)
 
 
-@pytest.mark.parametrize("x", [1e-15, 1e-9, 3e-4, 0.1, 0.5, 0.75, 0.9, 1.0 - 1e-12])
+@pytest.mark.parametrize(
+    "x", [1e-300, 1e-15, 1e-9, 3e-4, 0.1, 0.5, 0.75, 0.9, 1.0 - 1e-12]
+)
 def test_one_bit_point_gives_the_channel_one_bit(x):
-    # rho is within a spacing of floats near 1 of -sqrt(1 - x), even where x
-    # is far below that spacing; where rho <= -0.5 it is rounded toward 0.
-    # So the capacity term is never below one bit by more than rounding.
+    # u = 1 + rho is within a few ulps of 1 - sqrt(1 - x) at the rounded
+    # x = 3n/P however small x is, so the capacity term is never below one
+    # bit by more than rounding
     n = x / 3.0
-    rho = skewnormal._one_bit_rho(1.0, n)
-    exact = -mpmath.sqrt(1 - 3 * mpmath.mpf(n))
-    assert abs(rho - exact) <= 2.3e-16
-    assert rho >= exact or rho > -0.5
-    cap = 0.5 * math.log2(1.0 + power_split(1.0, 1.0, rho)[1] / n)
+    u = skewnormal._one_bit_u(1.0, n)
+    with mpmath.workdps(40):
+        rounded = mpmath.mpf(3.0 * n)
+        assert abs(u - rounded / (1 + mpmath.sqrt(1 - rounded))) <= 4 * math.ulp(u)
+    cap = 0.5 * math.log2(1.0 + power_split(1.0, 1.0, u)[1] / n)
     assert cap >= 1.0 - 1e-15
 
 
-@pytest.mark.parametrize("P, n", [(1.0, 1.0 / 3.0), (0.5, 0.2), (1.0, 1e-20)])
-def test_one_bit_point_missing_without_room_or_when_it_rounds_to_minus_one(P, n):
-    # 3n >= P leaves no rho with a one-bit capacity; at 3n/P = 3e-20 the
-    # point rounds to -1, where the margin is -1
-    assert skewnormal._one_bit_rho(P, n) is None
+@pytest.mark.parametrize("P, n", [(1.0, 1.0 / 3.0), (0.5, 0.2)])
+def test_one_bit_point_missing_without_room(P, n):
+    # 3n >= P leaves no rho with a one-bit capacity
+    assert skewnormal._one_bit_u(P, n) is None
 
 
-def test_mmse_coord_searches_where_the_one_bit_point_rounds_to_minus_one(monkeypatch):
-    searches = []
-    real = numerics.minimize_1d
+def test_mmse_coord_brackets_with_the_one_bit_point_below_a_float_rho(monkeypatch):
+    # at (1, 1e-200) and P = 0.5 the one-bit point is u = 3e-200, which a
+    # float rho cannot tell from -1; it still ends the root-find's bracket,
+    # with no search, and the edge found is feasible
+    searches, mmse_us = [], []
+    real_search, real_mmse = numerics.minimize_1d, skewnormal._coord_mmse
 
     def recording(*args, **kwargs):
         searches.append(args[1:3])
-        return real(*args, **kwargs)
+        return real_search(*args, **kwargs)
+
+    def mmse(p, n, u):
+        mmse_us.append(u)
+        return real_mmse(p, n, u)
 
     monkeypatch.setattr(skewnormal, "minimize_1d", recording)
-    params = validate_params(1.0, 1e-200)
-    _, rho_star = mmse_coord(0.5, params)
-    assert searches == [(-1.0, 1.0)]
-    assert ic_feasible(coord_ic_margin(CoordPolicy(0.5, rho_star), params))
+    monkeypatch.setattr(skewnormal, "_coord_mmse", mmse)
+    _, rho_star = mmse_coord(0.5, validate_params(1.0, 1e-200))
+    assert searches == []
+    (u_star,) = mmse_us
+    assert 0.0 < u_star <= skewnormal._one_bit_u(0.5, 1e-200)
+    assert rho_star == u_star - 1.0 == -1.0
+    assert ic_feasible(skewnormal._ic_margin(0.5, 1e-200, u_star))
 
 
 @given(log_q=st.floats(-1.3, 0.3), log_ratio=st.floats(-4.0, -0.6), u=st.floats(0.0, 1.0))
@@ -544,19 +556,27 @@ def test_mmse_coord_returns_the_feasibility_edge(params, P):
 def _peak_route_rho(P: float, params):
     """rho* by the route without the early stop, or None where it finds no feasible rho.
 
-    The bounded peak search, then the edge root on [-1, rho_peak], stepped
-    right as mmse_coord steps it.
+    The bounded peak search over u = 1 + rho, then the edge root on
+    [0, u_peak], stepped right as mmse_coord steps it, each on the margin
+    kernel, clamped to -1 and read once per u.
     """
-    margin = skewnormal._margin_in_rho(P, params)
-    rho_peak, peak = skewnormal._peak_margin(margin)
-    if not ic_feasible(peak):
+    p, n = params.unit_power(P), params.n
+    memo = {}
+
+    def margin(u):
+        if u not in memo:
+            memo[u] = max(skewnormal._ic_margin(p, n, u), -1.0)
+        return memo[u]
+
+    u_peak, neg = numerics.minimize_1d(lambda u: -margin(u), 0.0, 2.0, PEAK_RHO_TOL)
+    if not ic_feasible(-neg):
         return None
-    rho = numerics.find_root(margin, -1.0, rho_peak, EDGE_RHO_TOL) if peak > 0.0 else rho_peak
+    u = numerics.find_root(margin, 0.0, u_peak, EDGE_RHO_TOL) if -neg > 0.0 else u_peak
     step = 1e-12
-    while not ic_feasible(margin(rho)):
-        rho = min(rho + step, rho_peak)
+    while not ic_feasible(margin(u)):
+        u = min(u + step, u_peak)
         step *= 2.0
-    return rho
+    return u - 1.0
 
 
 def assert_matches_peak_route(P: float, params) -> None:
@@ -584,12 +604,12 @@ def test_mmse_coord_matches_the_peak_route_on_drawn_params(log_q, log_ratio, u):
 
 
 def test_mmse_coord_evaluates_each_margin_once(params, monkeypatch):
-    rhos, solver_rhos, searches = [], set(), []
-    real_margin = skewnormal.coord_ic_margin
+    us, solver_us, searches = [], set(), []
+    real_margin = skewnormal._ic_margin
 
-    def counted(policy, params):
-        rhos.append(policy.rho)
-        return real_margin(policy, params)
+    def counted(p, n, u):
+        us.append(u)
+        return real_margin(p, n, u)
 
     def recording(name):
         real = getattr(numerics, name)
@@ -599,34 +619,35 @@ def test_mmse_coord_evaluates_each_margin_once(params, monkeypatch):
                 searches.append(lo)
 
             def g(x):
-                solver_rhos.add(x)
+                solver_us.add(x)
                 return f(x)
 
             return real(g, lo, hi, tol, **kwargs)
 
         return solve
 
-    monkeypatch.setattr(skewnormal, "coord_ic_margin", counted)
+    monkeypatch.setattr(skewnormal, "_ic_margin", counted)
     monkeypatch.setattr(skewnormal, "find_root", recording("find_root"))
     monkeypatch.setattr(skewnormal, "minimize_1d", recording("minimize_1d"))
     # P = 0.023 < 3N: no rho gives a one-bit capacity, so the bounded search
     # runs; its first point is infeasible and it runs on (16 margins; with
     # no memo it made 24). P = 0.05 > 3N: one margin at the one-bit point
-    # -sqrt(1 - 3N/P) ends the root-find's bracket, and no search runs (9
-    # margins; the search from its first point made 10, and 21 with no memo).
+    # u = 1 - sqrt(1 - 3N/P) ends the root-find's bracket, and no search runs
+    # (9 margins; the search from its first point made 10, and 21 with no
+    # memo).
     for P, budget, searched in [(0.023, 22, True), (0.05, 10, False)]:
-        rhos.clear()
-        solver_rhos.clear()
+        us.clear()
+        solver_us.clear()
         searches.clear()
         mmse_coord(P, params)
-        assert len(rhos) == len(set(rhos)) <= budget
+        assert len(us) == len(set(us)) <= budget
         assert bool(searches) is searched
         if not searched:
-            assert rhos[0] == pytest.approx(-math.sqrt(1.0 - 3.0 * params.N / P), abs=1e-15)
+            assert us[0] == pytest.approx(1.0 - math.sqrt(1.0 - 3.0 * params.N / P), abs=1e-15)
         # every margin is one the solvers asked for, the one-bit point
         # included, since it is the root-find's right end, which is read
         # again from the memo
-        assert set(rhos) == solver_rhos
+        assert set(us) == solver_us
 
 
 @pytest.mark.parametrize(
