@@ -5,18 +5,22 @@ Subcommands: ``curve`` (one strategy on a power or magnitude grid),
 against the closed forms with a 4-standard-error verdict) and ``psi`` (the
 entropy reduction function on a grid).
 
+The command line is read left to right by one option table, `_OPTIONS`,
+which also generates -h and the usage lines. It reads as argparse did:
+`--name value` or `--name=value`, a long name matched exactly or by a unique
+prefix, and a number such as -1e-3 as a value after a space too.
+
 Outputs are CSV (UTF-8, LF, header row, '.' decimals, full-precision
 round-trippable numbers) plus a JSON run manifest next to each CSV. Plotting
 is left to external tools; --gnuplot writes a companion script.
 
-Exit codes: 0 ok, 1 simulation verdict FAIL, 2 usage error (ValueError), 3
-numerical failure: a domain error of the solvers or quadratures, or an
-arithmetic overflow.
+Exit codes, which `main` returns, help and usage errors included: 0 ok or
+help, 1 simulation verdict FAIL, 2 usage error (an option the table refuses,
+or a ValueError), 3 numerical failure: a domain error of the solvers or
+quadratures, or an arithmetic overflow.
 """
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
 import os
@@ -24,6 +28,7 @@ import platform
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -167,6 +172,15 @@ def _gnuplot_script(out: str, header: list[str], ys: int, ylabel: str | None = N
     _write(out + ".gnuplot", "\n".join(lines) + "\n")
 
 
+def _write_outputs(args, argv: list[str], header: list[str], rows, ys: int = 1, ylabel=None) -> int:
+    """Write the CSV at --out, its manifest and, with --gnuplot, its companion script; 0."""
+    _write_csv(args.out, header, rows)
+    _manifest(args, argv, args.out)
+    if args.gnuplot:
+        _gnuplot_script(args.out, header, ys, ylabel)
+    return 0
+
+
 def _grid(
     lo: float, hi: float, steps: int, name: str, nonnegative: bool = True
 ) -> np.ndarray:
@@ -228,12 +242,7 @@ def cmd_curve(args, argv: list[str]) -> int:
     else:
         points = strategies.curve(args.strategy, params, _power_grid(args, params))
     rows = [_point_row(pt, args.strategy) for pt in points]
-
-    _write_csv(args.out, _CURVE_HEADER, rows)
-    _manifest(args, argv, args.out)
-    if args.gnuplot:
-        _gnuplot_script(args.out, _CURVE_HEADER, 1)
-    return 0
+    return _write_outputs(args, argv, _CURVE_HEADER, rows)
 
 
 _COMPARE_COLUMNS = [s.replace("-", "_") for s in strategies.STRATEGIES]
@@ -248,11 +257,7 @@ def cmd_compare(args, argv: list[str]) -> int:
         [_fmt(pts[0].P)] + [_fmt(pt.S) for pt in pts]
         for pts in zip(*curves)
     ]
-    _write_csv(args.out, _COMPARE_HEADER, rows)
-    _manifest(args, argv, args.out)
-    if args.gnuplot:
-        _gnuplot_script(args.out, _COMPARE_HEADER, len(_COMPARE_COLUMNS), "S")
-    return 0
+    return _write_outputs(args, argv, _COMPARE_HEADER, rows, len(_COMPARE_COLUMNS), "S")
 
 
 def cmd_simulate(args, argv: list[str]) -> int:
@@ -316,127 +321,200 @@ def cmd_psi(args, argv: list[str]) -> int:
     grid = _grid(args.alpha_min, args.alpha_max, args.steps, "alpha", nonnegative=False)
     psi = skewnormal.entropy_reduction(grid)
     rows = [[repr(a), repr(v)] for a, v in zip(grid.tolist(), psi.tolist())]
-    header = ["alpha", "psi"]
-    _write_csv(args.out, header, rows)
-    _manifest(args, argv, args.out)
-    if args.gnuplot:
-        _gnuplot_script(args.out, header, 1)
-    return 0
+    return _write_outputs(args, argv, ["alpha", "psi"], rows)
 
 
-def _add_common(
-    p: argparse.ArgumentParser, variances: bool = True, output: bool = True
-) -> None:
-    if variances:
-        p.add_argument("--Q", type=float, default=0.1, help="state variance (default 0.1)")
-        p.add_argument("--N", type=float, default=0.01, help="noise variance (default 0.01)")
-    if output:
-        p.add_argument("--out", required=True, help="output CSV path")
-        p.add_argument(
-            "--gnuplot", action="store_true", help="also write a companion gnuplot script"
-        )
+class _Help(Exception):
+    """-h or --help was reached."""
 
 
-def _attach_negative_values(argv: list[str]) -> list[str]:
-    """Join `--name -1e-3` into `--name=-1e-3` for every value that starts with '-'.
-
-    argparse reads only plain decimals such as -0.5 as negative numbers; it
-    takes -1e-3, -inf and -nan for options and fails with "expected one
-    argument".
-    """
-    out: list[str] = []
-    for tok in argv:
-        if out and out[-1].startswith("--") and "=" not in out[-1] and tok.startswith("-"):
-            try:
-                float(tok)
-            except ValueError:
-                pass
-            else:
-                out[-1] += "=" + tok
-                continue
-        out.append(tok)
-    return out
+class _UsageError(Exception):
+    """The option table refuses the command line; the message says why."""
 
 
-def _curve_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strategy", required=True, choices=strategies.STRATEGIES)
-    p.add_argument("--p-min", type=float, default=None, dest="p_min")
-    p.add_argument("--p-max", type=float, default=None, dest="p_max")
-    p.add_argument("--a-min", type=float, default=None, dest="a_min")
-    p.add_argument("--a-max", type=float, default=None, dest="a_max")
-    p.add_argument("--steps", type=int, default=101)
-    _add_common(p)
-    p.set_defaults(func=cmd_curve)
+_REQUIRED = object()
 
+# The option table: (flag, the subcommands that take it, type or choices,
+# default, help), in the order of the usage and help. The value lands in the
+# flag's name with '-' as '_' (--p-min: p_min). A bool option takes no value
+# and is True when given; a tuple lists the values an option accepts. Where
+# the default is None, the help says what None stands for.
+_OPTIONS = [
+    ("--strategy", "curve", strategies.STRATEGIES, _REQUIRED, "the strategy"),
+    ("--strategy", "simulate", ("linear", "two-point", "coord"), _REQUIRED, "the policy"),
+    ("--p-min", "curve compare", float, None, "lowest power (default 0)"),
+    ("--p-max", "curve compare", float, None, "highest power (default Q)"),
+    ("--a-min", "curve", float, None, "two-point: lowest magnitude (default 0)"),
+    ("--a-max", "curve", float, None, "two-point: highest magnitude (default 3 sqrt(Q))"),
+    ("--steps", "curve", int, 101, "grid points"),
+    ("--steps", "compare", int, 51, "grid points"),
+    ("--P", "simulate", float, None, "power target (no default)"),
+    ("--a", "simulate", float, None, "two-point magnitude (no default)"),
+    ("--rho", "simulate", float, None, "coord correlation (no default)"),
+    ("--n", "simulate", int, 1_000_000, "sample count"),
+    ("--seed", "simulate", int, 0, "RNG seed"),
+    ("--alpha-min", "psi", float, -10.0, "lowest alpha"),
+    ("--alpha-max", "psi", float, 10.0, "highest alpha"),
+    ("--steps", "psi", int, 401, "grid points"),
+    ("--Q", "curve compare simulate", float, 0.1, "state variance"),
+    ("--N", "curve compare simulate", float, 0.01, "noise variance"),
+    ("--out", "curve compare psi", str, _REQUIRED, "output CSV path"),
+    ("--gnuplot", "curve compare psi", bool, False, "also write a companion gnuplot script"),
+]
+_HELP = ("--help", "", bool, None, "show this help message and exit")
 
-def _compare_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--p-min", type=float, default=None, dest="p_min")
-    p.add_argument("--p-max", type=float, default=None, dest="p_max")
-    p.add_argument("--steps", type=int, default=51)
-    _add_common(p)
-    p.set_defaults(func=cmd_compare)
-
-
-def _simulate_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strategy", required=True, choices=["linear", "two-point", "coord"])
-    p.add_argument("--P", type=float, default=None, help="power target")
-    p.add_argument("--a", type=float, default=None, help="two-point magnitude")
-    p.add_argument("--rho", type=float, default=None, help="coord correlation")
-    p.add_argument("--n", type=int, default=1_000_000, help="sample count")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    _add_common(p, output=False)
-    p.set_defaults(func=cmd_simulate)
-
-
-def _psi_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha-min", type=float, default=-10.0, dest="alpha_min")
-    p.add_argument("--alpha-max", type=float, default=10.0, dest="alpha_max")
-    p.add_argument("--steps", type=int, default=401)
-    _add_common(p, variances=False)
-    p.set_defaults(func=cmd_psi)
-
-
-# subcommand: (help, the function that adds its options)
+# subcommand: (its function, its help)
 _COMMANDS = {
-    "curve": ("evaluate one strategy on a grid", _curve_options),
-    "compare": ("all strategies on a shared power grid", _compare_options),
-    "simulate": ("Monte-Carlo check of one closed form", _simulate_options),
-    "psi": ("tabulate the entropy reduction function", _psi_options),
+    "curve": (cmd_curve, "evaluate one strategy on a grid"),
+    "compare": (cmd_compare, "all strategies on a shared power grid"),
+    "simulate": (cmd_simulate, "Monte-Carlo check of one closed form"),
+    "psi": (cmd_psi, "tabulate the entropy reduction function"),
 }
+_CHOICES = "{" + ",".join(_COMMANDS) + "}"
+_DESCRIPTION = """\
+Power vs. estimation-cost trade-off curves of the scalar Witsenhausen problem
+with a causal decoder, with Monte-Carlo checks."""
 
 
-@functools.cache
-def build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The CLI's parser for running `command`, built once per command per process.
+def _table(command: str | None) -> list[tuple]:
+    """The rows of the options that `command` takes; none for None."""
+    return [row for row in _OPTIONS if command in row[1].split()]
 
-    Every subcommand is registered with its help, so -h and a missing or
-    unknown subcommand read as they would with every option built; only
-    `command` gets its options (none for None). Parsing leaves it unchanged.
+
+def _invocation(row: tuple) -> str:
+    """`--flag`, `--flag {a,b}` or `--flag METAVAR`, as the usage and help show a row."""
+    flag, _, kind = row[:3]
+    metavar = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else flag[2:].replace("-", "_").upper()
+    return flag if kind is bool else f"{flag} {metavar}"
+
+
+def _usage(command: str | None) -> str:
+    """The usage lines of `command` (None: the top level), wrapped at 78 columns."""
+    parts = [_invocation(row) if row[3] is _REQUIRED else f"[{_invocation(row)}]" for row in _table(command)]
+    lines = [f"usage: witsenhausen {command}" if command else "usage: witsenhausen"]
+    for part in ["[-h]", *parts] if command else ["[-h]", _CHOICES, "..."]:
+        if len(lines[-1]) + len(part) >= 78:
+            lines.append(" " * len(lines[0]))
+        lines[-1] += " " + part
+    return "\n".join(lines)
+
+
+def _help(command: str | None) -> str:
+    """The -h text of `command` (None: the top level), laid out as argparse did.
+
+    Each option's line gives its default or says that it is required.
     """
-    parser = argparse.ArgumentParser(
-        prog="witsenhausen",
-        description="Power vs. estimation-cost trade-off curves of the scalar "
-        "Witsenhausen problem with a causal decoder, with Monte-Carlo checks.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, options) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        if name == command:
-            options(p)
-    return parser
+    lines = [_usage(command), ""]
+    if command is None:
+        lines += [_DESCRIPTION, "", "positional arguments:", "  " + _CHOICES]
+        lines += [f"    {name:<20}{text}" for name, (_, text) in _COMMANDS.items()] + [""]
+    lines.append("options:")
+    for row in [_HELP, *_table(command)]:
+        default, text = row[3:]
+        inv = "-h, --help" if row is _HELP else _invocation(row)
+        if default is not None:
+            shown = "off" if default is False else default
+            text += " (required)" if default is _REQUIRED else f" (default {shown})"
+        lines.append(f"  {inv:<20}  {text}" if len(inv) <= 20 else f"  {inv}\n{'':24}{text}")
+    return "\n".join(lines)
+
+
+def _lookup(tok: str, rows: dict) -> tuple | None:
+    """(the row, the value glued to it or None) of the option `tok` names, or None.
+
+    A long name matches exactly, or else by a unique prefix (a lone `--` is
+    none), and `--name=value` glues its value; -h glues the rest of its
+    token. An ambiguous prefix is a usage error.
+    """
+    if tok[:2] != "--":
+        return (_HELP, tok[2:] or None) if tok[:2] == "-h" else None
+    name, eq, value = tok.partition("=")
+    hits = [name] if name in rows else [f for f in rows if len(name) > 2 and f.startswith(name)]
+    if len(hits) > 1:
+        raise _UsageError(f"ambiguous option: {tok} could match {', '.join(hits)}")
+    return (rows[hits[0]], value if eq else None) if hits else None
+
+
+def _is_value(tok: str, rows: dict) -> bool:
+    """Whether `tok` reads as an option's value, as it did with argparse.
+
+    It does if it does not start with '-', if it is a lone '-' or a number
+    (-1e-3, -inf, -nan), or if it names no option and holds a space.
+    """
+    if tok[:1] != "-" or tok == "-":
+        return True
+    try:
+        float(tok)
+    except ValueError:
+        return " " in tok and _lookup(tok, rows) is None
+    return True
+
+
+def _parse(command: str | None, toks: list[str]) -> SimpleNamespace:
+    """The options of `command` read from `toks` by the option table, left to right.
+
+    Help and usage errors are raised where they are reached, as _Help and
+    _UsageError. A valued option takes the next token if it reads as a
+    value; the last of a repeated option wins. Without a subcommand (None),
+    only -h may come first.
+    """
+    table = _table(command)
+    rows = {"--help": _HELP} | {row[0]: row for row in table}
+    found, i = {}, 0
+    while i < len(toks):
+        tok, i = toks[i], i + 1
+        option = _lookup(tok, rows)
+        if option is None:
+            raise _UsageError(
+                f"unrecognized arguments: {tok}" if command else f"argument command: invalid choice: {tok!r}"
+            )
+        row, value = option
+        flag, _, kind = row[:3]
+        if kind is bool:
+            if value is not None:
+                raise _UsageError(f"argument {flag}: ignored explicit argument {value!r}")
+            if row is _HELP:
+                raise _Help
+            found[flag] = True
+            continue
+        if value is None:
+            if i == len(toks) or not _is_value(toks[i], rows):
+                raise _UsageError(f"argument {flag}: expected one argument")
+            value, i = toks[i], i + 1
+        try:
+            # a tuple's index() raises ValueError for a value it does not list
+            found[flag] = kind[kind.index(value)] if isinstance(kind, tuple) else kind(value)
+        except ValueError:
+            what = "choice" if isinstance(kind, tuple) else f"{kind.__name__} value"
+            raise _UsageError(f"argument {flag}: invalid {what}: {value!r}") from None
+    if command is None:
+        raise _UsageError("the following arguments are required: command")
+    missing = [row[0] for row in table if row[3] is _REQUIRED and row[0] not in found]
+    if missing:
+        raise _UsageError("the following arguments are required: " + ", ".join(missing))
+    fields = {row[0][2:].replace("-", "_"): found.get(row[0], row[3]) for row in table}
+    return SimpleNamespace(command=command, **fields)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(_attach_negative_values(argv))
+    try:
+        args = _parse(command, argv[1:] if command else argv)
+    except _Help:
+        print(_help(command))
+        return 0
+    except _UsageError as exc:
+        prog = f"witsenhausen {command}" if command else "witsenhausen"
+        print(f"{_usage(command)}\n{prog}: error: {exc}", file=sys.stderr)
+        return 2
     args.started = time.perf_counter()
     try:
         # every command with an output writes its manifest, which reads the
         # git state: git runs while the command does
         if "out" in vars(args):
             _GIT.start()
-        return args.func(args, argv)
+        return _COMMANDS[command][0](args, argv)
     except ValueError as exc:
         print(f"invalid arguments for {args.command}: {exc}", file=sys.stderr)
         return 2

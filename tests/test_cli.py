@@ -20,10 +20,9 @@ from witsenhausen.core import EmptyFeasibleSet, NonConvergence, validate_params
 
 
 def run(argv):
-    try:
-        return main(argv)
-    except SystemExit as exc:  # argparse usage failures
-        return int(exc.code)
+    # main returns every exit code, help (0) and usage errors (2) included;
+    # it raises no SystemExit
+    return main(argv)
 
 
 def read_csv(path):
@@ -709,7 +708,9 @@ def _fresh_python(code, *args):
 
 def test_closed_form_commands_run_without_scipy(tmp_path):
     # importing scipy.special adds about 0.4 s to every run's start-up; these
-    # commands call no SciPy function, so they must run where none can load
+    # commands call no SciPy function, so they must run where none can load.
+    # The option table parses them, so neither argparse nor gettext loads
+    # either (SciPy imports argparse, so a command that loads SciPy would)
     out = str(tmp_path / "out.csv")
     commands = [
         ["curve", "--strategy", s, "--steps", "5", "--out", out]
@@ -725,10 +726,10 @@ def test_closed_form_commands_run_without_scipy(tmp_path):
         "sys.modules['scipy'] = None  # any import of SciPy now raises ImportError\n"
         "from witsenhausen.cli import main\n"
         "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-        "print(json.dumps(codes))\n"
+        "print(json.dumps([codes, sorted({'argparse', 'gettext'} & set(sys.modules))]))\n"
     )
     stdout = _fresh_python(code, json.dumps(commands))
-    assert json.loads(stdout.splitlines()[-1]) == [0] * len(commands)
+    assert json.loads(stdout.splitlines()[-1]) == [[0] * len(commands), []]
     # the manifest of the last table records that SciPy was not loaded
     with open(out + ".manifest") as f:
         assert json.load(f)["scipy_version"] is None
@@ -927,11 +928,63 @@ def test_an_unknown_or_missing_subcommand_exits_2(argv, capsys):
     assert capsys.readouterr().err.startswith("usage: witsenhausen [-h] {curve,compare,simulate,psi}")
 
 
-def test_the_parser_is_built_once_per_command():
-    from witsenhausen.cli import build_parser
+def test_help_after_options_returns_0(capsys):
+    assert run(["compare", "--Q", "1", "-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: witsenhausen compare ")
 
-    assert build_parser("compare") is build_parser("compare")
-    assert build_parser("compare") is not build_parser("curve")
+
+# each subcommand's options with their defaults, as its help gives them
+HELP_DEFAULTS = {
+    "curve": [
+        ("--strategy {linear,gaussian,two-point,dpc,lin-dpc,coord}", "required"),
+        ("--p-min P_MIN", "default 0"), ("--p-max P_MAX", "default Q"),
+        ("--a-min A_MIN", "default 0"), ("--a-max A_MAX", "default 3 sqrt(Q)"),
+        ("--steps STEPS", "default 101"), ("--Q Q", "default 0.1"), ("--N N", "default 0.01"),
+        ("--out OUT", "required"), ("--gnuplot", "default off"),
+    ],
+    "compare": [
+        ("--p-min P_MIN", "default 0"), ("--p-max P_MAX", "default Q"),
+        ("--steps STEPS", "default 51"), ("--Q Q", "default 0.1"), ("--N N", "default 0.01"),
+        ("--out OUT", "required"), ("--gnuplot", "default off"),
+    ],
+    "simulate": [
+        ("--strategy {linear,two-point,coord}", "required"), ("--P P", "no default"),
+        ("--a A", "no default"), ("--rho RHO", "no default"), ("--n N", "default 1000000"),
+        ("--seed SEED", "default 0"), ("--Q Q", "default 0.1"), ("--N N", "default 0.01"),
+    ],
+    "psi": [
+        ("--alpha-min ALPHA_MIN", "default -10.0"), ("--alpha-max ALPHA_MAX", "default 10.0"),
+        ("--steps STEPS", "default 401"), ("--out OUT", "required"), ("--gnuplot", "default off"),
+    ],
+}
+
+
+@pytest.mark.parametrize("command", HELP_DEFAULTS)
+def test_each_help_line_gives_the_default(capsys, command):
+    assert run([command, "-h"]) == 0
+    out = capsys.readouterr().out
+    # an invocation too long for its column puts its help on the next line
+    entries = re.findall(r"^  (\S.*?)(?:  +|\n {24})(\S.*)$", out.split("options:\n")[1], re.MULTILINE)
+    assert entries[0] == ("-h, --help", "show this help message and exit")
+    assert [(inv, re.search(r"\((.*)\)$", text)[1]) for inv, text in entries[1:]] == HELP_DEFAULTS[command]
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["compare", "--seed", "1", "--out", "o.csv"], "unrecognized arguments: --seed"),
+        (["psi", "--steps", "1.5", "--out", "o.csv"], "argument --steps: invalid int value: '1.5'"),
+        (["curve", "--strategy", "linear"], "the following arguments are required: --out"),
+    ],
+    ids=["unknown option", "bad int", "missing out"],
+)
+def test_a_usage_error_prints_the_usage_and_the_reason(capsys, argv, error):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, reason = captured.err.split(f"\nwitsenhausen {argv[0]}: error: ")
+    assert usage.startswith(f"usage: witsenhausen {argv[0]} [-h]")
+    assert reason == error + "\n"
 
 
 @pytest.mark.parametrize(
