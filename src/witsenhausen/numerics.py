@@ -1,10 +1,11 @@
 """Reusable numerical kernels.
 
 Gaussian-weighted and whole-line quadrature (adaptive Gauss-Kronrod on a
-truncated domain for a batch of integrals, one vectorized integrand call per
-refinement round), a numerically stable Gaussian tail ratio, a bracketing
-root-finder and a bounded 1-D minimizer (Brent's methods, the package's only
-solvers). The two solvers are ports of SciPy's `brentq` and bounded
+truncated domain, one vectorized integrand call per refinement round; one
+integral keeps its panels in Python floats and a batch of integrals in flat
+arrays, by the same rule and to the same values bit for bit), a
+numerically stable Gaussian tail ratio, a bracketing root-finder and a
+bounded 1-D minimizer (Brent's methods, the package's only solvers). The two solvers are ports of SciPy's `brentq` and bounded
 `minimize_scalar` that give the same iterates bit for bit (the minimizer
 can also stop at its first value below a given one), and mills_ratio
 imports SciPy's erfcx at its first call, so that starting the package loads
@@ -131,23 +132,75 @@ _RADIUS = 12.0
 QUAD_TOL = 1e-10
 
 
-def _eval_panels(f, a: np.ndarray, b: np.ndarray, theta: np.ndarray):
+def _eval_panels(f, a: np.ndarray, b: np.ndarray, *node_args):
     """Gauss-Kronrod on every panel [a_i, b_i] with one integrand call.
 
-    `theta` holds each panel's parameter; f gets it once per node. Returns
-    per panel (kronrod, |kronrod - gauss|).
+    f gets the node array followed by `node_args`, arrays with one entry per
+    node. Returns per panel (kronrod, |kronrod - gauss|).
     """
     h = 0.5 * (b - a)
     x = a[:, None] + h[:, None] * _XK1
-    y = np.asarray(f(x.ravel(), np.repeat(theta, _XK.size)), dtype=float)
-    if y.shape != (x.size,):
-        raise ValueError("integrand must return one value per node")
+    y = _per_node(f(x.ravel(), *node_args), x.size)
     sums = np.ascontiguousarray(y).reshape(x.shape) @ _W
     ik = h * sums[:, 0]
     return ik, np.abs(ik - h * sums[:, 1])
 
 
-def _adaptive(f, theta) -> np.ndarray:
+def _per_node(y, n: int) -> np.ndarray:
+    """An integrand's values as a float array; any shape but (n,) raises ValueError."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (n,):
+        raise ValueError("integrand must return one value per node")
+    return y
+
+
+def _nonconvergence(err_sum, bound, splits: int, at: str = "") -> NonConvergence:
+    """The error of an integral left unfinished; `at` names its parameter."""
+    return NonConvergence(
+        f"quadrature error {err_sum:.3e} above tolerance {bound:.3e} after {splits} subdivisions{at}"
+    )
+
+
+def _integral(f) -> float:
+    """Adaptive Gauss-Kronrod subdivision of [-_RADIUS, _RADIUS] for one integral of f(x).
+
+    The rule of `_adaptive` for a batch of one, with the panels in Python
+    lists of floats: a round of a single integral evaluates a few dozen
+    panels, and NumPy calls sized for a batch would cost more than the
+    round's arithmetic. Only the integrand call and the panel rule run in
+    NumPy, on the new halves. The panels are kept in the order a batch of
+    one has them (kept panels, then left halves, then right halves) and
+    summed left to right from 0.0, as np.bincount does, so the value is a
+    batch of one's, bit for bit. Raises NonConvergence like `_adaptive`,
+    without a parameter.
+    """
+    edges = np.linspace(-_RADIUS, _RADIUS, 9)
+    ik, err = _eval_panels(f, edges[:-1], edges[1:])
+    panels = list(zip(edges[:-1].tolist(), edges[1:].tolist(), ik.tolist(), err.tolist()))
+    splits = 0
+    while True:
+        total = err_sum = 0.0
+        for p in panels:
+            total += p[2]
+            err_sum += p[3]
+        # max() keeps a NaN total, as np.maximum does
+        bound = max(QUAD_TOL * abs(total), QUAD_TOL)
+        if err_sum <= bound:
+            return total
+        # a NaN error estimate would select no panel to bisect
+        if splits >= _MAX_SUBDIVISIONS or not math.isfinite(err_sum):
+            raise _nonconvergence(err_sum, bound, splits)
+        mean = err_sum / len(panels)
+        halved = [p for p in panels if p[3] >= mean]
+        mid = [0.5 * (p[0] + p[1]) for p in halved]
+        new_a, new_b = [p[0] for p in halved] + mid, mid + [p[1] for p in halved]
+        ik, err = _eval_panels(f, np.array(new_a), np.array(new_b))
+        # the error sum is finite here, so no estimate is NaN
+        panels = [p for p in panels if p[3] < mean] + list(zip(new_a, new_b, ik.tolist(), err.tolist()))
+        splits += len(halved)
+
+
+def _adaptive(f, theta: np.ndarray) -> np.ndarray:
     """Adaptive Gauss-Kronrod subdivision of [-_RADIUS, _RADIUS] for a batch of integrals.
 
     Integral k is the integral of f(x, theta[k]); f is called with a node
@@ -162,17 +215,16 @@ def _adaptive(f, theta) -> np.ndarray:
     The panels sit in flat arrays with an owner index. Every step keeps
     each integral's panels in the order a batch of one would have them, and
     np.bincount sums them in that order, so an integral's value does not
-    depend on its batch-mates, bit for bit. `theta=None` is one integral
-    without a parameter. Raises NonConvergence for the first integral that
-    fails or reaches a NaN error estimate; no value is returned.
+    depend on its batch-mates, bit for bit; `_integral` runs the same rule
+    for one integral without a parameter. Raises NonConvergence, naming the
+    parameter, for the first integral that fails or reaches a NaN error
+    estimate; no value is returned.
     """
-    named = theta is not None
-    theta = np.zeros(1) if theta is None else np.asarray(theta, dtype=float)
     m = theta.size
     edges = np.linspace(-_RADIUS, _RADIUS, 9)
     owner, panel = np.divmod(np.arange(8 * m), 8)
     a, b = edges[panel], edges[panel + 1]
-    ik, err = _eval_panels(f, a, b, theta[owner])
+    ik, err = _eval_panels(f, a, b, np.repeat(theta[owner], _XK.size))
     active = np.ones(m, dtype=bool)  # finished integrals have no panels left
     count = np.bincount(owner, minlength=m)
     splits = np.zeros(m, dtype=int)
@@ -196,10 +248,8 @@ def _adaptive(f, theta) -> np.ndarray:
             failed = ~done & ((splits >= _MAX_SUBDIVISIONS) | ~np.isfinite(err_sum))
             if failed.any():
                 j = int(np.argmax(failed))
-                at = f" at parameter {float(theta[j])!r}" if named else ""
-                raise NonConvergence(
-                    f"quadrature error {err_sum[j]:.3e} above tolerance {bound[j]:.3e} "
-                    f"after {splits[j]} subdivisions{at}"
+                raise _nonconvergence(
+                    err_sum[j], bound[j], splits[j], f" at parameter {float(theta[j])!r}"
                 )
         split = err >= (err_sum / count)[owner]
         chosen = np.bincount(owner[split], minlength=m)
@@ -208,7 +258,7 @@ def _adaptive(f, theta) -> np.ndarray:
         mid = 0.5 * (sa + sb)
         new_a, new_b = np.concatenate([sa, mid]), np.concatenate([mid, sb])
         new_owner = np.concatenate([so, so])
-        new_ik, new_err = _eval_panels(f, new_a, new_b, theta[new_owner])
+        new_ik, new_err = _eval_panels(f, new_a, new_b, np.repeat(theta[new_owner], _XK.size))
         a = np.concatenate([a[keep], new_a])
         b = np.concatenate([b[keep], new_b])
         ik = np.concatenate([ik[keep], new_ik])
@@ -218,18 +268,23 @@ def _adaptive(f, theta) -> np.ndarray:
         count += chosen
 
 
+def _gauss_weighted(f):
+    """f(x, *theta) times the standard normal density at the nodes x."""
+
+    def weighted(x, *theta):
+        return _per_node(f(x, *theta), x.size) * norm_pdf(x)
+
+    return weighted
+
+
 def gauss_weighted_integral(f: Callable[[np.ndarray], np.ndarray]) -> float:
     """Integral of f(x) * phi(x) over the real line, phi the standard normal density.
 
-    f is called with an array of nodes and returns one value per node. It
-    may grow at most polynomially (times logs); the Gaussian weight then
-    confines everything to [-12, 12].
+    f is called with an array of nodes and must return one value per node;
+    any other shape raises ValueError. It may grow at most polynomially
+    (times logs); the Gaussian weight then confines everything to [-12, 12].
     """
-
-    def weighted(x, _theta):
-        return np.asarray(f(x), dtype=float) * norm_pdf(x)
-
-    return float(_adaptive(weighted, None)[0])
+    return _integral(_gauss_weighted(f))
 
 
 def gauss_weighted_integrals(
@@ -243,10 +298,7 @@ def gauss_weighted_integrals(
     the one a batch of one would give, bit for bit.
     """
     theta = np.asarray(theta, dtype=float).ravel()
-
-    def weighted(x, th):
-        return np.asarray(f(x, th), dtype=float) * norm_pdf(x)
-
+    weighted = _gauss_weighted(f)
     out = np.empty(theta.size)
     for lo in range(0, theta.size, _BATCH):
         out[lo : lo + _BATCH] = _adaptive(weighted, theta[lo : lo + _BATCH])
@@ -261,7 +313,7 @@ def integral_real_line(f: Callable[[np.ndarray], np.ndarray]) -> float:
     outside a bounded set, with a decay scale of order one so the truncation
     radius of 12 applies; callers standardize their variables accordingly.
     """
-    return float(_adaptive(lambda x, _theta: f(x), None)[0])
+    return _integral(f)
 
 
 def mills_ratio(x, out=None):

@@ -243,6 +243,76 @@ def test_batched_nonconvergence_names_the_failing_integral(monkeypatch):
     assert sum(nodes) == 15 * (3 * 8 + 2 * 2)
 
 
+def _psi_weighted(alpha):
+    return numerics._gauss_weighted(lambda x: skewnormal._psi_integrand(x, alpha))
+
+
+def _two_point_weighted(kappa):
+    return numerics._gauss_weighted(lambda x: strategies._two_point_integrand(x, kappa))
+
+
+def _coord_mmse_integrand(p, n, u, monkeypatch):
+    """The integrand that coord's MMSE at unit power p, n = N/Q and u = 1 + rho integrates."""
+    seen = []
+
+    def recorded(f):
+        seen.append(f)
+        return integral_real_line(f)
+
+    monkeypatch.setattr(skewnormal, "integral_real_line", recorded)
+    skewnormal._coord_mmse(p, n, u)
+    (f,) = seen
+    return f
+
+
+@pytest.mark.parametrize(
+    "integrand",
+    [
+        *[pytest.param(lambda mp, a=a: _psi_weighted(a), id=f"psi-{a:g}") for a in (520.0, 600.0, 1e4, 1e8)],
+        # compare-skewed's P = Q edge and a power of compare-study
+        pytest.param(lambda mp: _coord_mmse_integrand(1.0, 1e-4, 7.388443554269551e-13, mp), id="coord-edge"),
+        pytest.param(lambda mp: _coord_mmse_integrand(0.5, 0.1, 0.1930990725986823, mp), id="coord-study"),
+        *[pytest.param(lambda mp, k=k: _two_point_weighted(k), id=f"two-point-{k:g}") for k in (0.3, 3.0, 30.0)],
+    ],
+)
+def test_a_single_integral_is_a_batch_of_one(integrand, monkeypatch):
+    # the single loop runs the batch loop's rule on Python floats: same
+    # integrand calls, and the same value bit for bit
+    f = integrand(monkeypatch)
+    single_nodes, batch_nodes = [], []
+
+    def single(x):
+        single_nodes.append(x.size)
+        return f(x)
+
+    def batch(x, theta):
+        batch_nodes.append(x.size)
+        return f(x)
+
+    value = numerics._integral(single)
+    assert value == numerics._adaptive(batch, np.zeros(1))[0]
+    assert single_nodes == batch_nodes
+    assert 1 < len(single_nodes) <= 12
+    assert integral_real_line(f) == value
+
+
+@pytest.mark.parametrize(
+    "bad", [lambda x: 1.0, lambda x: x[: x.size // 2]], ids=["scalar", "half"]
+)
+@pytest.mark.parametrize(
+    "integrate",
+    [
+        integral_real_line,
+        gauss_weighted_integral,
+        lambda f: gauss_weighted_integrals(lambda x, theta: f(x), np.array([0.5, 2.0])),
+    ],
+    ids=["integral_real_line", "gauss_weighted_integral", "gauss_weighted_integrals"],
+)
+def test_an_integrand_must_return_one_value_per_node(integrate, bad):
+    with pytest.raises(ValueError, match="integrand must return one value per node"):
+        integrate(bad)
+
+
 # ------------------------------------------------------------- mills_ratio
 
 
