@@ -130,6 +130,10 @@ _BATCH = 64
 _MAX_SUBDIVISIONS = 200
 _RADIUS = 12.0
 QUAD_TOL = 1e-10
+# Every integral starts from these 8 equal panels: their edges, and for
+# `_integral` their lower and upper ends as lists of floats.
+_EDGES = np.linspace(-_RADIUS, _RADIUS, 9)
+_STARTS = (_EDGES[:-1].tolist(), _EDGES[1:].tolist())
 
 
 def _eval_panels(f, a: np.ndarray, b: np.ndarray, *node_args):
@@ -174,9 +178,8 @@ def _integral(f) -> float:
     batch of one's, bit for bit. Raises NonConvergence like `_adaptive`,
     without a parameter.
     """
-    edges = np.linspace(-_RADIUS, _RADIUS, 9)
-    ik, err = _eval_panels(f, edges[:-1], edges[1:])
-    panels = list(zip(edges[:-1].tolist(), edges[1:].tolist(), ik.tolist(), err.tolist()))
+    ik, err = _eval_panels(f, _EDGES[:-1], _EDGES[1:])
+    panels = list(zip(*_STARTS, ik.tolist(), err.tolist()))
     splits = 0
     while True:
         total = err_sum = 0.0
@@ -221,9 +224,8 @@ def _adaptive(f, theta: np.ndarray) -> np.ndarray:
     estimate; no value is returned.
     """
     m = theta.size
-    edges = np.linspace(-_RADIUS, _RADIUS, 9)
     owner, panel = np.divmod(np.arange(8 * m), 8)
-    a, b = edges[panel], edges[panel + 1]
+    a, b = _EDGES[panel], _EDGES[panel + 1]
     ik, err = _eval_panels(f, a, b, np.repeat(theta[owner], _XK.size))
     active = np.ones(m, dtype=bool)  # finished integrals have no panels left
     count = np.bincount(owner, minlength=m)

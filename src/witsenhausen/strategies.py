@@ -19,6 +19,7 @@ forms, are test oracles (tests/gaussian_oracles.py).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -188,13 +189,17 @@ def _two_point_integrand(t, kappa):
     return np.exp(-_log_cosh(kappa * t))
 
 
-def _two_point_prefactor(a, kappa):
-    """sqrt(2 pi) a^2 phi(kappa) = exp(2 log a - kappa^2/2), for a > 0.
+def _two_point_prefactor(u, kappa):
+    """sqrt(2 pi) u^2 phi(kappa) = exp(2 log u - kappa^2/2), for u > 0.
 
-    kappa^2 may overflow to inf, which makes the factor exactly 0.
+    The factor underflows to exactly 0 past kappa ~ 38.6-39.0 for n = N/Q
+    from 1e-4 to 1e4, and from kappa = 54.09 on at any n <= DBL_MAX. Where
+    kappa^2 overflows to inf it is exactly 0. u = kappa sqrt(n) overflows
+    only there; it is capped at DBL_MAX so that the exponent is -inf, not
+    inf - inf.
     """
     with np.errstate(over="ignore"):
-        return np.exp(2.0 * np.log(a) - 0.5 * kappa * kappa)
+        return np.exp(2.0 * np.log(np.minimum(u, sys.float_info.max)) - 0.5 * kappa * kappa)
 
 
 def two_point_costs(policy: TwoPointPolicy, params: ProblemParams) -> tuple[float, float]:
@@ -203,11 +208,13 @@ def two_point_costs(policy: TwoPointPolicy, params: ProblemParams) -> tuple[floa
     P(a) = Q + a(a - 2 sqrt(2Q/pi)); with u = a/sqrt(Q) and kappa = a/sqrt(N),
     S(a) = Q sqrt(2 pi) u^2 phi(kappa) * int phi(t) sech(kappa t) dt.
     The sech factor and sqrt(2 pi) u^2 phi(kappa) = exp(2 log u - kappa^2/2)
-    are evaluated in log space: kappa can be large enough for cosh to
-    overflow long before the integral becomes negligible, and u^2 can
-    overflow where the cost has long underflowed to 0. A magnitude whose
-    power is not finite is rejected. `two_point_cost_grid` is the same
-    computation over an array of magnitudes. Returns (P, S).
+    are evaluated in log space: u^2 can overflow where the cost has long
+    underflowed to 0. The prefactor comes first: where it is exactly 0
+    (from kappa = 54.09 on at the latest), so is S, and no integral runs; a
+    NaN prefactor is not skipped. Every integrated node thus has
+    kappa |t| <= 649, short of where cosh overflows. A magnitude whose power
+    is not finite is rejected. `two_point_cost_grid` is the same computation
+    over an array of magnitudes. Returns (P, S).
     """
     a = policy.a
     power = two_point_power(a, params.Q)
@@ -216,17 +223,21 @@ def two_point_costs(policy: TwoPointPolicy, params: ProblemParams) -> tuple[floa
     if a == 0.0:
         return power, 0.0
     kappa = a / math.sqrt(params.N)
-    integral = gauss_weighted_integral(lambda t: _two_point_integrand(t, kappa))
     prefactor = _two_point_prefactor(a / math.sqrt(params.Q), kappa)
+    if prefactor == 0.0:
+        return power, 0.0
+    integral = gauss_weighted_integral(lambda t: _two_point_integrand(t, kappa))
     return power, params.Q * float(prefactor * integral)
 
 
 def two_point_cost_grid(a, params: ProblemParams) -> tuple[np.ndarray, np.ndarray]:
     """Powers and estimation costs of the two-point policy at an array of magnitudes.
 
-    The array form of `two_point_costs`: its sech integrals are one batched
-    quadrature, and each (P, S) equals the scalar call's, bit for bit.
-    Magnitudes must be nonnegative with finite powers.
+    The array form of `two_point_costs`: the sech integrals of the
+    magnitudes whose prefactor is not exactly 0 are one batched quadrature,
+    the others cost exactly 0 with no integral, and each (P, S) equals the
+    scalar call's, bit for bit. Magnitudes must be nonnegative with finite
+    powers.
     """
     a = np.asarray(a, dtype=float)
     if np.any(a < 0.0):
@@ -236,11 +247,15 @@ def two_point_cost_grid(a, params: ProblemParams) -> tuple[np.ndarray, np.ndarra
         bad = a[~np.isfinite(power)].flat[0]
         raise ValueError(f"two-point magnitude a={bad} gives a power that is not finite")
     cost = np.zeros(a.shape)
-    pos = a > 0.0
-    kappa = a[pos] / math.sqrt(params.N)
-    integral = gauss_weighted_integrals(_two_point_integrand, kappa)
-    u = a[pos] / math.sqrt(params.Q)
-    cost[pos] = params.Q * (_two_point_prefactor(u, kappa) * integral)
+    live = a > 0.0
+    with np.errstate(over="ignore"):
+        u, kappa = a[live] / math.sqrt(params.Q), a[live] / math.sqrt(params.N)
+    prefactor = _two_point_prefactor(u, kappa)
+    # the scalar call's test: a zero prefactor is skipped, a NaN one is not
+    nonzero = prefactor != 0.0
+    live[live] = nonzero
+    integral = gauss_weighted_integrals(_two_point_integrand, kappa[nonzero])
+    cost[live] = params.Q * (prefactor[nonzero] * integral)
     return power, cost
 
 

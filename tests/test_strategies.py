@@ -182,15 +182,40 @@ def test_two_point_power_curve_shape(params):
 
 
 def test_two_point_survives_extreme_gain_over_noise():
-    # cosh would overflow at a y / N ~ 700; the log-space path must not
+    # kappa = 500: exp(-kappa^2/2) underflows, so the cost is exactly 0 with
+    # no integral run, and cosh(kappa t), which overflows from kappa t ~ 710,
+    # is never formed
     p = validate_params(0.1, 1e-6)
     _, S = two_point_costs(TwoPointPolicy(0.5), p)
-    assert math.isfinite(S) and S >= 0.0
+    assert S == 0.0
+
+
+def _last_nonzero_prefactor(params, lo, hi):
+    """Adjacent magnitudes lo < hi with a nonzero and a zero two-point prefactor.
+
+    Bisection between a magnitude lo whose prefactor is nonzero and one hi
+    whose prefactor is 0, down to neighbouring floats.
+    """
+
+    def nonzero(a):
+        return strategies._two_point_prefactor(
+            a / math.sqrt(params.Q), a / math.sqrt(params.N)
+        ) != 0.0
+
+    assert nonzero(lo) and not nonzero(hi)
+    while np.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if nonzero(mid) else (lo, mid)
+    return lo, hi
 
 
 def test_two_point_cost_grid_equals_the_scalar_costs(params):
-    # magnitudes from 0 through the curve's range to where the cost underflows
-    a = np.concatenate([[0.0], np.linspace(0.01, 3.0 * math.sqrt(params.Q), 90), [40.0, 1e154]])
+    # magnitudes from 0 through the curve's range, across the last nonzero
+    # prefactor (a = 3.873 here), to where the cost underflows
+    edge = _last_nonzero_prefactor(params, 1.0, 10.0)
+    a = np.concatenate(
+        [[0.0], np.linspace(0.01, 3.0 * math.sqrt(params.Q), 90), edge, [40.0, 1e154]]
+    )
     powers, costs = two_point_cost_grid(a, params)
     for x, p, s in zip(a, powers, costs):
         assert (p, s) == two_point_costs(TwoPointPolicy(float(x)), params)
@@ -198,6 +223,43 @@ def test_two_point_cost_grid_equals_the_scalar_costs(params):
     for bad in ([0.1, -0.1], [0.1, 1e200], [math.nan]):
         with pytest.raises(ValueError):
             two_point_cost_grid(np.array(bad), params)
+
+
+def test_two_point_cost_skips_the_integral_where_the_prefactor_is_zero(params, monkeypatch):
+    integrand = strategies._two_point_integrand
+    lo, hi = _last_nonzero_prefactor(params, 1.0, 10.0)
+    seen = []
+
+    def recording(t, kappa):
+        seen.append(np.unique(kappa))
+        return integrand(t, kappa)
+
+    def failing(t, kappa):
+        raise AssertionError(f"integrand called at kappa={kappa}")
+
+    monkeypatch.setattr(strategies, "_two_point_integrand", failing)
+    zero = [hi, 5.0, 1e154]
+    for a in zero:
+        assert two_point_costs(TwoPointPolicy(a), params)[1] == 0.0
+    assert np.all(two_point_cost_grid(zero, params)[1] == 0.0)
+    monkeypatch.setattr(strategies, "_two_point_integrand", recording)
+    mixed = np.array([0.0, 0.5, hi, lo, 40.0, 0.3])
+    _, costs = two_point_cost_grid(mixed, params)
+    assert costs[[0, 2, 4]].tolist() == [0.0, 0.0, 0.0]
+    assert costs[1] > 0.0 and costs[5] > 0.0
+    kappas = np.unique(np.concatenate(seen))
+    assert kappas.tolist() == sorted(x / math.sqrt(params.N) for x in (0.5, lo, 0.3))
+
+
+def test_two_point_cost_is_zero_where_the_gain_overflows():
+    # u = a / sqrt(Q) overflows at a subnormal Q; kappa^2 then overflows too
+    # (N <= DBL_MAX Q), and the cost is exactly 0, not inf - inf
+    p = validate_params(1e-320, 1e-300)
+    P, S = two_point_costs(TwoPointPolicy(1e150), p)
+    assert math.isfinite(P) and S == 0.0
+    powers, costs = two_point_cost_grid([0.0, 5e149, 1e150], p)
+    assert costs.tolist() == [0.0, 0.0, 0.0]
+    assert np.all(np.isfinite(powers))
 
 
 def test_two_point_curve_equals_the_scalar_costs(params):
