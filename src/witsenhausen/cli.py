@@ -38,13 +38,52 @@ from .core import CurvePoint, WitsenhausenError, validate_params
 __all__ = ["main"]
 
 
+# the directory of this package, as imported; git runs there
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
+
+
+def _may_be_in_checkout(directory: str) -> bool:
+    """Whether `git describe`, run in `directory`, could find a repository.
+
+    False only where git surely could not: GIT_DIR is unset, and neither the
+    real path of `directory` (git resolves its cwd physically) nor any
+    ancestor up to the first one listed in GIT_CEILING_DIRECTORIES holds a
+    `.git` entry (a directory, a file or a link) or is itself a git
+    directory (holds a `HEAD`). An entry that cannot be looked up counts as
+    found.
+    """
+    if "GIT_DIR" in os.environ:
+        return True
+    ceilings = {
+        os.path.normpath(d)
+        for d in os.environ.get("GIT_CEILING_DIRECTORIES", "").split(os.pathsep)
+        if os.path.isabs(d)
+    }
+    here = os.path.realpath(directory)
+    while True:
+        for name in (".git", "HEAD"):
+            try:
+                os.lstat(os.path.join(here, name))
+                return True
+            except (FileNotFoundError, NotADirectoryError):
+                pass
+            except OSError:
+                return True
+        parent = os.path.dirname(here)
+        if parent == here or parent in ceilings:
+            return False
+        here = parent
+
+
 class _GitState:
     """`git describe` of the checkout that holds this package, not of the CWD.
 
     Read once per process: the code that runs was loaded once, so its state
     is the one at the first read. `start` runs git as a child process, so
-    that it works while the command does; `read` collects it. A git that is
-    missing, fails or hangs past 5 s gives "unknown".
+    that it works while the command does; `read` collects it. Where no
+    checkout holds the package (`_may_be_in_checkout`), the state is
+    "unknown" and no process starts; git there could only fail. A git that
+    is missing, fails or hangs past 5 s gives "unknown" too.
     """
 
     def __init__(self) -> None:
@@ -52,13 +91,16 @@ class _GitState:
         self.child: subprocess.Popen | None = None
 
     def start(self) -> None:
-        """Start git, unless it was started or read before."""
+        """Start git, unless it was started or read before, or could find no repository."""
         if self.value is not None or self.child is not None:
+            return
+        if not _may_be_in_checkout(_PACKAGE_DIR):
+            self.value = "unknown"
             return
         try:
             self.child = subprocess.Popen(
                 ["git", "describe", "--always", "--dirty"],
-                cwd=os.path.dirname(os.path.abspath(__file__)),
+                cwd=_PACKAGE_DIR,
                 stdin=subprocess.DEVNULL,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.DEVNULL,
@@ -181,14 +223,14 @@ def _write_outputs(args, argv: list[str], header: list[str], rows, ys: int = 1, 
     return 0
 
 
-def _grid(
-    lo: float, hi: float, steps: int, name: str, nonnegative: bool = True
-) -> np.ndarray:
-    """`steps` evenly spaced values from lo to hi; a bad grid is a usage error.
+def _grid(lo: float, hi: float, steps: int, name: str, nonnegative: bool = True) -> list[float]:
+    """`steps` evenly spaced floats from lo to hi; a bad grid is a usage error.
 
     Checks --steps and the bounds --<name>-min/--<name>-max: both finite,
-    lo < hi, a finite span hi - lo (np.linspace steps through it) and, when
-    `nonnegative`, lo >= 0.
+    lo < hi, a finite span hi - lo and, when `nonnegative`, lo >= 0. The
+    values are np.linspace's, bit for bit: i * step + lo with step =
+    (hi - lo)/(steps - 1), or (i/(steps - 1)) (hi - lo) + lo where that step
+    underflows to 0, and the last value is hi.
     """
     if steps < 2:
         raise ValueError("--steps must be >= 2")
@@ -197,12 +239,16 @@ def _grid(
     if not (0.0 if nonnegative else -math.inf) <= lo < hi:
         floor = "0 <= " if nonnegative else ""
         raise ValueError(f"need {floor}{name}-min < {name}-max")
-    if not math.isfinite(hi - lo):
+    div, delta = steps - 1, hi - lo
+    if not math.isfinite(delta):
         raise ValueError(f"the span {name}-max - {name}-min overflows")
-    return np.linspace(lo, hi, steps)
+    step = delta / div
+    if step:
+        return [i * step + lo for i in range(div)] + [hi]
+    return [(i / div) * delta + lo for i in range(div)] + [hi]
 
 
-def _power_grid(args, params) -> np.ndarray:
+def _power_grid(args, params) -> list[float]:
     p_min = args.p_min if args.p_min is not None else 0.0
     p_max = args.p_max if args.p_max is not None else params.Q
     return _grid(p_min, p_max, args.steps, "p")
@@ -237,7 +283,7 @@ def cmd_curve(args, argv: list[str]) -> int:
         powers, costs = strategies.two_point_cost_grid(grid, params)
         points = [
             CurvePoint(p, s, a)
-            for p, s, a in zip(powers.tolist(), costs.tolist(), grid.tolist())
+            for p, s, a in zip(powers.tolist(), costs.tolist(), grid)
         ]
     else:
         points = strategies.curve(args.strategy, params, _power_grid(args, params))
@@ -320,7 +366,7 @@ def cmd_simulate(args, argv: list[str]) -> int:
 def cmd_psi(args, argv: list[str]) -> int:
     grid = _grid(args.alpha_min, args.alpha_max, args.steps, "alpha", nonnegative=False)
     psi = skewnormal.entropy_reduction(grid)
-    rows = [[repr(a), repr(v)] for a, v in zip(grid.tolist(), psi.tolist())]
+    rows = [[repr(a), repr(v)] for a, v in zip(grid, psi.tolist())]
     return _write_outputs(args, argv, ["alpha", "psi"], rows)
 
 

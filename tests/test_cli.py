@@ -162,9 +162,21 @@ def _recording_popen(monkeypatch, started):
     monkeypatch.setattr(subprocess, "Popen", recording)
 
 
+def _as_in_a_checkout(monkeypatch):
+    """Let the CLI start git wherever the suite runs, from a checkout or not.
+
+    The CLI starts git only where git could find a repository for the
+    package, and an export of the tree holds none.
+    """
+    from witsenhausen import cli
+
+    monkeypatch.setattr(cli, "_may_be_in_checkout", lambda directory: True)
+
+
 def test_git_state_is_read_once_per_process(tmp_path, monkeypatch):
     from witsenhausen import cli
 
+    _as_in_a_checkout(monkeypatch)
     started = []
     _recording_popen(monkeypatch, started)
     # a process that has not read the git state yet
@@ -183,6 +195,7 @@ def test_git_state_is_read_once_per_process(tmp_path, monkeypatch):
 def test_git_that_hangs_records_unknown_and_the_run_succeeds(tmp_path, monkeypatch):
     from witsenhausen import cli
 
+    _as_in_a_checkout(monkeypatch)
     started = []
 
     class Hanging(subprocess.Popen):
@@ -223,6 +236,7 @@ def test_a_git_that_cannot_start_records_unknown(tmp_path, monkeypatch):
 def test_no_git_child_outlives_main(tmp_path, monkeypatch, outcome):
     from witsenhausen import cli
 
+    _as_in_a_checkout(monkeypatch)
     started = []
     _recording_popen(monkeypatch, started)
     monkeypatch.setattr(cli, "_GIT", cli._GitState())
@@ -255,6 +269,169 @@ def test_simulate_starts_no_git(monkeypatch, capsys):
     assert run(["simulate", "--strategy", "linear", "--P", "0.05", "--n", "20000"]) == 0
     assert started == []
     assert capsys.readouterr().out.endswith("PASS\n")
+
+
+needs_git = pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+
+
+def _package_at(monkeypatch, directory, ceiling):
+    """A fresh git state of a package in `directory`, git's search stopped below `ceiling`.
+
+    Returns the state and the list of the children it starts.
+    """
+    from witsenhausen import cli
+
+    directory.mkdir(parents=True, exist_ok=True)
+    monkeypatch.setattr(cli, "_PACKAGE_DIR", str(directory))
+    monkeypatch.delenv("GIT_DIR", raising=False)
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(ceiling))
+    started = []
+    _recording_popen(monkeypatch, started)
+    return cli._GitState(), started
+
+
+def _repository(path):
+    """A git repository at `path` with one commit."""
+    path.mkdir(parents=True)
+    assert _git("init", "-q", cwd=path).returncode == 0
+    commit = _git("-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false",
+                  "commit", "-q", "--allow-empty", "-m", "x", cwd=path)
+    assert commit.returncode == 0
+    return path
+
+
+def _described(directory):
+    """What `git describe --always --dirty` gives in `directory`, as the manifest records it."""
+    out = _git("describe", "--always", "--dirty", cwd=directory)
+    return out.stdout.strip() if out.returncode == 0 else "unknown"
+
+
+def _git_finds_repository(directory):
+    return _git("rev-parse", "--git-dir", cwd=directory).returncode == 0
+
+
+def test_no_git_entry_below_the_ceiling_starts_no_git(tmp_path, monkeypatch):
+    package = tmp_path / "tree" / "src" / "witsenhausen"
+    state, started = _package_at(monkeypatch, package, tmp_path)
+    assert state.read() == "unknown"
+    assert started == []
+    if shutil.which("git") is not None:
+        assert not _git_finds_repository(package)
+
+
+@needs_git
+@pytest.mark.parametrize("entry", ["directory", "worktree file"])
+def test_a_checkout_starts_git_and_records_its_describe(tmp_path, monkeypatch, entry):
+    root = _repository(tmp_path / "repo")
+    if entry == "worktree file":
+        assert _git("worktree", "add", "-q", str(tmp_path / "wt"), cwd=root).returncode == 0
+        root = tmp_path / "wt"
+        assert (root / ".git").is_file()
+    package = root / "src" / "witsenhausen"
+    state, started = _package_at(monkeypatch, package, tmp_path)
+    recorded = state.read()
+    assert [name for name, _ in started] == ["git"]
+    assert recorded == _described(package) != "unknown"
+
+
+@needs_git
+def test_git_dir_set_starts_git(tmp_path, monkeypatch):
+    repo = _repository(tmp_path / "repo")
+    package = tmp_path / "tree" / "witsenhausen"
+    state, started = _package_at(monkeypatch, package, tmp_path)
+    monkeypatch.setenv("GIT_DIR", str(repo / ".git"))
+    recorded = state.read()
+    assert [name for name, _ in started] == ["git"]
+    assert recorded == _described(package)
+
+
+@needs_git
+def test_a_ceiling_inside_a_checkout_starts_no_git(tmp_path, monkeypatch):
+    repo = _repository(tmp_path / "repo")
+    package = repo / "sub" / "witsenhausen"
+    state, started = _package_at(monkeypatch, package, package.parent)
+    assert state.read() == "unknown"
+    assert started == []
+    # git, stopped by the same ceiling, finds no repository either; without it, git does
+    assert not _git_finds_repository(package)
+    monkeypatch.delenv("GIT_CEILING_DIRECTORIES")
+    assert _git_finds_repository(package)
+
+
+@needs_git
+def test_a_symlinked_package_is_judged_by_its_target(tmp_path, monkeypatch):
+    target = _repository(tmp_path / "repo") / "src" / "witsenhausen"
+    target.mkdir(parents=True)
+    link = tmp_path / "outside" / "witsenhausen"
+    link.parent.mkdir()
+    link.symlink_to(target, target_is_directory=True)
+    state, started = _package_at(monkeypatch, link, tmp_path)
+    recorded = state.read()
+    assert [name for name, _ in started] == ["git"]
+    assert recorded == _described(link) != "unknown"
+
+
+@needs_git
+def test_a_package_inside_a_git_directory_starts_git(tmp_path, monkeypatch):
+    # a bare repository is a git directory with no .git entry in it
+    bare = tmp_path / "bare.git"
+    assert _git("init", "-q", "--bare", str(bare), cwd=tmp_path).returncode == 0
+    package = bare / "witsenhausen"
+    state, started = _package_at(monkeypatch, package, tmp_path)
+    recorded = state.read()
+    assert [name for name, _ in started] == ["git"]
+    assert recorded == _described(package)
+
+
+def test_a_git_entry_that_cannot_be_looked_up_counts_as_found(tmp_path, monkeypatch):
+    from witsenhausen import cli
+
+    real = os.lstat
+
+    def denied(path, *args, **kwargs):
+        if os.path.basename(path) == ".git":
+            raise PermissionError(13, "Permission denied", path)
+        return real(path, *args, **kwargs)
+
+    _package_at(monkeypatch, tmp_path / "tree" / "witsenhausen", tmp_path)
+    monkeypatch.setattr(os, "lstat", denied)
+    assert cli._may_be_in_checkout(cli._PACKAGE_DIR)
+
+
+def test_a_copy_outside_any_checkout_starts_no_git(tmp_path):
+    # a fresh interpreter runs a copy of the package below a ceiling with no
+    # .git under it; a fake git first on PATH records every run
+    src = tmp_path / "src"
+    shutil.copytree(os.path.dirname(witsenhausen.__file__), src / "witsenhausen",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    runs = tmp_path / "git-runs.txt"
+    fake = tmp_path / "bin" / "git"
+    fake.parent.mkdir()
+    fake.write_text(f'#!/bin/sh\necho "$@" >> "{runs}"\nexit 1\n')
+    fake.chmod(0o755)
+    env = {k: v for k, v in os.environ.items() if k != "GIT_DIR"}
+    env |= {
+        "PATH": f"{fake.parent}{os.pathsep}{env.get('PATH', '')}",
+        "PYTHONPATH": str(src),
+        "GIT_CEILING_DIRECTORIES": str(tmp_path),
+    }
+
+    def cli_run(*argv):
+        out = tmp_path / f"{argv[0]}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "witsenhausen.cli", *argv, "--out", str(out)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(out.with_name(out.name + ".manifest").read_text())["git_describe"]
+
+    assert cli_run("compare", "--steps", "3") == "unknown"
+    assert not runs.exists()
+    # the control: with a .git entry above the copy, below the ceiling, the
+    # fake runs (and fails)
+    (src / ".git").mkdir()
+    assert cli_run("psi", "--steps", "3") == "unknown"
+    assert runs.read_text() == "describe --always --dirty\n"
 
 
 def test_manifest_records_the_optimizer_tolerances(tmp_path, monkeypatch):
@@ -475,6 +652,56 @@ def test_psi_takes_a_negative_exponent_after_a_space(tmp_path):
     assert rc == 0
     _, rows = read_csv(out)
     assert [float(r[0]) for r in rows] == list(np.linspace(-1e-3, 1.0, 3))
+
+
+# (lo, hi, steps) of every grid the benchmark workloads and CI's console
+# step lay out, at their defaults Q = 0.1 and a-max = 3 sqrt(Q)
+NAMED_GRIDS = [
+    (0.0, 0.1, 13), (0.0, 1.0, 7), (-10.0, 10.0, 801), (-300.0, 300.0, 401),
+    (0.0, 3.0 * math.sqrt(0.1), 201), (0.0, 0.1, 201),
+    (-1e-3, 1.0, 3), (-10.0, 10.0, 3), (0.0, 0.1, 5), (0.0, 1e-300, 5), (0.0, 1e300, 5),
+    (0.0, 0.1, 3), (-1e3, 1e3, 5), (0.0, 1.0, 3), (0.0, 1.0, 5), (0.0, 1e300, 3),
+    (0.0, 1.0, 9), (0.0, 3.0, 201), (0.0, 1e150, 3),
+]
+# spans so small that the step (hi - lo)/(steps - 1) underflows to 0
+UNDERFLOWING_GRIDS = [
+    (0.0, 5e-324, 3), (0.0, 1e-323, 7), (-5e-324, 5e-324, 5), (5e-324, 2e-323, 9),
+    (1e-310, 1e-310 + 5e-324, 4), (0.0, 1.5e-323, 100),
+]
+
+
+def _random_grids(count):
+    """`count` seeded (lo, hi, steps) triples over the whole float range, subnormals included."""
+    rng = np.random.default_rng(20261022)
+    grids = []
+    while len(grids) < count:
+        lo = rng.choice([0.0, -1.0, 1.0]) * rng.random() * 10.0 ** rng.integers(-323, 300)
+        hi = lo + rng.random() * 10.0 ** rng.integers(-323, 300)
+        if lo < hi and math.isfinite(hi - lo):
+            grids.append((float(lo), float(hi), int(rng.integers(2, 200))))
+    return grids
+
+
+def _same_bits(lo, hi, steps):
+    from witsenhausen import cli
+
+    grid = cli._grid(lo, hi, steps, "x", nonnegative=False)
+    return type(grid) is list and np.array_equal(
+        np.array(grid).view(np.int64), np.linspace(lo, hi, steps).view(np.int64)
+    )
+
+
+@pytest.mark.parametrize("lo, hi, steps", NAMED_GRIDS + UNDERFLOWING_GRIDS)
+def test_grid_is_linspace_bit_for_bit(lo, hi, steps):
+    assert _same_bits(lo, hi, steps)
+
+
+def test_grid_is_linspace_bit_for_bit_on_random_grids():
+    grids = _random_grids(2500)
+    # linspace's underflow branch is taken by every listed span and by random ones
+    assert all((hi - lo) / (steps - 1) == 0.0 for lo, hi, steps in UNDERFLOWING_GRIDS)
+    assert any((hi - lo) / (steps - 1) == 0.0 for lo, hi, steps in grids)
+    assert [g for g in grids if not _same_bits(*g)] == []
 
 
 UNREAD_OPTIONS = [
